@@ -9,6 +9,7 @@ test suite cross-checks against BFS distance.
 """
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,9 +26,13 @@ class AffineElement:
     trans: tuple[int, ...]
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
-        # (w1 t_b1)(w2 t_b2) = (w1 w2) t_{w2^{-1} b1 + b2}
-        moved = other.finite.inverse().act_coweight(Coweight(self.trans))
-        trans = tuple(a + b for a, b in zip(moved.coords, other.trans))
+        # (w1 t_b1)(w2 t_b2) = (w1 w2) t_{w2^{-1} b1 + b2}, where
+        # (w2^{-1} b1)_i = <w2^{-1} b1, w_i> = <b1, w2(w_i)>: no inverse needed
+        b1 = self.trans
+        trans = tuple(
+            sum(b * c for b, c in zip(b1, col)) + b2
+            for col, b2 in zip(other.finite.cols, other.trans)
+        )
         return AffineElement(self.finite * other.finite, trans)
 
     def inverse(self) -> "AffineElement":
@@ -40,11 +45,6 @@ class AffineElement:
 
     def is_identity(self) -> bool:
         return self.finite.is_identity() and all(c == 0 for c in self.trans)
-
-    def act_monomial(self, n: int, lam: Weight) -> tuple[int, Weight]:
-        """Level-zero action on q^n e^lam: w t_beta sends it to q^{n - <beta,lam>} e^{w lam}."""
-        rs = self.finite.rs
-        return n - rs.pairing(Coweight(self.trans), lam), self.finite.act(lam)
 
 
 def affine_identity(rs: RootSystem) -> AffineElement:
@@ -64,9 +64,10 @@ def translation(rs: RootSystem, beta: Coweight) -> AffineElement:
 
 
 def element_from_word(rs: RootSystem, word: Word) -> AffineElement:
+    gens = _cache(rs).gens
     out = affine_identity(rs)
     for i in word:
-        out = out * affine_simple(rs, i)
+        out = out * gens[i]
     return out
 
 
@@ -91,26 +92,32 @@ def affine_length(x: AffineElement) -> int:
 
 
 class _AffineCache:
+    """Per-root-system affine data: the generators s_0..s_r and the BFS ball of words."""
+
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        self.gens = tuple(affine_simple(rs, i) for i in range(rs.rank + 1))
         ident = affine_identity(rs)
         self.words: dict[AffineElement, Word] = {ident: ()}
         self.frontier: list[AffineElement] = [ident]
         self.radius = 0
         self.all_words: dict[AffineElement, tuple[Word, ...]] = {}
+        # frontier and radius advance together; one expansion at a time
+        self.lock = threading.Lock()
 
     def expand_to(self, radius: int) -> None:
-        while self.radius < radius and self.frontier:
-            nxt = []
-            for x in self.frontier:
-                base = self.words[x]
-                for i in range(self.rs.rank + 1):
-                    y = x * affine_simple(self.rs, i)
-                    if y not in self.words:
-                        self.words[y] = base + (i,)
-                        nxt.append(y)
-            self.frontier = nxt
-            self.radius += 1
+        with self.lock:
+            while self.radius < radius and self.frontier:
+                nxt = []
+                for x in self.frontier:
+                    base = self.words[x]
+                    for i, gen in enumerate(self.gens):
+                        y = x * gen
+                        if y not in self.words:
+                            self.words[y] = base + (i,)
+                            nxt.append(y)
+                self.frontier = nxt
+                self.radius += 1
 
 
 _CACHES: dict[int, _AffineCache] = {}
@@ -132,7 +139,8 @@ def shortest_word(x: AffineElement) -> Word:
     word = cache.words.get(x)
     if word is None:
         raise AssertionError("length formula disagrees with BFS reachability")
-    assert len(word) == target
+    if len(word) != target:
+        raise AssertionError("BFS word length disagrees with the length formula")
     return word
 
 
@@ -152,8 +160,8 @@ def all_reduced_words(x: AffineElement) -> tuple[Word, ...]:
         result: tuple[Word, ...] = ((),)
     else:
         acc = []
-        for i in range(x.finite.rs.rank + 1):
-            y = affine_simple(x.finite.rs, i) * x
+        for i, gen in enumerate(cache.gens):
+            y = gen * x
             if affine_length(y) == n - 1:
                 acc.extend((i,) + rest for rest in all_reduced_words(y))
         result = tuple(sorted(acc))
@@ -271,5 +279,6 @@ def loop_translation_weight(rs: RootSystem, loop: Word, w: WeylElement) -> Cowei
     if not lift.finite.is_identity():
         raise ValueError("loop lift has a nontrivial finite part")
     moved = lift * AffineElement(w, (0,) * rs.rank)
-    assert moved.finite == w
+    if moved.finite != w:
+        raise AssertionError("loop lift moves the finite part")
     return Coweight(moved.trans)

@@ -48,11 +48,6 @@ class CharPoly:
     def one(rank: int) -> "CharPoly":
         return CharPoly({((0,) * rank, 0): Fraction(1)})
 
-    def copy(self) -> "CharPoly":
-        out = CharPoly()
-        out.terms = dict(self.terms)
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -24,7 +24,6 @@ from .rootdata import (
 )
 from . import weylchar as wc
 
-CLI_TYPES = ("A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "F4")
 SUITES = ("nmconn", "dmain", "fdif", "cor", "gnsmac", "all")
 
 
@@ -428,6 +427,8 @@ def parse_args(argv) -> RunConfig:
     if getattr(args, "beta", None):
         config.beta = parse_coweight(rs, args.beta)
     if args.command == "verify":
+        if args.max_weight < 1:
+            raise SystemExit("--max-weight must be >= 1")
         config.suite = args.suite
         config.max_weight = args.max_weight
         config.jobs = max(1, args.jobs)
@@ -474,14 +475,18 @@ def main(argv=None) -> int:
         return 0
 
     if config.command == "emac":
-        epoly = gram_schmidt_E(rs, config.gamma)
-        if config.dagger:
-            epoly = bar_conjugate(epoly)
-        if config.spec_modes:
-            result = specialize(epoly, config.spec_modes)
-            _write(config, emit(result, config.fmt, rs.rank))
-        else:
-            _write(config, emit(dict(epoly.coeffs), config.fmt, rs.rank))
+        # the oracle's scope and the specialization modes are the library's to judge
+        try:
+            epoly = gram_schmidt_E(rs, config.gamma)
+            if config.dagger:
+                epoly = bar_conjugate(epoly)
+            if config.spec_modes:
+                result = specialize(epoly, config.spec_modes)
+            else:
+                result = dict(epoly.coeffs)
+        except ValueError as err:
+            raise SystemExit(f"emac: {err}")
+        _write(config, emit(result, config.fmt, rs.rank))
         return 0
 
     if config.command == "weylchar":

@@ -12,7 +12,6 @@ from math import gcd as int_gcd
 
 BPoly = dict  # {(dq, dt): int}
 
-P_ZERO: BPoly = {}
 P_ONE: BPoly = {(0, 0): 1}
 
 
@@ -56,14 +55,6 @@ def p_mul(a: BPoly, b: BPoly) -> BPoly:
             else:
                 out.pop(k, None)
     return out
-
-
-def p_scale(a: BPoly, c: int) -> BPoly:
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
-def p_is_zero(a: BPoly) -> bool:
-    return not a
 
 
 def p_deg_q(a: BPoly) -> int:

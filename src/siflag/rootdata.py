@@ -18,9 +18,6 @@ from typing import Iterable, Sequence
 
 Coords = tuple[int, ...]
 
-# cartan[i][j] = <alpha_i^vee, alpha_j>; Bourbaki numbering throughout.
-_CARTAN_BUILDERS = ("A", "B", "C", "D", "G", "F")
-
 SUPPORTED = (
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
     ("B", 2), ("B", 3), ("B", 4),
@@ -32,6 +29,7 @@ SUPPORTED = (
 
 
 def _cartan_matrix(type_label: str, rank: int) -> tuple[Coords, ...]:
+    # cartan[i][j] = <alpha_i^vee, alpha_j>; Bourbaki numbering throughout.
     n = rank
     mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -119,12 +117,7 @@ class WeylElement:
     cols: tuple[Coords, ...] = ()
 
     def act(self, lam: Weight) -> Weight:
-        out = [0] * self.rs.rank
-        for lj, col in zip(lam.coords, self.cols):
-            if lj:
-                for k in range(self.rs.rank):
-                    out[k] += lj * col[k]
-        return Weight(tuple(out))
+        return Weight(_apply(self.cols, lam.coords))
 
     def act_coweight(self, beta: Coweight) -> Coweight:
         # contragredient action: (w beta)_i = <w beta, w_i> = <beta, w^{-1}(w_i)>
@@ -136,8 +129,7 @@ class WeylElement:
         return Coweight(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        cols = tuple(self.act(Weight(c)).coords for c in other.cols)
-        return WeylElement(self.rs, cols)
+        return WeylElement(self.rs, tuple(_apply(self.cols, c) for c in other.cols))
 
     def inverse(self) -> "WeylElement":
         return self.rs._inverse(self)
@@ -175,7 +167,8 @@ class RootSystem:
                 raise AssertionError("highest root is not coordinatewise maximal")
         self.theta_coroot = self.coroot(self.theta)
         self.theta_weight = self.root_to_weight(self.theta)
-        assert self.pairing(self.theta_coroot, self.theta_weight) == 2
+        if self.pairing(self.theta_coroot, self.theta_weight) != 2:
+            raise AssertionError("highest coroot does not pair to 2 with the highest root")
         # fundamental-weight coordinate images of positive/negative roots
         self._neg_root_wts = frozenset(
             tuple(-c for c in self.root_to_weight(b).coords) for b in self.positive_roots
@@ -184,9 +177,11 @@ class RootSystem:
             self, tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
         )
         self._simple = tuple(self._make_simple(i) for i in range(1, rank + 1))
-        self._elements: list[WeylElement] | None = None
-        self._words: dict[WeylElement, tuple[int, ...]] = {}
+        # memo tables, filled on first use so that construction stays cheap
+        self._group: tuple[list[WeylElement], dict[WeylElement, tuple[int, ...]]] | None = None
         self._lengths: dict[WeylElement, int] = {}
+        self._inverses: dict[WeylElement, WeylElement] = {}
+        self._s_theta: WeylElement | None = None
         self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -202,7 +197,8 @@ class RootSystem:
                 if j != i and self.cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * Fraction(self.cartan[i][j], self.cartan[j][i])
                     todo.append(j)
-        assert all(x is not None for x in d), "Dynkin diagram must be connected"
+        if any(x is None for x in d):
+            raise AssertionError("Dynkin diagram must be connected")
         return tuple(d)  # type: ignore[arg-type]
 
     def _close_roots(self) -> tuple[Coords, ...]:
@@ -221,7 +217,8 @@ class RootSystem:
                     seen.add(img)
                     frontier.append(img)
         pos = sorted(b for b in seen if all(c >= 0 for c in b))
-        assert len(seen) == 2 * len(pos)
+        if len(seen) != 2 * len(pos):
+            raise AssertionError("root closure is not symmetric under negation")
         return tuple(pos)
 
     def _make_simple(self, i: int) -> WeylElement:
@@ -287,7 +284,8 @@ class RootSystem:
         for i in range(self.rank):
             # coefficient of alpha_i^vee is root_i * (alpha_i, alpha_i) / (beta, beta)
             c = Fraction(root[i]) * 2 * d[i] / norm
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise AssertionError(f"coroot of {root} is not integral")
             coords.append(int(c))
         return Coweight(tuple(coords))
 
@@ -299,10 +297,6 @@ class RootSystem:
 
     def pair_coroot_root(self, beta: Coweight, root: Coords) -> int:
         return self.pairing(beta, self.root_to_weight(root))
-
-    def simple_pairing(self, i: int, lam: Weight) -> int:
-        """<alpha_i^vee, lam>, a plain coordinate read-off."""
-        return lam.coords[i - 1]
 
     def root_is_negative(self, lam: Weight) -> bool:
         """Whether a weight known to be a root is a negative root."""
@@ -320,11 +314,16 @@ class RootSystem:
 
     # -- group structure -------------------------------------------------------
 
-    def weyl_elements(self) -> list[WeylElement]:
-        """The whole Weyl group, BFS order from the identity (deterministic)."""
-        if self._elements is None:
-            self._words[self.identity] = ()
-            self._lengths[self.identity] = 0
+    def _group_tables(self) -> tuple[list[WeylElement], dict[WeylElement, tuple[int, ...]]]:
+        """(the whole group in BFS order, a shortest word for each element).
+
+        Built in locals and published by one assignment, so a concurrent caller
+        sees either no tables or complete ones.
+        """
+        got = self._group
+        if got is None:
+            words = {self.identity: ()}
+            lengths = {self.identity: 0}
             order = [self.identity]
             frontier = [self.identity]
             depth = 0
@@ -334,20 +333,24 @@ class RootSystem:
                 for w in frontier:
                     for i in range(1, self.rank + 1):
                         v = self._simple[i - 1] * w
-                        if v not in self._words:
+                        if v not in words:
                             # prepending the letter: v = s_i * w, word built right-to-left
-                            self._words[v] = (i,) + self._words[w]
-                            self._lengths[v] = depth
+                            words[v] = (i,) + words[w]
+                            lengths[v] = depth
                             nxt.append(v)
                 nxt.sort(key=lambda u: u.cols)
                 order.extend(nxt)
                 frontier = nxt
-            self._elements = order
-        return self._elements
+            self._lengths.update(lengths)
+            got = self._group = (order, words)
+        return got
+
+    def weyl_elements(self) -> list[WeylElement]:
+        """The whole Weyl group, BFS order from the identity (deterministic)."""
+        return self._group_tables()[0]
 
     def _word(self, w: WeylElement) -> tuple[int, ...]:
-        self.weyl_elements()
-        return self._words[w]
+        return self._group_tables()[1][w]
 
     def _length(self, w: WeylElement) -> int:
         got = self._lengths.get(w)
@@ -361,23 +364,30 @@ class RootSystem:
         return got
 
     def _inverse(self, w: WeylElement) -> WeylElement:
-        # w.cols, read as the array A[j][k] = coefficient of w_k in w(w_j), is the
-        # transpose of the action matrix; inverting it returns rows that are exactly
-        # the coordinate vectors of w^{-1}(w_j).  Weyl matrices are unimodular.
-        inv = _invert(w.cols)
-        cols = tuple(
-            tuple(int(inv[j][k]) for k in range(self.rank)) for j in range(self.rank)
-        )
-        return WeylElement(self, cols)
+        got = self._inverses.get(w)
+        if got is None:
+            # w.cols, read as the array A[j][k] = coefficient of w_k in w(w_j), is the
+            # transpose of the action matrix; inverting it returns rows that are exactly
+            # the coordinate vectors of w^{-1}(w_j).  Weyl matrices are unimodular.
+            inv = _invert(w.cols)
+            if any(x.denominator != 1 for row in inv for x in row):
+                raise ValueError(f"{w.cols} is not a Weyl group element: inverse is not integral")
+            got = WeylElement(self, tuple(tuple(int(x) for x in row) for row in inv))
+            self._inverses[w] = got
+            self._inverses[got] = w
+        return got
 
     def longest_element(self) -> WeylElement:
         w0 = max(self.weyl_elements(), key=lambda w: w.length())
-        assert w0.length() == len(self.positive_roots)
+        if w0.length() != len(self.positive_roots):
+            raise AssertionError("longest element does not invert every positive root")
         return w0
 
     def theta_reflection(self) -> WeylElement:
-        """s_theta, the reflection in the highest root."""
-        return self.reflection(self.theta)
+        """s_theta, the reflection in the highest root (built once)."""
+        if self._s_theta is None:
+            self._s_theta = self.reflection(self.theta)
+        return self._s_theta
 
     def element_from_word(self, word: Iterable[int]) -> WeylElement:
         out = self.identity
@@ -419,7 +429,8 @@ class RootSystem:
         v = self.identity
         for i in reversed(letters):
             v = self.simple_reflection(i) * v
-        assert v.act(cur) == nu
+        if v.act(cur) != nu:
+            raise AssertionError("dominant representative does not map back to the weight")
         return cur, v
 
     def orbit(self, lam: Weight) -> list[Weight]:
@@ -441,6 +452,16 @@ class RootSystem:
             "pos_roots": [list(b) for b in self.positive_roots],
             "theta": list(self.theta),
         }
+
+
+def _apply(cols: Sequence[Coords], vec: Coords) -> Coords:
+    """Coordinates of w(v) for v in the weight basis, where cols[j] = w(w_j)."""
+    out = [0] * len(vec)
+    for vj, col in zip(vec, cols):
+        if vj:
+            for k, c in enumerate(col):
+                out[k] += vj * c
+    return tuple(out)
 
 
 def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -496,5 +517,6 @@ def minimal_coset_representative(rs: RootSystem, w: WeylElement, lam: Weight) ->
     """The minimal-length element of w W_lam (so with the same image w(lam))."""
     target = w.act(lam)
     nu_plus, v = rs.dominant_representative(target)
-    assert nu_plus == lam, "weight must be dominant and in the W-orbit"
+    if nu_plus != lam:
+        raise AssertionError("weight must be dominant and in the W-orbit")
     return v

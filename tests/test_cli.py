@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import siflag
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
 from siflag.rootdata import Weight, build_root_system
@@ -132,3 +136,45 @@ def test_verify_cli_deterministic(tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["n_failed"] == 0
     assert payload["cases"] == sorted(payload["cases"], key=lambda c: (c["suite"], c["case"]))
+
+
+def _verify_in_fresh_process(tmp_path, jobs: int) -> bytes:
+    # a fresh interpreter, so no cache warmed by another test hides a race
+    out = tmp_path / f"jobs{jobs}.json"
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from siflag.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verify", "--suite", "fdif", "--type", "C2", "--max-weight", "1", "--trunc", "10",
+         "--jobs", str(jobs), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+def test_verify_jobs_independent_on_eigen_route(tmp_path):
+    serial = _verify_in_fresh_process(tmp_path, 1)
+    threaded = _verify_in_fresh_process(tmp_path, 2)
+    assert threaded == serial
+    payload = json.loads(serial)
+    assert payload["n_cases"] > 0 and payload["n_failed"] == 0
+
+
+def test_emac_unknown_spec_is_a_clean_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["emac", "--type", "A1", "--gamma=-1", "--spec", "bogus"])
+    assert exc.value.code == "emac: unknown specialization mode 'bogus'"
+
+
+def test_emac_outside_oracle_scope_is_a_clean_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["emac", "--type", "A3", "--gamma=-1,0,0"])
+    assert exc.value.code == "emac: oracle scope is rank <= 2"
+
+
+def test_verify_rejects_max_weight_below_one():
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--type", "A1", "--max-weight", bad])
+        assert exc.value.code == "--max-weight must be >= 1"
