@@ -250,21 +250,17 @@ class CharSeries:
 
     def equal_upto_watermark(self, other: "CharSeries") -> bool:
         v = min(self.watermark, other.watermark)
-        return _upto(self.poly, v) == _upto(other.poly, v)
+        return self.poly.truncate(v) == other.poly.truncate(v)
 
     def first_discrepancy(self, other: "CharSeries"):
         """First differing (key, coeff, coeff) on certified degrees, or None."""
         v = min(self.watermark, other.watermark)
-        a, b = _upto(self.poly, v), _upto(other.poly, v)
+        a, b = self.poly.truncate(v), other.poly.truncate(v)
         keys = sorted(set(a.terms) | set(b.terms), key=lambda kv: (kv[1], kv[0]))
         for key in keys:
             if a.terms.get(key, _ZERO) != b.terms.get(key, _ZERO):
                 return key, a.terms.get(key, _ZERO), b.terms.get(key, _ZERO)
         return None
-
-
-def _upto(p: CharPoly, v: int) -> CharPoly:
-    return p.truncate(v)
 
 
 def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:

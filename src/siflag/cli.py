@@ -131,7 +131,7 @@ def _build_rs(args) -> RootSystem:
 # -- emission -------------------------------------------------------------------
 
 
-def emit(result, fmt: str, rank: int) -> str:
+def emit(result, fmt: str) -> str:
     """Render a CharPoly/CharSeries (or QTRat coefficient map) as text."""
     if isinstance(result, CharSeries):
         result = result.poly
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
                 result = dict(epoly.coeffs)
         except ValueError as err:
             raise SystemExit(f"emac: {err}")
-        _write(config, emit(result, config.fmt, rs.rank))
+        _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "weylchar":
@@ -495,13 +495,13 @@ def main(argv=None) -> int:
             result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
         else:
             result = wc.genweyl_char(rs, w, config.lam).value
-        _write(config, emit(result, config.fmt, rs.rank))
+        _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "twisted":
         w = rs.element_from_word(config.w_word)
         result = wc.twisted_euler_char(rs, w, config.lam, config.trunc)
-        _write(config, emit(result, config.fmt, rs.rank))
+        _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "verify":

@@ -33,7 +33,7 @@ from itertools import product as iproduct
 
 from .charpoly import CharPoly
 from .qt import QTRat, _t_add, _t_mul, gauss_nullspace, gauss_solve
-from .rootdata import RootSystem, Weight, WeylElement
+from .rootdata import RootSystem, Weight
 
 TPoly = dict  # {t_degree: int}
 
@@ -48,7 +48,8 @@ def hull_weights(rs: RootSystem, lam: Weight) -> list[Weight]:
     w0 = rs.longest_element()
     span = lam - w0.act(lam)
     box = rs.weight_to_root(span)
-    assert all(c.denominator == 1 for c in box)
+    if any(c.denominator != 1 for c in box):
+        raise AssertionError("lam - w0 lam is not an integral root combination")
     out = []
     for coeffs in iproduct(*(range(int(c) + 1) for c in box)):
         nu = lam
@@ -68,20 +69,16 @@ def _dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in diff)
 
 
-def _orbit_position(rs: RootSystem, nu: Weight) -> tuple[Weight, WeylElement]:
-    return rs.dominant_representative(nu)
-
-
 def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list[Weight]:
     """The order ideal below gamma, listed in a linear extension (gamma last).
 
     nu precedes mu when nu+ < mu+ in dominance, or they share an orbit and the
     minimal v with nu = v(nu+) is Bruhat-smaller.
     """
-    gamma_plus, v_gamma = _orbit_position(rs, gamma)
+    gamma_plus, v_gamma = rs.dominant_representative(gamma)
     members: list[Weight] = []
     for nu in hull_weights(rs, gamma_plus):
-        nu_plus, v_nu = _orbit_position(rs, nu)
+        nu_plus, v_nu = rs.dominant_representative(nu)
         if nu_plus == gamma_plus:
             if rs.bruhat_leq(v_nu, v_gamma):
                 members.append(nu)
@@ -89,13 +86,14 @@ def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = F
             members.append(nu)
 
     def level(nu: Weight) -> tuple:
-        nu_plus, v_nu = _orbit_position(rs, nu)
+        nu_plus, v_nu = rs.dominant_representative(nu)
         ht = sum(rs.weight_to_root(nu_plus))
         tie = tuple(-c for c in nu.coords) if reverse_ties else nu.coords
         return (ht, v_nu.length(), tie)
 
     members.sort(key=level)
-    assert members[-1] == gamma
+    if members[-1] != gamma:
+        raise AssertionError("triangular order does not end at gamma")
     return members
 
 
@@ -225,7 +223,8 @@ _PAIR_CACHE: dict = {}
 
 def _weight_to_root_int(rs: RootSystem, nu: Weight):
     diff = rs.weight_to_root(nu)
-    assert all(c.denominator == 1 for c in diff)
+    if any(c.denominator != 1 for c in diff):
+        raise AssertionError(f"weight {nu.coords} is not in the root lattice")
     return tuple(int(c) for c in diff)
 
 

@@ -4,6 +4,12 @@ Polynomials are sparse dicts {(q_degree, t_degree): int}; a QTRat is a reduced
 fraction of two such polynomials with a sign-normalized denominator, so equal
 values always have equal representations.  Reduction runs a primitive-PRS gcd
 in (Z[t])[q], which is plenty at the small degrees this engine produces.
+
+The package has one exact elimination kernel, ``_rref``: a row-sparse reduced
+row echelon form that takes pivot columns in increasing order, so its output is
+the canonical RREF.  ``gauss_solve`` and ``gauss_nullspace`` are built on it and
+serve both ``Fraction`` systems (the eigen base solve) and ``QTRat`` ones (the
+oracle's Gram solve and Pade nullspace).
 """
 from __future__ import annotations
 
@@ -568,68 +574,91 @@ class QTRat:
 # -- generic exact linear algebra (works over Fraction or QTRat) -----------------
 
 
+def _rref(rows, ncols):
+    """Row-sparse reduced row echelon form of a dense matrix over an exact field.
+
+    Columns at or beyond ncols (an augmented right-hand side) are carried along
+    but never pivoted on.  Pivot columns are taken in increasing order, so the
+    result is the unique RREF whichever rows are chosen as pivots; the pivot row
+    for a column is the candidate with the fewest nonzeros (lowest index on
+    ties), which keeps fill-in low.  Rows are {col: value} dicts with a
+    column -> rows index, so each elimination touches only the rows that hold
+    the pivot column and never multiplies a zero.
+
+    Returns (pivots, rest): pivots lists (col, row) in increasing col, each row
+    scaled to 1 at its own column and free of every other pivot column; rest
+    holds the rows left without a pivot, which are zero on columns below ncols.
+    """
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    holders: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(sparse):
+        for c in row:
+            if c < ncols:
+                holders[c].add(i)
+    is_pivot = [False] * len(sparse)
+    pivots = []
+    for c in range(ncols):
+        cands = [i for i in holders[c] if not is_pivot[i]]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(sparse[i]), i))
+        inv = sparse[p][c]
+        prow = {k: x / inv for k, x in sparse[p].items()}
+        sparse[p] = prow
+        is_pivot[p] = True
+        for i in holders[c]:
+            if i == p:
+                continue
+            row = sparse[i]
+            f = row.pop(c)
+            for k, y in prow.items():
+                if k == c:
+                    continue
+                x = row.get(k)
+                if x is None:
+                    row[k] = -(f * y)
+                    if k < ncols:
+                        holders[k].add(i)
+                else:
+                    s = x - f * y
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        if k < ncols:
+                            holders[k].discard(i)
+        holders[c] = {p}
+        pivots.append((c, prow))
+    rest = [row for i, row in enumerate(sparse) if not is_pivot[i]]
+    return pivots, rest
+
+
 def gauss_solve(rows, rhs, zero):
-    """Solve M x = rhs over an exact field; returns x, or None if singular."""
-    n = len(rows)
-    if n == 0:
+    """Solve M x = rhs over an exact field; returns x, or None if singular.
+
+    None covers both an inconsistent and an underdetermined system.
+    """
+    if not rows:
         return []
     m = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m]:
-            return None  # inconsistent
-    if len(piv_cols) < m:
-        return None  # underdetermined
-    x = [zero] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][m]
-    return x
+    pivots, rest = _rref([[*r, v] for r, v in zip(rows, rhs)], m)
+    if any(rest) or len(pivots) < m:
+        return None
+    return [row.get(m, zero) for _, row in pivots]
 
 
 def gauss_nullspace(rows, ncols, zero, one):
-    """Basis of the right nullspace of M over an exact field."""
-    n = len(rows)
-    aug = [list(r) for r in rows]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+    """Basis of the right nullspace of M over an exact field, one vector per free column."""
+    pivots, _ = _rref(rows, ncols)
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = -aug[i][fc]
+        for pc, row in pivots:
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis

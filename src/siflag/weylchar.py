@@ -328,6 +328,7 @@ def eigen_solve_base(rs: RootSystem, lam: Weight, trunc: int) -> GenWeylChar:
             images[(loop, nu.coords)] = demazure_word(
                 rs, loop, CharPoly.monomial(nu.coords, 0))
 
+    zero, one = Fraction(0), Fraction(1)
     rows: dict = {}
     for loop in loops:
         m_eig = loop_exponent(rs, loop, rs.identity, lam)
@@ -335,22 +336,20 @@ def eigen_solve_base(rs: RootSystem, lam: Weight, trunc: int) -> GenWeylChar:
             img = images[(loop, wt)]
             for (wt2, n2), c in img.terms.items():
                 row = rows.setdefault((loop, wt2, n2 + n), {})
-                row[pos] = row.get(pos, Fraction(0)) + c
+                row[pos] = row.get(pos, zero) + c
             row = rows.setdefault((loop, wt, n + m_eig), {})
-            row[pos] = row.get(pos, Fraction(0)) - 1
-    matrix = []
-    rhs = []
-    for _, entries in sorted(rows.items()):
-        matrix.append([entries.get(pos, Fraction(0)) for pos in range(len(unknowns))])
-        rhs.append(Fraction(0))
+            row[pos] = row.get(pos, zero) - 1
+    width = range(len(unknowns))
+    matrix = [[entries.get(pos, zero) for pos in width] for _, entries in sorted(rows.items())]
+    rhs = [zero] * len(matrix)
     # normalization: extremal coefficient is exactly q^0
     for n in range(trunc + 1):
-        row = [Fraction(0)] * len(unknowns)
-        row[index[(lam.coords, n)]] = Fraction(1)
+        row = [zero] * len(unknowns)
+        row[index[(lam.coords, n)]] = one
         matrix.append(row)
-        rhs.append(Fraction(1) if n == 0 else Fraction(0))
+        rhs.append(one if n == 0 else zero)
 
-    sol = gauss_solve(matrix, rhs, Fraction(0))
+    sol = gauss_solve(matrix, rhs, zero)
     if sol is None:
         raise ValueError("loop eigen-system is not uniquely solvable on this window")
     value = CharPoly({key: c for key, c in zip(unknowns, sol) if c})

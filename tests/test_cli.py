@@ -55,11 +55,11 @@ def test_trunc_env_override(monkeypatch):
 
 def test_emit_examples():
     p = CharPoly.monomial((1,), 0) + CharPoly.monomial((-1,), 1)
-    assert emit(p, "json", 1) == '[{"coeff":"1","q":0,"wt":[1]},{"coeff":"1","q":1,"wt":[-1]}]'
-    assert emit(CharPoly.one(1), "json", 1) == '[{"coeff":"1","q":0,"wt":[0]}]'
-    assert emit(CharPoly.zero(), "json", 1) == "[]"
-    assert "q^{0}" in emit(p, "latex", 1)
-    assert emit(p, "plain", 1) == repr(p)
+    assert emit(p, "json") == '[{"coeff":"1","q":0,"wt":[1]},{"coeff":"1","q":1,"wt":[-1]}]'
+    assert emit(CharPoly.one(1), "json") == '[{"coeff":"1","q":0,"wt":[0]}]'
+    assert emit(CharPoly.zero(), "json") == "[]"
+    assert "q^{0}" in emit(p, "latex")
+    assert emit(p, "plain") == repr(p)
 
 
 def test_cli_roots_and_qbruhat(capsys):

@@ -1,7 +1,13 @@
 """Gram-Schmidt oracle: order ideals, pairings, anchors, specializations."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import siflag
 
 from siflag.charpoly import CharPoly
 from siflag.macdonald import (
@@ -150,3 +156,19 @@ def test_a2_specialization_is_module_character():
         + CharPoly.monomial((0, -1), 1)
     )
     assert ch == expect
+
+
+def test_root_lattice_check_survives_python_O():
+    # the invariant checks of macdonald must not be asserts that -O strips
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "from siflag.macdonald import _weight_to_root_int\n"
+        "from siflag.rootdata import Weight, build_root_system\n"
+        "_weight_to_root_int(build_root_system('A', 1), Weight((1,)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError: weight (1,) is not in the root lattice" in proc.stderr

@@ -135,3 +135,131 @@ def test_gauss_solve_over_fraction():
     rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = gauss_solve(rows, [Fraction(5), Fraction(10)], Fraction(0))
     assert x == [Fraction(1), Fraction(3)]
+
+
+# -- the sparse RREF kernel against a dense Gauss-Jordan reference ---------------
+
+
+def _dense_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan: (reduced rows, pivot columns)."""
+    aug = [list(r) for r in rows]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    return aug, piv_cols
+
+
+def _dense_solve(rows, rhs, zero):
+    if not rows:
+        return []
+    m = len(rows[0])
+    aug, piv_cols = _dense_rref([list(r) + [v] for r, v in zip(rows, rhs)], m)
+    if any(aug[i][m] for i in range(len(piv_cols), len(aug))) or len(piv_cols) < m:
+        return None
+    x = [zero] * m
+    for i, c in enumerate(piv_cols):
+        x[c] = aug[i][m]
+    return x
+
+
+def _dense_nullspace(rows, ncols, zero, one):
+    aug, piv_cols = _dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv_cols):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for i, pc in enumerate(piv_cols):
+            vec[pc] = -aug[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def _random_system(rng, n, m, rank, fill=0.4):
+    """n x m integer Fraction matrix of rank <= rank, sparse-ish, as a product."""
+    left = [[Fraction(rng.randint(-3, 3)) if rng.random() < fill else Fraction(0)
+             for _ in range(rank)] for _ in range(n)]
+    right = [[Fraction(rng.randint(-3, 3)) if rng.random() < fill else Fraction(0)
+              for _ in range(m)] for _ in range(rank)]
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+             for j in range(m)] for i in range(n)]
+
+
+def _matvec(rows, x):
+    return [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+
+
+@pytest.mark.parametrize("shape", [
+    "square", "singular", "inconsistent", "underdetermined", "tall", "zero_rows"])
+def test_gauss_kernel_matches_dense_reference(shape):
+    rng = random.Random(sum(map(ord, shape)))
+    zero, one = Fraction(0), Fraction(1)
+    checked = 0
+    for _ in range(25):
+        if shape == "square":
+            n = m = rng.randint(1, 7)
+            rows = _random_system(rng, n, m, m, fill=0.7)
+        elif shape == "singular":
+            n = m = rng.randint(2, 7)
+            rows = _random_system(rng, n, m, m - 1)
+        elif shape == "inconsistent":
+            n, m = rng.randint(3, 8), rng.randint(1, 4)
+            rows = _random_system(rng, n, m, m)
+        elif shape == "underdetermined":
+            n, m = rng.randint(1, 5), rng.randint(6, 9)
+            rows = _random_system(rng, n, m, n, fill=0.7)
+        elif shape == "tall":
+            n, m = rng.randint(6, 10), rng.randint(1, 5)
+            rows = _random_system(rng, n, m, m, fill=0.7)
+        else:
+            n = m = rng.randint(2, 7)
+            rows = _random_system(rng, n, m, m, fill=0.7)
+            for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                rows[i] = [zero] * m
+        if shape == "inconsistent":
+            rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        else:
+            rhs = _matvec(rows, [Fraction(rng.randint(-5, 5)) for _ in range(m)])
+        want = _dense_solve(rows, rhs, zero)
+        assert gauss_solve(rows, rhs, zero) == want
+        if want is not None:
+            assert _matvec(rows, want) == rhs
+        basis = _dense_nullspace(rows, m, zero, one)
+        assert gauss_nullspace(rows, m, zero, one) == basis
+        if shape in ("square", "tall"):
+            checked += want is not None
+        elif shape == "singular":
+            checked += bool(basis)
+        else:
+            checked += want is None
+    assert checked >= 5, "the seeded systems never reach the shape under test"
+
+
+def test_gauss_kernel_matches_dense_reference_over_qtrat():
+    zero = QTRat.zero()
+    rows = [[ONE, T, zero, Q],
+            [T, ONE + Q, Q * T, zero],
+            [ONE + T, ONE + Q + T, Q * T, Q],
+            [zero, Q, ONE - T, T * T]]
+    rhs = [ONE, Q, ONE + Q, T]
+    # rank 3: row 2 is row 0 + row 1, and the rhs is consistent with that
+    assert gauss_solve(rows, rhs, zero) is None
+    square = [rows[0], rows[1], rows[3]]
+    sol = gauss_solve([r[:3] for r in square], [ONE, Q, T], zero)
+    assert sol == _dense_solve([r[:3] for r in square], [ONE, Q, T], zero)
+    assert sol is not None
+    basis = gauss_nullspace(rows, 4, zero, ONE)
+    assert basis == _dense_nullspace(rows, 4, zero, ONE)
+    assert len(basis) == 1
+    assert all(sum((a * b for a, b in zip(r, basis[0])), zero) == zero for r in rows)

@@ -111,6 +111,17 @@ def test_eigen_solve_examples():
     assert eigen_solve_base(A2, w1, 8).value == base_char(A2, w1, method="oracle")
 
 
+def test_eigen_solve_window_ladder():
+    # too small a window must fail as "not uniquely solvable" (not give a wrong
+    # answer), so that base_char climbs to the next window
+    B2 = build_root_system("B", 2)
+    for rs, lam, too_small, first_ok in ((B2, (1, 0), 1, 2), (C2, (1, 1), 2, 3)):
+        lam = Weight(lam)
+        with pytest.raises(ValueError, match="not uniquely solvable"):
+            eigen_solve_base(rs, lam, too_small)
+        assert eigen_solve_base(rs, lam, first_ok).value == eigen_solve_base(rs, lam, 8).value
+
+
 def test_base_methods_agree_rank2():
     for rs in (A1, A2):
         for lam in (rs.fundamental_weight(1), rs.rho()):
