@@ -59,7 +59,6 @@ from .weylchar import (
     genweyl_char,
     global_demazure_char,
     lambda_w,
-    nmconn_check,
     twisted_euler_char,
     weyl_character,
 )

@@ -134,6 +134,15 @@ class CharPoly:
         res.terms = {key: c for key, c in self.terms.items() if key[1] <= n_max}
         return res
 
+    def first_discrepancy(self, other: "CharPoly"):
+        """First differing (key, coeff, coeff) in (q-degree, weight) order, or None."""
+        if self.terms == other.terms:
+            return None
+        for key in sorted(self.terms.keys() | other.terms.keys(), key=lambda k: (k[1], k[0])):
+            a, b = self.terms.get(key, _ZERO), other.terms.get(key, _ZERO)
+            if a != b:
+                return key, a, b
+
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -151,8 +160,7 @@ def demazure_monomial(rs: RootSystem, i: int, wt: Coords, n: int) -> list[tuple[
         qstep = -1
     else:
         k = wt[i - 1]
-        step = tuple(-c for c in rs.root_to_weight(
-            tuple(1 if j == i - 1 else 0 for j in range(rs.rank))).coords)
+        step = tuple(-c for c in rs.simple_root(i).coords)
         qstep = 0
     out: list[tuple[Key, int]] = []
     if k >= 0:
@@ -255,12 +263,7 @@ class CharSeries:
     def first_discrepancy(self, other: "CharSeries"):
         """First differing (key, coeff, coeff) on certified degrees, or None."""
         v = min(self.watermark, other.watermark)
-        a, b = self.poly.truncate(v), other.poly.truncate(v)
-        keys = sorted(set(a.terms) | set(b.terms), key=lambda kv: (kv[1], kv[0]))
-        for key in keys:
-            if a.terms.get(key, _ZERO) != b.terms.get(key, _ZERO):
-                return key, a.terms.get(key, _ZERO), b.terms.get(key, _ZERO)
-        return None
+        return self.poly.truncate(v).first_discrepancy(other.poly.truncate(v))
 
 
 def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:

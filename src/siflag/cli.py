@@ -7,24 +7,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product as iproduct
 
 from .affine import adapted_sequence, quantum_covers
-from .charpoly import CharPoly, CharSeries, demazure_word
+from .charpoly import CharPoly, CharSeries
 from .macdonald import bar_conjugate, gram_schmidt_E, specialize
-from .rootdata import (
-    RootSystem,
-    Weight,
-    Coweight,
-    WeylElement,
-    build_root_system,
-    from_name,
-    minimal_coset_reps,
-)
+from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name
+from . import verify
 from . import weylchar as wc
-
-SUITES = ("nmconn", "dmain", "fdif", "cor", "gnsmac", "all")
 
 
 @dataclass
@@ -139,7 +128,7 @@ def emit(result, fmt: str) -> str:
         items = result.sorted_terms()
         if fmt == "json":
             return json.dumps(
-                [{"coeff": _frac_str(c), "q": n, "wt": list(wt)} for (wt, n), c in items],
+                [{"coeff": str(c), "q": n, "wt": list(wt)} for (wt, n), c in items],
                 separators=(",", ":"))
         if fmt == "latex":
             if not items:
@@ -147,7 +136,7 @@ def emit(result, fmt: str) -> str:
             bits = []
             for (wt, n), c in items:
                 mono = f"q^{{{n}}} e^{{{list(wt)}}}"
-                bits.append(mono if c == 1 else f"{_frac_str(c)}\\, {mono}")
+                bits.append(mono if c == 1 else f"{c}\\, {mono}")
             return " + ".join(bits)
         return repr(result)
     # weight -> QTRat map (generic-t output)
@@ -166,191 +155,29 @@ def emit(result, fmt: str) -> str:
     return "\n".join(f"e{list(w.coords)}: {c!r}" for w, c in items)
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-# -- verification suites -----------------------------------------------------------
-
-
-def _dominant_weights(rs: RootSystem, max_weight: int):
-    out = []
-    for coords in iproduct(range(max_weight + 1), repeat=rs.rank):
-        if 0 < sum(coords) <= max_weight:
-            out.append(Weight(coords))
-    return sorted(out, key=lambda w: (sum(w.coords), w.coords))
-
-
-def _default_beta(rs: RootSystem) -> Coweight:
-    simples = [rs.root_to_weight(tuple(1 if k == i else 0 for k in range(rs.rank)))
-               for i in range(rs.rank)]
-    for radius in range(1, 9):
-        for coords in sorted(iproduct(range(0, -radius - 1, -1), repeat=rs.rank)):
-            beta = Coweight(coords)
-            if all(rs.pairing(beta, a) < 0 for a in simples):
-                return beta
-    raise AssertionError("no strictly antidominant coweight found in search box")
-
-
-def _series_discrepancy(a: CharSeries, b: CharSeries):
-    got = a.first_discrepancy(b)
-    if got is None:
-        return None
-    (wt, n), ca, cb = got
-    return {"q": n, "wt": list(wt), "lhs": _frac_str(ca), "rhs": _frac_str(cb)}
-
-
-def _suite_nmconn(rs: RootSystem, max_weight: int, trunc: int, beta: Coweight | None = None):
-    if beta is None:
-        beta = _default_beta(rs)
-    for lam in _dominant_weights(rs, max_weight):
-        case = f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
-
-        def run(lam=lam):
-            ok, disc = wc.nmconn_report(rs, lam, beta, trunc)
-            return ok, disc
-
-        yield case, run
-
-
-def _suite_dmain(rs: RootSystem, max_weight: int, trunc: int):
-    elems = rs.weyl_elements()
-    for lam in _dominant_weights(rs, max_weight):
-        for w in elems:
-            for v in elems:
-                if (w * v).length() != w.length() + v.length():
-                    continue
-                case = (f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
-                        f":w={'.'.join(map(str, w.word())) or 'e'}"
-                        f":v={'.'.join(map(str, v.word())) or 'e'}")
-
-                def run(lam=lam, w=w, v=v):
-                    lhs = demazure_word(rs, w.word(), wc.global_demazure_char(rs, v, lam, trunc).value)
-                    rhs = wc.global_demazure_char(rs, w * v, lam, trunc).value
-                    # the left side keeps the full watermark: only classical letters act
-                    ok = lhs.equal_upto_watermark(rhs)
-                    return ok, (None if ok else _series_discrepancy(lhs, rhs))
-
-                yield case, run
-
-
-def _suite_fdif(rs: RootSystem, max_weight: int, trunc: int):
-    from .affine import minimal_loops
-
-    for lam in _dominant_weights(rs, max_weight):
-        for w in minimal_coset_reps(rs, lam):
-            case = (f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
-                    f":w={'.'.join(map(str, w.word())) or 'e'}")
-
-            def run(lam=lam, w=w):
-                loops = minimal_loops(rs, w)
-                for loop in loops:
-                    m, ok = wc.difference_loop_check(rs, w, lam, loop, trunc)
-                    expected = wc.loop_exponent(rs, loop, w, lam)
-                    if not ok or m != expected:
-                        return False, {"loop": list(loop), "exponent": m, "telescoped": expected}
-                if len(loops) >= 2:
-                    a, b = loops[0], loops[1]
-                    dc = wc.global_demazure_char(rs, w, lam, trunc)
-                    ab = demazure_word(rs, a + b, dc.value)
-                    ba = demazure_word(rs, b + a, dc.value)
-                    if not ab.equal_upto_watermark(ba):
-                        return False, {"loops": [list(a), list(b)],
-                                       "issue": "loop operators fail to commute"}
-                return True, None
-
-            yield case, run
-
-
-def _suite_cor(rs: RootSystem, max_weight: int, trunc: int):
-    oracle_ok = rs.key in (("A", 1), ("A", 2))
-    bound = min(max_weight, 2) if oracle_ok else max_weight
-    for lam in _dominant_weights(rs, bound):
-        for w in minimal_coset_reps(rs, lam):
-            case = (f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
-                    f":w={'.'.join(map(str, w.word())) or 'e'}")
-
-            def run(lam=lam, w=w):
-                fam = wc.cor_family(rs, w, lam)
-                if not oracle_ok:
-                    # no oracle at this type: the exactness of every (1 - q^a)
-                    # division along the chain is itself the check
-                    return True, None
-                oracle = specialize(
-                    bar_conjugate(gram_schmidt_E(rs, -w.act(lam))), ("t-inf", "q-inv"))
-                if fam != oracle:
-                    return False, wc._poly_discrepancy(fam, oracle)
-                if w == rs.identity and wc.genweyl_char(rs, w, lam).value != fam:
-                    return False, "base characters of the two families disagree"
-                if w.length() == max(u.length() for u in minimal_coset_reps(rs, lam)):
-                    # the antidominant endpoint is the t = 0 specialization
-                    zero_end = specialize(bar_conjugate(gram_schmidt_E(rs, -lam)), "t-0")
-                    gen = wc.genweyl_char(rs, w, lam).value
-                    if gen != zero_end:
-                        return False, wc._poly_discrepancy(gen, zero_end)
-                return True, None
-
-            yield case, run
-
-
-def _suite_gnsmac(rs: RootSystem, max_weight: int, trunc: int):
-    for lam in _dominant_weights(rs, max_weight):
-        for w in minimal_coset_reps(rs, lam):
-            case = (f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
-                    f":w={'.'.join(map(str, w.word())) or 'e'}")
-
-            def run(lam=lam, w=w):
-                try:
-                    wc.twisted_euler_char(rs, w, lam, trunc, check=True)
-                except AssertionError as err:
-                    return False, str(err)
-                return True, None
-
-            yield case, run
-
-
-_SUITE_BUILDERS = {
-    "nmconn": _suite_nmconn,
-    "dmain": _suite_dmain,
-    "fdif": _suite_fdif,
-    "cor": _suite_cor,
-    "gnsmac": _suite_gnsmac,
-}
-
-
 def run_suite(config: RunConfig) -> Report:
     """Execute the selected verification suites, order-stable and parallel-safe."""
-    names = list(_SUITE_BUILDERS) if config.suite == "all" else [config.suite]
-    cases = []
-    for name in names:
-        builder = _SUITE_BUILDERS[name]
-        if name == "nmconn":
-            gen = builder(config.rs, config.max_weight, config.trunc, config.beta)
-        else:
-            gen = builder(config.rs, config.max_weight, config.trunc)
-        for case_id, thunk in gen:
-            cases.append((name, case_id, thunk))
+    rs = config.rs
 
-    def execute(entry):
-        name, case_id, thunk = entry
+    def execute(case):
         try:
-            ok, disc = thunk()
+            ok, disc = verify.check(rs, case, config.trunc, config.beta)
         except Exception as err:  # deterministic: message only, no traceback
             ok, disc = False, f"{type(err).__name__}: {err}"
         return {
-            "suite": name,
-            "case": case_id,
+            "suite": case.suite,
+            "case": case.case_id,
             "status": "pass" if ok else "fail",
             "first_discrepancy": disc,
         }
 
+    specs = verify.cases(rs, config.suite, config.max_weight)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(execute, cases))
+            results = list(pool.map(execute, specs))
     else:
-        results = [execute(entry) for entry in cases]
-    report = Report(config.suite, f"{config.rs.type_label}{config.rs.rank}", results)
-    return report
+        results = [execute(case) for case in specs]
+    return Report(config.suite, f"{rs.type_label}{rs.rank}", results)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -401,7 +228,7 @@ def parse_args(argv) -> RunConfig:
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     common(p_ver)
-    p_ver.add_argument("--suite", choices=SUITES, default="all")
+    p_ver.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p_ver.add_argument("--max-weight", type=int, default=2)
     p_ver.add_argument("--beta", default=None,
                        help="override the antidominant coweight for nmconn")
@@ -431,7 +258,9 @@ def parse_args(argv) -> RunConfig:
             raise SystemExit("--max-weight must be >= 1")
         config.suite = args.suite
         config.max_weight = args.max_weight
-        config.jobs = max(1, args.jobs)
+        if args.jobs < 1:
+            raise SystemExit("--jobs must be >= 1")
+        config.jobs = args.jobs
     if args.command == "qbruhat":
         config.qb_from = args.qb_from
         config.qb_to = args.qb_to

@@ -55,8 +55,7 @@ def hull_weights(rs: RootSystem, lam: Weight) -> list[Weight]:
         nu = lam
         for i, c in enumerate(coeffs):
             if c:
-                alpha = rs.root_to_weight(tuple(1 if k == i else 0 for k in range(rs.rank)))
-                nu = nu - alpha.scale(c)
+                nu = nu - rs.simple_root(i + 1).scale(c)
         plus, _ = rs.dominant_representative(nu)
         if _dominance_leq(rs, plus, lam):
             out.append(nu)

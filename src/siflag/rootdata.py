@@ -169,6 +169,10 @@ class RootSystem:
         self.theta_weight = self.root_to_weight(self.theta)
         if self.pairing(self.theta_coroot, self.theta_weight) != 2:
             raise AssertionError("highest coroot does not pair to 2 with the highest root")
+        self._simple_roots = tuple(
+            self.root_to_weight(tuple(1 if k == i else 0 for k in range(rank)))
+            for i in range(rank)
+        )
         # fundamental-weight coordinate images of positive/negative roots
         self._neg_root_wts = frozenset(
             tuple(-c for c in self.root_to_weight(b).coords) for b in self.positive_roots
@@ -234,8 +238,7 @@ class RootSystem:
         c = lam.coords[i - 1]
         if c == 0:
             return lam
-        alpha = self.root_to_weight(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
-        return lam - alpha.scale(c)
+        return lam - self.simple_root(i).scale(c)
 
     # -- basic data ------------------------------------------------------------
 
@@ -250,6 +253,12 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
+
+    def simple_root(self, i: int) -> Weight:
+        """alpha_i (1-based) in fundamental-weight coordinates."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple root index {i} out of range")
+        return self._simple_roots[i - 1]
 
     def simple_coroot(self, i: int) -> Coweight:
         return Coweight(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
@@ -503,8 +512,7 @@ def minimal_coset_reps(rs: RootSystem, lam: Weight) -> list[WeylElement]:
     for w in rs.weyl_elements():
         ok = True
         for j in stab:
-            alpha_j = rs.root_to_weight(tuple(1 if k == j - 1 else 0 for k in range(rs.rank)))
-            if rs.root_is_negative(w.act(alpha_j)):
+            if rs.root_is_negative(w.act(rs.simple_root(j))):
                 ok = False
                 break
         if ok:

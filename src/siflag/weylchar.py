@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import (
-    AffineElement,
-    minimal_loops,
-    quantum_step,
-    shortest_word,
-    walk_quantum,
-)
+from .affine import minimal_loops, quantum_step, walk_quantum
 from .charpoly import (
     CharPoly,
     CharSeries,
@@ -67,13 +61,16 @@ class DemazureChar:
 
 _BASE_CACHE: dict = {}
 
+# the types whose base comes from the Gram-Schmidt oracle, which is fast there
+ORACLE_TYPES = (("A", 1), ("A", 2))
+
 
 def base_char(rs: RootSystem, lam: Weight, method: str = "auto") -> CharPoly:
     """ch W_lam: oracle specialization at rank <= 2 (A types), eigen-solve otherwise."""
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
     if method == "auto":
-        method = "oracle" if rs.key in (("A", 1), ("A", 2)) else "eigen"
+        method = "oracle" if rs.key in ORACLE_TYPES else "eigen"
     key = (rs.key, lam.coords, method)
     got = _BASE_CACHE.get(key)
     if got is None:
@@ -166,11 +163,9 @@ def cor_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:
 
 def _pullback_simple(rs: RootSystem, u: WeylElement, i: int):
     """j when u^{-1} alpha_i = alpha_j for a simple root, else None."""
-    alpha_i = rs.root_to_weight(tuple(1 if k == i - 1 else 0 for k in range(rs.rank)))
-    pulled = u.inverse().act(alpha_i)
+    pulled = u.inverse().act(rs.simple_root(i))
     for j in range(1, rs.rank + 1):
-        alpha_j = rs.root_to_weight(tuple(1 if k == j - 1 else 0 for k in range(rs.rank)))
-        if pulled == alpha_j:
+        if pulled == rs.simple_root(j):
             return j
     return None
 
@@ -231,8 +226,7 @@ def lambda_w(rs: RootSystem, lam: Weight, w: WeylElement) -> Weight:
     """lam minus the fundamental weights at the descents of w."""
     coords = list(lam.coords)
     for j in range(1, rs.rank + 1):
-        alpha_j = rs.root_to_weight(tuple(1 if k == j - 1 else 0 for k in range(rs.rank)))
-        if rs.root_is_negative(w.act(alpha_j)):
+        if rs.root_is_negative(w.act(rs.simple_root(j))):
             coords[j - 1] -= 1
     out = Weight(tuple(coords))
     if not out.is_dominant():
@@ -249,17 +243,17 @@ def twisted_euler_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int,
     previous closed form, watermark-deep.
     """
     w = minimal_coset_representative(rs, w, lam)
-    closed = _twisted_closed(rs, w, lam, trunc)
-    if check:
-        prev = _twisted_closed(rs, rs.identity, lam, trunc)
-        for i, u in coset_chain(rs, lam, w):
-            target = rs.simple_reflection(i) * u
-            nxt = _twisted_closed(rs, target, lam, trunc)
-            stepped = t_op(rs, i, prev)
-            if not nxt.equal_upto_watermark(stepped):
-                raise AssertionError(
-                    f"closed form and T_{i} recursion disagree at {target!r}")
-            prev = nxt
+    if not check:
+        return _twisted_closed(rs, w, lam, trunc)
+    # the chain ends at w, so its last closed form is the result
+    closed = _twisted_closed(rs, rs.identity, lam, trunc)
+    for i, u in coset_chain(rs, lam, w):
+        target = rs.simple_reflection(i) * u
+        stepped = t_op(rs, i, closed)
+        closed = _twisted_closed(rs, target, lam, trunc)
+        if not closed.equal_upto_watermark(stepped):
+            raise AssertionError(
+                f"closed form and T_{i} recursion disagree at {target!r}")
     return closed
 
 
@@ -358,49 +352,6 @@ def eigen_solve_base(rs: RootSystem, lam: Weight, trunc: int) -> GenWeylChar:
         if demazure_word(rs, loop, value) != value.shift_q(m_eig):
             raise ValueError("eigen candidate fails the exact loop identity")
     return GenWeylChar(lam, rs.identity, value)
-
-
-# -- specialization identities -------------------------------------------------------
-
-
-def nmconn_check(rs: RootSystem, lam: Weight, beta: Coweight, trunc: int = 20) -> bool:
-    """Both specialization identities linking the two endpoints of the family."""
-    ok, _ = nmconn_report(rs, lam, beta, trunc)
-    return ok
-
-
-def nmconn_report(rs: RootSystem, lam: Weight, beta: Coweight, trunc: int = 20):
-    """(ok, first discrepancy description) for the two endpoint identities."""
-    if not lam.is_dominant():
-        raise ValueError("weight must be dominant")
-    for i in range(1, rs.rank + 1):
-        alpha_i = rs.root_to_weight(tuple(1 if k == i - 1 else 0 for k in range(rs.rank)))
-        if rs.pairing(beta, alpha_i) >= 0:
-            raise ValueError("beta must pair strictly negatively with every simple root")
-    w0 = rs.longest_element()
-    lam_dual = -w0.act(lam)
-    p_inf = base_char(rs, lam_dual)
-    p_zero = genweyl_char(rs, w0, lam_dual).value
-
-    lhs1 = demazure_word(rs, w0.word(), p_inf)
-    if lhs1 != p_zero:
-        return False, _poly_discrepancy(lhs1, p_zero)
-
-    word = shortest_word(AffineElement(w0, beta.coords))
-    lhs2 = demazure_word(rs, word, p_zero)
-    rhs2 = p_inf.shift_q(rs.pairing(beta, lam))
-    if lhs2 != rhs2:
-        return False, _poly_discrepancy(lhs2, rhs2)
-    return True, None
-
-
-def _poly_discrepancy(a: CharPoly, b: CharPoly):
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda k: (k[1], k[0]))
-    for key in keys:
-        ca, cb = a.terms.get(key, Fraction(0)), b.terms.get(key, Fraction(0))
-        if ca != cb:
-            return {"q": key[1], "wt": list(key[0]), "lhs": str(ca), "rhs": str(cb)}
-    return None
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> CharPoly:

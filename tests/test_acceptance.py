@@ -15,18 +15,14 @@ from siflag.affine import (
     all_reduced_words,
     minimal_loops,
 )
-from siflag.charpoly import CharPoly, demazure_word, freeness_factor, t_op
+from siflag.charpoly import CharPoly, demazure_word, freeness_factor
 from siflag.cli import RunConfig, main, run_suite
-from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
 from siflag.rootdata import Coweight, Weight, build_root_system, minimal_coset_reps
+from siflag.verify import cases, check, check_nmconn, dominant_weights
 from siflag.weylchar import (
-    cor_family,
     coset_chain,
-    difference_loop_check,
     genweyl_char,
     global_demazure_char,
-    loop_exponent,
-    nmconn_report,
     twisted_euler_char,
     _pullback_simple,
 )
@@ -43,13 +39,6 @@ def _report(number: int, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} {status}{': ' + detail if detail else ''}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def _dominant(rs, max_weight):
-    from itertools import product
-    out = [Weight(c) for c in product(range(max_weight + 1), repeat=rs.rank)
-           if 0 < sum(c) <= max_weight]
-    return sorted(out, key=lambda w: (sum(w.coords), w.coords))
 
 
 def mono(*coords, n=0, c=1):
@@ -105,6 +94,15 @@ def test_criterion_2_reduced_word_independence():
     _report(2, True, f"{checked} word/probe comparisons, exact operator equality")
 
 
+def _gate(number: int, rs, specs):
+    """Run the verify check of every case spec, failing the criterion at the first."""
+    for case in specs:
+        ok, disc = check(rs, case, TRUNC)
+        if not ok:
+            _report(number, False, f"{case.case_id}: {disc}")
+    return specs
+
+
 def test_criterion_3_nmconn_identities():
     plans = [
         (A1, [Weight((1,)), Weight((2,)), Weight((3,))], Coweight((-1,))),
@@ -116,83 +114,41 @@ def test_criterion_3_nmconn_identities():
     n = 0
     for rs, lams, beta in plans:
         for lam in lams:
-            ok, disc = nmconn_report(rs, lam, beta, TRUNC)
+            ok, disc = check_nmconn(rs, lam, beta)
             if not ok:
                 _report(3, False, f"{rs.key} lam={lam.coords}: {disc}")
             n += 1
-    _report(3, True, f"{n} weight cases, both identities polynomial-exact")
+    _report(3, n == 11, f"{n} weight cases, both identities polynomial-exact")
 
 
 def test_criterion_4_oracle_equivalence():
-    n = 0
-    for rs in (A1, A2):
-        for lam in _dominant(rs, 2):
-            reps = minimal_coset_reps(rs, lam)
-            top_len = max(u.length() for u in reps)
-            for w in reps:
-                fam = cor_family(rs, w, lam)
-                oracle = specialize(
-                    bar_conjugate(gram_schmidt_E(rs, -w.act(lam))), ("t-inf", "q-inv"))
-                if fam != oracle:
-                    _report(4, False, f"{rs.key} lam={lam.coords} w={w.word()}")
-                if w.length() == top_len:
-                    zero_end = specialize(bar_conjugate(gram_schmidt_E(rs, -lam)), "t-0")
-                    if genweyl_char(rs, w, lam).value != zero_end:
-                        _report(4, False,
-                                f"(q,0) endpoint {rs.key} lam={lam.coords} w={w.word()}")
-                n += 1
-    _report(4, True, f"{n} (lambda, w) oracle comparisons, exact")
+    n = sum(len(_gate(4, rs, cases(rs, "cor", 2))) for rs in (A1, A2))
+    _report(4, n == 22, f"{n} (lambda, w) oracle comparisons, exact")
 
 
 def test_criterion_5_difference_equation_loops():
-    n_loops = 0
-    n_commute = 0
+    n = n_loops = n_commute = 0
     for rs in (A1, A2, C2):
-        for lam in _dominant(rs, 2):
-            for w in minimal_coset_reps(rs, lam):
-                loops = minimal_loops(rs, w)
-                for loop in loops:
-                    m, ok = difference_loop_check(rs, w, lam, loop, TRUNC)
-                    expected = loop_exponent(rs, loop, w, lam)
-                    if not (ok and m == expected):
-                        _report(5, False,
-                                f"{rs.key} lam={lam.coords} w={w.word()} loop={loop}: "
-                                f"exponent {m}, telescoped {expected}")
-                    n_loops += 1
-                if len(loops) >= 2:
-                    a, b = loops[0], loops[1]
-                    series = global_demazure_char(rs, w, lam, TRUNC).value
-                    ab = demazure_word(rs, a + b, series)
-                    ba = demazure_word(rs, b + a, series)
-                    if not ab.equal_upto_watermark(ba):
-                        _report(5, False, f"commutativity {rs.key} lam={lam.coords} w={w.word()}")
-                    n_commute += 1
+        for case in _gate(5, rs, cases(rs, "fdif", 2)):
+            loops = minimal_loops(rs, rs.element_from_word(case.w))
+            n += 1
+            n_loops += len(loops)
+            n_commute += len(loops) >= 2
     if n_commute == 0:
         _report(5, False, "no w with two independent loops was exercised")
-    _report(5, True, f"{n_loops} loops scale by a pure q-power; "
-                     f"{n_commute} two-loop commutativity checks")
+    _report(5, n == 46, f"{n} (lambda, w) cases: {n_loops} loops scale by a pure q-power; "
+                        f"{n_commute} two-loop commutativity checks")
 
 
 def test_criterion_6_dmain_composition():
-    lams = [Weight((1, 0)), Weight((0, 1)), Weight((1, 1))]
-    elems = A2.weyl_elements()
-    n = 0
-    for lam in lams:
-        for w in elems:
-            for v in elems:
-                if (w * v).length() != w.length() + v.length():
-                    continue
-                lhs = demazure_word(A2, w.word(), global_demazure_char(A2, v, lam, TRUNC).value)
-                rhs = global_demazure_char(A2, w * v, lam, TRUNC).value
-                if not lhs.equal_upto_watermark(rhs):
-                    _report(6, False, f"lam={lam.coords} w={w.word()} v={v.word()}")
-                n += 1
-    _report(6, True, f"{n} length-additive pairs, equal up to watermark")
+    lams = {(1, 0), (0, 1), (1, 1)}
+    n = len(_gate(6, A2, [case for case in cases(A2, "dmain", 2) if case.lam in lams]))
+    _report(6, n == 51, f"{n} length-additive pairs, equal up to watermark")
 
 
 def test_criterion_7_structural_invariants():
     plans = [
-        (A1, _dominant(A1, 3)),
+        (A1, dominant_weights(A1, 3)),
         (A2, [Weight((1, 0)), Weight((0, 1)), Weight((1, 1)), Weight((2, 0)), Weight((0, 2))]),
         (C2, [Weight((1, 0)), Weight((0, 1))]),
         (G2, [Weight((1, 0)), Weight((0, 1))]),
@@ -215,32 +171,17 @@ def test_criterion_7_structural_invariants():
 
 
 def test_criterion_8_gnsmac_coherence():
-    n = 0
-    case1_steps = 0
+    n = divisions = 0
     for rs in (A1, A2):
-        for lam in _dominant(rs, 2):
-            for w in minimal_coset_reps(rs, lam):
-                closed = twisted_euler_char(rs, w, lam, TRUNC, check=False)
-                prev = twisted_euler_char(rs, rs.identity, lam, TRUNC, check=False)
-                u = rs.identity
-                for i, frm in coset_chain(rs, lam, w):
-                    target = rs.simple_reflection(i) * frm
-                    nxt = twisted_euler_char(rs, target, lam, TRUNC, check=False)
-                    stepped = t_op(rs, i, prev)
-                    if not nxt.equal_upto_watermark(stepped):
-                        _report(8, False,
-                                f"{rs.key} lam={lam.coords} step {i} at {frm.word()}")
-                    if _pullback_simple(rs, frm, i) is not None:
-                        case1_steps += 1  # exact (1 - q^a) division exercised
-                    prev = nxt
-                    u = target
-                if not closed.equal_upto_watermark(prev):
-                    _report(8, False, f"{rs.key} lam={lam.coords} w={w.word()}")
-                n += 1
-    if case1_steps == 0:
+        for case in _gate(8, rs, cases(rs, "gnsmac", 2)):
+            chain = coset_chain(rs, Weight(case.lam), rs.element_from_word(case.w))
+            # steps pulling back to a simple root divide exactly by (1 - q^a)
+            divisions += sum(_pullback_simple(rs, u, i) is not None for i, u in chain)
+            n += 1
+    if divisions == 0:
         _report(8, False, "no simple-pullback division step was exercised")
-    _report(8, True, f"{n} closed forms match the T_i reconstruction "
-                     f"({case1_steps} exact-division steps)")
+    _report(8, n == 22, f"{n} closed forms match the T_i reconstruction "
+                        f"({divisions} exact-division steps)")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """CLI parsing, emission formats, suites, and report determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -178,3 +179,34 @@ def test_verify_rejects_max_weight_below_one():
         with pytest.raises(SystemExit) as exc:
             parse_args(["verify", "--type", "A1", "--max-weight", bad])
         assert exc.value.code == "--max-weight must be >= 1"
+
+
+def test_verify_rejects_jobs_below_one():
+    for bad in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--type", "A1", "--jobs", bad])
+        assert exc.value.code == "--jobs must be >= 1"
+
+
+# sha256 of whole `siflag verify` reports and their exit codes.  Every identity
+# check, case id and discrepancy record feeds these bytes, so a change to the
+# verification engine that alters any of them fails here.
+PINNED_REPORTS = {
+    "B2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+           "9db2f925641673000e4f0d3c8199acf7b8bef2f407d96d4d6d839ca4a81783f5", 0),
+    "C2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+           "50b4205e8f09a8c5c510c438479b3d465af19acd8c6b8598cf2c457714629cab", 0),
+    "G2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+           "771cc4e9ce45f8384e831101725e511a791697dfbc1d6e72a559e644cbf7d6f2", 0),
+    # a bad --beta: the exception becomes the case's fail record
+    "A1": (["--suite", "nmconn", "--max-weight", "1", "--beta=1"],
+           "20b9302d3c53573aa94535135b81fa1a7813018356a83cdb4cfc5c69ff884b37", 1),
+}
+
+
+@pytest.mark.parametrize("type_name", sorted(PINNED_REPORTS))
+def test_verify_report_bytes_are_pinned(tmp_path, type_name):
+    args, digest, code = PINNED_REPORTS[type_name]
+    out = tmp_path / "report.json"
+    assert main(["verify", "--type", type_name, *args, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

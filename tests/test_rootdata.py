@@ -56,6 +56,8 @@ def test_cartan_invariants():
         rs = build_root_system(*key)
         for i in range(rs.rank):
             assert rs.cartan[i][i] == 2
+            # alpha_i has fundamental-weight coordinates <alpha_k^vee, alpha_i>
+            assert rs.simple_root(i + 1).coords == tuple(row[i] for row in rs.cartan)
             for j in range(rs.rank):
                 if i != j:
                     assert rs.cartan[i][j] <= 0
@@ -68,6 +70,10 @@ def test_pairing_examples():
     assert a2.pairing(a2.theta_coroot, a2.theta_weight) == 2
     alpha2 = a2.root_to_weight((0, 1))
     assert a2.pairing(a2.simple_coroot(1), alpha2) == -1
+    assert a2.simple_root(2) == alpha2
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            a2.simple_root(bad)
 
 
 def test_weyl_act_examples():

@@ -18,11 +18,10 @@ from siflag.weylchar import (
     genweyl_char,
     global_demazure_char,
     lambda_w,
-    nmconn_check,
-    nmconn_report,
     twisted_euler_char,
     weyl_character,
 )
+from siflag.verify import check_nmconn
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -187,12 +186,12 @@ def test_q0_endpoint_matches_nmac_second_equality():
 
 def test_nmconn_examples():
     w = A1.fundamental_weight(1)
-    ok, disc = nmconn_report(A1, w, Coweight((-1,)))
+    ok, disc = check_nmconn(A1, w, Coweight((-1,)))
     assert ok and disc is None
-    assert nmconn_check(A1, Weight((2,)), Coweight((-1,)))
-    assert nmconn_check(A2, A2.fundamental_weight(1), Coweight((-1, -1)))
+    assert check_nmconn(A1, Weight((2,)), Coweight((-1,)))[0]
+    assert check_nmconn(A2, A2.fundamental_weight(1), Coweight((-1, -1)))[0]
     with pytest.raises(ValueError):
-        nmconn_check(A2, A2.fundamental_weight(1), Coweight((-1, 0)))
+        check_nmconn(A2, A2.fundamental_weight(1), Coweight((-1, 0)))
 
 
 def test_dmain_composition_smoke():
