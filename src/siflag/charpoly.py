@@ -212,9 +212,8 @@ class CharSeries:
     watermark: int
 
     @staticmethod
-    def from_poly(p: CharPoly, trunc: int, watermark: int | None = None) -> "CharSeries":
-        v = trunc if watermark is None else watermark
-        return CharSeries(p.truncate(trunc), trunc, v)
+    def from_poly(p: CharPoly, trunc: int) -> "CharSeries":
+        return CharSeries(p.truncate(trunc), trunc, trunc)
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
         n = min(self.trunc, other.trunc)

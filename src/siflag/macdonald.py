@@ -18,7 +18,10 @@ Convention notes (calibration-determined, validated by the test suite):
 are pinned so that in rank one E_{-w} = e^{-w} + (1-t)/(1-qt) e^{w} and
 E_{w} = e^{w} hold exactly; the t = infinity and t = 0 specializations then
 reproduce the rank-one module characters, and rank two is cross-validated
-against the independent recursion engine.
+against the recursion engine.  That engine never calls this module (its base
+characters come from the eigen solve in every type), so the oracle is only the
+independent reference of the ``cor`` suite, the acceptance gate and the
+route-agreement tests.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
 in t), the orthogonality system is solved order by order over Q(t), and the
@@ -29,43 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .charpoly import CharPoly
 from .qt import QTRat, _t_add, _t_mul, gauss_nullspace, gauss_solve
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, hull_weights
 
 TPoly = dict  # {t_degree: int}
 
 
-# -- weight saturation and the triangular order --------------------------------
-
-
-def hull_weights(rs: RootSystem, lam: Weight) -> list[Weight]:
-    """All nu in lam + Q with dominant representative <= lam (weights of V(lam))."""
-    if not lam.is_dominant():
-        raise ValueError("weight must be dominant")
-    w0 = rs.longest_element()
-    span = lam - w0.act(lam)
-    box = rs.weight_to_root(span)
-    if any(c.denominator != 1 for c in box):
-        raise AssertionError("lam - w0 lam is not an integral root combination")
-    out = []
-    for coeffs in iproduct(*(range(int(c) + 1) for c in box)):
-        nu = lam
-        for i, c in enumerate(coeffs):
-            if c:
-                nu = nu - rs.simple_root(i + 1).scale(c)
-        plus, _ = rs.dominant_representative(nu)
-        if _dominance_leq(rs, plus, lam):
-            out.append(nu)
-    return sorted(set(out), key=lambda w: w.coords)
-
-
-def _dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
-    """mu <= lam in dominance order (difference a nonnegative integer root sum)."""
-    diff = rs.weight_to_root(lam - mu)
-    return all(c.denominator == 1 and c >= 0 for c in diff)
+# -- the triangular order -------------------------------------------------------
 
 
 def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list[Weight]:
@@ -326,20 +301,19 @@ def default_truncation(rs: RootSystem, gamma: Weight) -> int:
     return 4 * height + 8
 
 
-def gram_schmidt_E(rs: RootSystem, gamma: Weight, order: int | None = None,
-                   reverse_ties: bool = False) -> EPoly:
+def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> EPoly:
     """The unique monic element e^gamma + lower terms orthogonal to its strict ideal.
 
-    Solved order-by-order in q over Q(t), reconstructed to exact rational
-    coefficients, and re-verified on five extra q-orders; raises when the
-    truncation order is too small to pin the answer.  reverse_ties reverses the
-    linear extension of the triangular order (the result must not change).
+    Solved order-by-order in q over Q(t) up to default_truncation, reconstructed
+    to exact rational coefficients, and re-verified on five extra q-orders;
+    raises when that truncation is too small to pin the answer.  reverse_ties
+    reverses the linear extension of the triangular order (the result must not
+    change).
     """
     if rs.rank > 2:
         raise ValueError("oracle scope is rank <= 2")
-    if order is None:
-        order = default_truncation(rs, gamma)
-    cache_key = (rs.key, gamma.coords, order, reverse_ties)
+    order = default_truncation(rs, gamma)
+    cache_key = (rs.key, gamma.coords, reverse_ties)
     got = _E_CACHE.get(cache_key)
     if got is not None:
         return got

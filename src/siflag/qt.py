@@ -347,7 +347,7 @@ class QTRat:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: BPoly, den: BPoly | None = None, _reduced: bool = False):
+    def __init__(self, num: BPoly, den: BPoly | None = None):
         if den is None:
             self.num, self.den = dict(num), dict(P_ONE)
             return
@@ -359,18 +359,17 @@ class QTRat:
         if den == P_ONE:
             self.num, self.den = dict(num), dict(P_ONE)
             return
-        if not _reduced:
-            g = p_gcd(num, den)
-            if g != P_ONE:
-                num = p_div_exact(num, g)
-                den = p_div_exact(den, g)
-            cn, cd = _int_content(num), _int_content(den)
-            ci = int_gcd(cn, cd)
-            if ci > 1:
-                num = {k: c // ci for k, c in num.items()}
-                den = {k: c // ci for k, c in den.items()}
-            if den[_lead_key(den)] < 0:
-                num, den = p_neg(num), p_neg(den)
+        g = p_gcd(num, den)
+        if g != P_ONE:
+            num = p_div_exact(num, g)
+            den = p_div_exact(den, g)
+        cn, cd = _int_content(num), _int_content(den)
+        ci = int_gcd(cn, cd)
+        if ci > 1:
+            num = {k: c // ci for k, c in num.items()}
+            den = {k: c // ci for k, c in den.items()}
+        if den[_lead_key(den)] < 0:
+            num, den = p_neg(num), p_neg(den)
         self.num, self.den = num, den
 
     # -- constructors ----------------------------------------------------------
@@ -522,32 +521,17 @@ class QTRat:
         return all(dt == 0 for (_, dt) in self.num) and all(dt == 0 for (_, dt) in self.den)
 
     def as_q_laurent(self) -> dict[int, Fraction]:
-        """Exact Laurent polynomial in q, {exponent: coefficient}; raises if not one."""
+        """Exact Laurent polynomial in q, {exponent: coefficient}; raises if not one.
+
+        The fraction is reduced, so it is one exactly when its denominator is a
+        single monomial c q^k.
+        """
         if not self.is_t_free():
             raise ValueError("coefficient still depends on t")
-        if not self.num:
-            return {}
-        vn, vd = p_val_q(self.num), p_val_q(self.den)
-        num = {dq - vn: Fraction(c) for (dq, _), c in self.num.items()}
-        den = {dq - vd: c for (dq, _), c in self.den.items()}
-        quo: dict[int, Fraction] = {}
-        db = max(den)
-        lb = den[db]
-        rem = dict(num)
-        while rem:
-            dr = max(rem)
-            if dr < db:
-                raise ValueError("coefficient is not a Laurent polynomial in q")
-            c = rem[dr] / lb
-            quo[dr - db] = c
-            for kb, cb in den.items():
-                k = dr - db + kb
-                s = rem.get(k, Fraction(0)) - c * cb
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return {k + vn - vd: c for k, c in quo.items() if c}
+        if len(self.den) != 1:
+            raise ValueError("coefficient is not a Laurent polynomial in q")
+        ((k, _), c), = self.den.items()
+        return {dq - k: Fraction(a, c) for (dq, _), a in self.num.items()}
 
     def series_q(self, order: int) -> list["QTRat"]:
         """Power-series expansion in q to the given order; coefficients are t-only."""

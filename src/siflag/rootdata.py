@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 Coords = tuple[int, ...]
@@ -528,3 +529,30 @@ def minimal_coset_representative(rs: RootSystem, w: WeylElement, lam: Weight) ->
     if nu_plus != lam:
         raise AssertionError("weight must be dominant and in the W-orbit")
     return v
+
+
+def hull_weights(rs: RootSystem, lam: Weight) -> list[Weight]:
+    """All nu in lam + Q with dominant representative <= lam (weights of V(lam))."""
+    if not lam.is_dominant():
+        raise ValueError("weight must be dominant")
+    w0 = rs.longest_element()
+    span = lam - w0.act(lam)
+    box = rs.weight_to_root(span)
+    if any(c.denominator != 1 for c in box):
+        raise AssertionError("lam - w0 lam is not an integral root combination")
+    out = []
+    for coeffs in iproduct(*(range(int(c) + 1) for c in box)):
+        nu = lam
+        for i, c in enumerate(coeffs):
+            if c:
+                nu = nu - rs.simple_root(i + 1).scale(c)
+        plus, _ = rs.dominant_representative(nu)
+        if _dominance_leq(rs, plus, lam):
+            out.append(nu)
+    return sorted(set(out), key=lambda w: w.coords)
+
+
+def _dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
+    """mu <= lam in dominance order (difference a nonnegative integer root sum)."""
+    diff = rs.weight_to_root(lam - mu)
+    return all(c.denominator == 1 and c >= 0 for c in diff)

@@ -188,25 +188,49 @@ def test_verify_rejects_jobs_below_one():
         assert exc.value.code == "--jobs must be >= 1"
 
 
+def test_bare_letter_type_outside_support_is_a_clean_error():
+    for argv in (["--type", "A", "--rank", "9"], ["--type", "E", "--rank", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", *argv])
+        assert exc.value.code == f"unsupported root system {argv[1]}{argv[3]}"
+
+
+def test_verify_notes_cor_cases_without_reference(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    for type_name, noted in (("B2", True), ("A1", False)):
+        assert main(["verify", "--type", type_name, "--suite", "cor", "--max-weight", "1",
+                     "--trunc", "8", "--out", str(out)]) == 0
+        n_cases = json.loads(out.read_text())["n_cases"]
+        err = capsys.readouterr().err
+        assert (f"note: {n_cases} cor case(s) passed with no independent reference" in err) == noted
+        assert err.count("\n") == noted
+
+
 # sha256 of whole `siflag verify` reports and their exit codes.  Every identity
 # check, case id and discrepancy record feeds these bytes, so a change to the
-# verification engine that alters any of them fails here.
+# verification engine that alters any of them fails here.  Keyed by a label;
+# each value starts with the type.
 PINNED_REPORTS = {
-    "B2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+    "B2": ("B2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
            "9db2f925641673000e4f0d3c8199acf7b8bef2f407d96d4d6d839ca4a81783f5", 0),
-    "C2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+    "C2": ("C2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
            "50b4205e8f09a8c5c510c438479b3d465af19acd8c6b8598cf2c457714629cab", 0),
-    "G2": (["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+    "G2": ("G2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
            "771cc4e9ce45f8384e831101725e511a791697dfbc1d6e72a559e644cbf7d6f2", 0),
     # a bad --beta: the exception becomes the case's fail record
-    "A1": (["--suite", "nmconn", "--max-weight", "1", "--beta=1"],
+    "A1": ("A1", ["--suite", "nmconn", "--max-weight", "1", "--beta=1"],
            "20b9302d3c53573aa94535135b81fa1a7813018356a83cdb4cfc5c69ff884b37", 1),
+    # the types whose cor cases compare the eigen-route engine with the oracle
+    "A1-all": ("A1", ["--suite", "all", "--max-weight", "2", "--trunc", "12"],
+               "259f06551d9e7461a36c2d0ac1570803a539707ed813d89fa0824146d5873bfc", 0),
+    "A2-all": ("A2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
+               "6f30ce4f39ce89dd23012482f0bb435be44e13f362c1216cc9eff04ae8164751", 0),
 }
 
 
-@pytest.mark.parametrize("type_name", sorted(PINNED_REPORTS))
-def test_verify_report_bytes_are_pinned(tmp_path, type_name):
-    args, digest, code = PINNED_REPORTS[type_name]
+@pytest.mark.parametrize("label", sorted(PINNED_REPORTS))
+def test_verify_report_bytes_are_pinned(tmp_path, label):
+    type_name, args, digest, code = PINNED_REPORTS[label]
     out = tmp_path / "report.json"
     assert main(["verify", "--type", type_name, *args, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

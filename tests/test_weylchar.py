@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from siflag import macdonald, weylchar
 from siflag.charpoly import CharPoly, demazure_word, freeness_factor
 from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
 from siflag.rootdata import Coweight, Weight, build_root_system
@@ -107,7 +108,8 @@ def test_eigen_solve_examples():
     assert got.value == mono(1) + mono(-1, n=1)
     assert eigen_solve_base(A1, Weight((0,)), 6).value == CharPoly.one(1)
     w1 = A2.fundamental_weight(1)
-    assert eigen_solve_base(A2, w1, 8).value == base_char(A2, w1, method="oracle")
+    oracle = specialize(bar_conjugate(gram_schmidt_E(A2, -w1)), ("t-inf", "q-inv"))
+    assert eigen_solve_base(A2, w1, 8).value == oracle
 
 
 def test_eigen_solve_window_ladder():
@@ -124,14 +126,40 @@ def test_eigen_solve_window_ladder():
 def test_base_methods_agree_rank2():
     for rs in (A1, A2):
         for lam in (rs.fundamental_weight(1), rs.rho()):
-            assert base_char(rs, lam, "oracle") == base_char(rs, lam, "eigen"), (rs.key, lam)
+            oracle = specialize(bar_conjugate(gram_schmidt_E(rs, -lam)), ("t-inf", "q-inv"))
+            assert base_char(rs, lam) == oracle, (rs.key, lam)
+
+
+def test_engine_computes_no_oracle_polynomial(monkeypatch):
+    # the oracle is only a reference: no engine entry point may fill its cache
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(weylchar, "_BASE_CACHE", {})
+    for rs, beta in ((A1, Coweight((-1,))), (A2, Coweight((-1, -1)))):
+        for lam in (rs.fundamental_weight(1), rs.rho().scale(2)):
+            base_char(rs, lam)
+            genweyl_char(rs, rs.longest_element(), lam)
+            twisted_euler_char(rs, rs.longest_element(), lam, 6)
+            assert check_nmconn(rs, lam, beta)[0]
+            assert not macdonald._E_CACHE, (rs.key, lam)
+    assert weylchar._BASE_CACHE
+
+
+def test_base_window_ladder_climbs_past_26():
+    # ch W_{10 omega} needs window 32; its dimension is 2^10 (Chari-Loktev)
+    lam = Weight((10,))
+    with pytest.raises(ValueError, match="not uniquely solvable"):
+        eigen_solve_base(A1, lam, 26)
+    got = base_char(A1, lam)
+    assert got.coeff(lam, 0) == 1
+    assert got.total_at_one() == 2 ** 10
 
 
 def test_base_methods_agree_c2():
     # the oracle also covers C2; the two independent routes must coincide there
     for i in (1, 2):
         lam = C2.fundamental_weight(i)
-        assert base_char(C2, lam, "oracle") == base_char(C2, lam, "eigen"), i
+        oracle = specialize(bar_conjugate(gram_schmidt_E(C2, -lam)), ("t-inf", "q-inv"))
+        assert base_char(C2, lam) == oracle, i
 
 
 def test_lambda_w_examples():
