@@ -223,22 +223,12 @@ class CharSeries:
     def __sub__(self, other: "CharSeries") -> "CharSeries":
         return self + CharSeries(-other.poly, other.trunc, other.watermark)
 
-    def scale(self, c) -> "CharSeries":
-        return CharSeries(self.poly.scale(c), self.trunc, self.watermark)
-
     def mul_poly(self, p: CharPoly) -> "CharSeries":
         """Multiply by an exact polynomial; validity shifts with its lowest q-degree."""
         if p.is_zero():
             return CharSeries(CharPoly.zero(), self.trunc, self.trunc)
         v = self.watermark + p.q_min()
         return CharSeries((self.poly * p).truncate(self.trunc), self.trunc, v)
-
-    def __mul__(self, other: "CharSeries") -> "CharSeries":
-        n = min(self.trunc, other.trunc)
-        if self.poly.is_zero() or other.poly.is_zero():
-            return CharSeries(CharPoly.zero(), n, min(self.watermark, other.watermark))
-        v = min(self.watermark + other.poly.q_min(), other.watermark + self.poly.q_min())
-        return CharSeries((self.poly * other.poly).truncate(n), n, v)
 
     def shift_q(self, m: int) -> "CharSeries":
         return CharSeries(self.poly.shift_q(m), self.trunc + m, self.watermark + m)
@@ -259,11 +249,6 @@ class CharSeries:
         v = min(self.watermark, other.watermark)
         return self.poly.truncate(v) == other.poly.truncate(v)
 
-    def first_discrepancy(self, other: "CharSeries"):
-        """First differing (key, coeff, coeff) on certified degrees, or None."""
-        v = min(self.watermark, other.watermark)
-        return self.poly.truncate(v).first_discrepancy(other.poly.truncate(v))
-
 
 def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:
     """Hilbert series prod_i prod_{k=1}^{lam_i} (1-q^k)^{-1}, truncated at q-order trunc."""
@@ -277,6 +262,18 @@ def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:
             geom = CharPoly({(zero_wt, m): Fraction(1) for m in range(0, trunc + 1, k)})
             series = (series * geom).truncate(trunc)
     return CharSeries(series, trunc, trunc)
+
+
+def freeness_ratio(rs: RootSystem, lam: Weight, mu: Weight) -> CharPoly:
+    """The polynomial F_lam / F_mu = prod_i prod_{lam_i < k <= mu_i} (1 - q^k), for lam <= mu."""
+    if any(a > b for a, b in zip(lam.coords, mu.coords)):
+        raise ValueError(f"{lam.coords} exceeds {mu.coords} in some coordinate")
+    one = CharPoly.one(rs.rank)
+    out = one
+    for a, b in zip(lam.coords, mu.coords):
+        for k in range(a + 1, b + 1):
+            out = out * (one - CharPoly.monomial((0,) * rs.rank, k))
+    return out
 
 
 def exact_divide(f: CharPoly, d: CharPoly) -> CharPoly:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -55,19 +54,6 @@ class Report:
             "n_failed": self.n_failed(),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def default_trunc() -> int:
-    env = os.environ.get("SIMAC_TRUNC")
-    if env:
-        try:
-            val = int(env)
-            if val >= 1:
-                return val
-        except ValueError:
-            pass
-        raise SystemExit(f"SIMAC_TRUNC must be a positive integer, got {env!r}")
-    return 20
 
 
 def parse_weight(rs: RootSystem, text: str, name: str) -> Weight:
@@ -161,7 +147,7 @@ def run_suite(config: RunConfig) -> Report:
 
     def execute(case):
         try:
-            ok, disc = verify.check(rs, case, config.trunc, config.beta)
+            ok, disc = verify.check(rs, case, config.beta)
         except Exception as err:  # deterministic: message only, no traceback
             ok, disc = False, f"{type(err).__name__}: {err}"
         return {
@@ -198,7 +184,9 @@ def parse_args(argv) -> RunConfig:
     def common(p, need_lambda=False):
         p.add_argument("--type", help="root system, e.g. A2, C2, G2")
         p.add_argument("--rank", type=int, help="rank when --type is a bare letter")
-        p.add_argument("--trunc", type=int, default=None, help="q-series truncation order")
+        p.add_argument("--trunc", type=int, default=20,
+                       help="q-series truncation order of weylchar --global and twisted; "
+                            "verify accepts it but its verdicts do not depend on it")
         p.add_argument("--format", dest="fmt", choices=("json", "latex", "plain"),
                        default="plain")
         p.add_argument("--out", help="write output to this file")
@@ -241,12 +229,11 @@ def parse_args(argv) -> RunConfig:
 
     args = parser.parse_args(argv)
     rs = _build_rs(args)
-    trunc = args.trunc if args.trunc is not None else default_trunc()
-    if trunc < 1:
+    if args.trunc < 1:
         raise SystemExit("--trunc must be >= 1")
 
-    config = RunConfig(command=args.command, rs=rs, trunc=trunc, fmt=getattr(args, "fmt", "plain"),
-                       out=args.out)
+    config = RunConfig(command=args.command, rs=rs, trunc=args.trunc,
+                       fmt=getattr(args, "fmt", "plain"), out=args.out)
     if hasattr(args, "lam"):
         config.lam = parse_weight(rs, args.lam, "lambda")
         if not config.lam.is_dominant():

@@ -28,6 +28,7 @@ from .charpoly import (
     demazure_word,
     exact_divide,
     freeness_factor,
+    freeness_ratio,
     t_op,
 )
 from .qt import gauss_solve
@@ -159,18 +160,20 @@ def cor_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:
         raise ValueError("weight must be dominant")
     w = minimal_coset_representative(rs, w, lam)
     value = base_char(rs, lam)
-    one = CharPoly.one(rs.rank)
     for i, u in coset_chain(rs, lam, w):
-        stepped = t_op(rs, i, value)
-        j = _pullback_simple(rs, u, i)
-        if j is not None:
-            a = lam.coords[j - 1]
-            if a <= 0:
-                raise AssertionError("cover inside W^lam pulled back to a stabilized root")
-            divisor = one - CharPoly.monomial((0,) * rs.rank, a)
-            stepped = exact_divide(stepped, divisor)
-        value = stepped
+        value = _cor_step(rs, lam, i, u, t_op(rs, i, value))
     return value
+
+
+def _cor_step(rs: RootSystem, lam: Weight, i: int, u: WeylElement, stepped: CharPoly) -> CharPoly:
+    """E_{s_i u} from stepped = T_i E_u."""
+    j = _pullback_simple(rs, u, i)
+    if j is None:
+        return stepped
+    a = lam.coords[j - 1]
+    if a <= 0:
+        raise AssertionError("cover inside W^lam pulled back to a stabilized root")
+    return exact_divide(stepped, CharPoly.one(rs.rank) - CharPoly.monomial((0,) * rs.rank, a))
 
 
 def _pullback_simple(rs: RootSystem, u: WeylElement, i: int):
@@ -210,28 +213,26 @@ def loop_exponent(rs: RootSystem, loop, w: WeylElement, lam: Weight) -> int:
     return total
 
 
-def difference_loop_check(rs: RootSystem, w: WeylElement, lam: Weight, loop, trunc: int):
-    """Apply a loop operator to ch W(lam)_w; return (realized exponent, ok).
+def difference_loop_check(rs: RootSystem, w: WeylElement, lam: Weight, loop):
+    """Apply a loop operator to ch W_{w lam}; return (realized exponent, ok).
 
-    ok means the result is a pure q-power times the input up to the watermark
-    and the realized exponent telescopes to the normalized-step prediction.
+    ok means the result is exactly q^m ch W_{w lam}, with m the telescoped
+    exponent of the normalized steps.  The loop's D_i fix q, so this is
+    ch W(lam)_w = F_lam(q) ch W_{w lam} scaled by q^m, divided through by F_lam.
     """
-    dc = global_demazure_char(rs, w, lam, trunc)
+    gen = genweyl_char(rs, w, lam)
     if not loop:
         return 0, True
-    chain = walk_quantum(rs, loop, dc.w)
-    if chain[-1] != dc.w:
+    chain = walk_quantum(rs, loop, gen.w)
+    if chain[-1] != gen.w:
         raise ValueError("word is not a loop at w")
-    result = demazure_word(rs, loop, dc.value)
-    ref = dc.w.act(lam).coords
-    degs = [n for (wt, n) in result.poly.terms if wt == ref and n <= result.watermark]
+    result = demazure_word(rs, loop, gen.value)
+    ref = gen.w.act(lam).coords
+    degs = [n for (wt, n) in result.terms if wt == ref]
     if not degs:
         return 0, False
     m = min(degs)
-    shifted = dc.value.shift_q(m)
-    ok = result.equal_upto_watermark(shifted)
-    ok = ok and (m == loop_exponent(rs, loop, dc.w, lam))
-    return m, ok
+    return m, m == loop_exponent(rs, loop, gen.w, lam) and result == gen.value.shift_q(m)
 
 
 def lambda_w(rs: RootSystem, lam: Weight, w: WeylElement) -> Weight:
@@ -249,25 +250,32 @@ def lambda_w(rs: RootSystem, lam: Weight, w: WeylElement) -> Weight:
 def twisted_euler_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> CharSeries:
     """Character of the twisted sheaf sections at w, as a truncated q-series.
 
-    Closed form: freeness factor of lambda_w times the T_i-recursion family.
-    Each chain step is re-verified against T_i applied to the previous closed
-    form, watermark-deep.
+    Closed form F_{lambda_w}(q) E_w, with E_w the T_i-recursion family, after
+    twisted_family has checked every step of the chain to w.
     """
     w = minimal_coset_representative(rs, w, lam)
-    # the chain ends at w, so its last closed form is the result
-    closed = _twisted_closed(rs, rs.identity, lam, trunc)
+    return freeness_factor(rs, lambda_w(rs, lam, w), trunc).mul_poly(twisted_family(rs, w, lam))
+
+
+def twisted_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:
+    """E_w = cor_family(rs, w, lam), checking T_i E_u = P E_{s_i u} exactly at
+    each step of the chain to w, with P = F_{lambda_{s_i u}} / F_{lambda_u}.
+
+    This is T_i stepping the closed form F_{lambda_u}(q) E_u onto the next one,
+    divided through by F_{lambda_u}: T_i fixes q, so it is linear over series
+    in q alone.  Right descents only grow along an upward cover, so
+    lambda_{s_i u} <= lambda_u and P = prod (1 - q^k) is a polynomial.  Raises
+    AssertionError at the first step where the two sides differ.
+    """
+    value = base_char(rs, lam)
     for i, u in coset_chain(rs, lam, w):
         target = rs.simple_reflection(i) * u
-        stepped = t_op(rs, i, closed)
-        closed = _twisted_closed(rs, target, lam, trunc)
-        if not closed.equal_upto_watermark(stepped):
-            raise AssertionError(
-                f"closed form and T_{i} recursion disagree at {target!r}")
-    return closed
-
-
-def _twisted_closed(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> CharSeries:
-    return freeness_factor(rs, lambda_w(rs, lam, w), trunc).mul_poly(cor_family(rs, w, lam))
+        stepped = t_op(rs, i, value)
+        value = _cor_step(rs, lam, i, u, stepped)
+        ratio = freeness_ratio(rs, lambda_w(rs, lam, target), lambda_w(rs, lam, u))
+        if stepped != ratio * value:
+            raise AssertionError(f"closed form and T_{i} recursion disagree at {target!r}")
+    return value
 
 
 # -- eigen-solve of the loop difference equations -----------------------------------

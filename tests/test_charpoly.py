@@ -14,6 +14,7 @@ from siflag.charpoly import (
     demazure_word,
     exact_divide,
     freeness_factor,
+    freeness_ratio,
     t_op,
 )
 from siflag.rootdata import Weight, build_root_system
@@ -168,6 +169,15 @@ def test_freeness_factor_examples():
     with pytest.raises(ValueError):
         freeness_factor(A1, Weight((-1,)), 5)
 
+    # F_lam / F_mu is the polynomial (1-q^2)(1-q^3) here, and F_lam = ratio * F_mu
+    lam, mu = Weight((1, 0)), Weight((3, 0))
+    ratio = freeness_ratio(A2, lam, mu)
+    assert ratio == (mono(0, 0) - mono(0, 0, n=2)) * (mono(0, 0) - mono(0, 0, n=3))
+    assert freeness_factor(A2, mu, 12).mul_poly(ratio).poly == freeness_factor(A2, lam, 12).poly
+    assert freeness_ratio(A2, mu, mu) == CharPoly.one(2)
+    with pytest.raises(ValueError):
+        freeness_ratio(A2, Weight((0, 1)), mu)
+
 
 def test_exact_divide_examples():
     one_minus_q = CharPoly.one(1) - CharPoly.monomial((0,), 1)
@@ -219,6 +229,3 @@ def test_series_equality_and_discrepancy():
     a = CharSeries.from_poly(mono(1) + mono(-1, n=1), 8)
     b = CharSeries.from_poly(mono(1) + mono(-1, n=1).scale(2), 8)
     assert not a.equal_upto_watermark(b)
-    key, ca, cb = a.first_discrepancy(b)
-    assert key == ((-1,), 1)
-    assert (ca, cb) == (Fraction(1), Fraction(2))

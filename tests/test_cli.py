@@ -45,15 +45,6 @@ def test_parse_weyl_word_forms():
         parse_weyl_word(rs, "x1")
 
 
-def test_trunc_env_override(monkeypatch):
-    monkeypatch.setenv("SIMAC_TRUNC", "7")
-    cfg = parse_args(["weylchar", "--type", "A1", "--lambda", "1"])
-    assert cfg.trunc == 7
-    monkeypatch.setenv("SIMAC_TRUNC", "zero")
-    with pytest.raises(SystemExit):
-        parse_args(["weylchar", "--type", "A1", "--lambda", "1"])
-
-
 def test_emit_examples():
     p = CharPoly.monomial((1,), 0) + CharPoly.monomial((-1,), 1)
     assert emit(p, "json") == '[{"coeff":"1","q":0,"wt":[1]},{"coeff":"1","q":1,"wt":[-1]}]'
@@ -225,6 +216,9 @@ PINNED_REPORTS = {
                "259f06551d9e7461a36c2d0ac1570803a539707ed813d89fa0824146d5873bfc", 0),
     "A2-all": ("A2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
                "6f30ce4f39ce89dd23012482f0bb435be44e13f362c1216cc9eff04ae8164751", 0),
+    # verdicts do not depend on --trunc: the digest of the --trunc 12 report
+    "G2-fdif-trunc1": ("G2", ["--suite", "fdif", "--max-weight", "1", "--trunc", "1"],
+                       "984832e5d25a708d9efbbc3aa96d2d113430c87f4728c9b52e2b3d35053a3355", 0),
 }
 
 

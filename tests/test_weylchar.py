@@ -97,9 +97,9 @@ def test_cns_step_examples():
 def test_difference_loop_examples():
     w = A1.fundamental_weight(1)
     s1 = A1.simple_reflection(1)
-    assert difference_loop_check(A1, A1.identity, w, (0, 1), 14) == (-1, True)
-    assert difference_loop_check(A1, s1, w, (1, 0), 14) == (-1, True)
-    assert difference_loop_check(A1, A1.identity, w, (), 14) == (0, True)
+    assert difference_loop_check(A1, A1.identity, w, (0, 1)) == (-1, True)
+    assert difference_loop_check(A1, s1, w, (1, 0)) == (-1, True)
+    assert difference_loop_check(A1, A1.identity, w, ()) == (0, True)
 
 
 def test_eigen_solve_examples():
