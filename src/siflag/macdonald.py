@@ -24,9 +24,13 @@ independent reference of the ``cor`` suite, the acceptance gate and the
 route-agreement tests.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
-in t), the orthogonality system is solved order by order over Q(t), and the
-rational function behind each coefficient series is recovered by exact Pade
-reconstruction, then re-verified against five extra q-orders.
+in t).  Every root's density factor has the same closed-form column of
+coefficients of its powers e^{k alpha} (the q-binomial theorem), and the product
+over the roots keeps only states that a per-suffix reachability budget lets
+still land on a wanted weight.  The orthogonality system is solved order by
+order over Q(t), and the rational function behind each coefficient series is
+recovered by exact Pade reconstruction, then re-verified against five extra
+q-orders.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .qt import QTRat, _t_add, _t_mul, gauss_nullspace, gauss_solve
+from .qt import QTRat, gauss_nullspace, gauss_solve
 from .rootdata import RootSystem, Weight, hull_weights
 
 TPoly = dict  # {t_degree: int}
@@ -74,108 +78,190 @@ def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = F
 # -- density expansion ----------------------------------------------------------
 
 
-def _tower_terms(j: int, budget: int, kmax: int):
-    """Expansion terms (k, qdeg, tpoly) of (1-u)/(1-tu) for u of q-degree j."""
-    out = []
-    k = 1
-    while k <= kmax and j * k <= budget:
-        out.append((k, j * k, {k: 1, k - 1: -1}))
-        k += 1
-    return out
-
-
 def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     """Coefficients of Delta at the target weights: {(root_coords, qdeg): tpoly}.
 
-    Targets are root-lattice points in simple-root coordinates.  The product is
-    expanded lazily with a reachability prune, so only states that can still
-    close onto a target within the remaining q-budget are materialized.
+    Targets are root-lattice points in simple-root coordinates.  By the
+    q-binomial theorem (Gasper-Rahman 1.3) each positive root alpha contributes
+    the factor column sum_k col(k) e^{k alpha} with
+
+        col(k) = sum_{b >= 0} q^b C_b C_{k+b},   col(-k) = q^k col(k)   (k >= 0),
+        C_a = prod_{i < a} (t - q^i) / (1 - q^{i+1}),
+
+    one column shared by every root.  The product over the roots is expanded
+    root by root; a state survives only while its q-budget covers the least
+    budget with which the remaining roots can still land it on a target.
+
+    t-polynomials travel packed into one integer at t = 2^B (evaluation there
+    is a ring homomorphism, so only the final coefficients must fit) and only
+    the final entries are decoded.  B comes from a first run of the same
+    expansion on L1 majorants (t -> 1, every minus sign made plus), which bound
+    the absolute coefficient sum of every final entry.
     """
     if not targets:
         return {}
-    rank = rs.rank
-    roots = sorted(rs.positive_roots, key=sum, reverse=True)
-    tmax = [max(t[i] for t in targets) for i in range(rank)]
-    amax = [max(b[i] for b in rs.positive_roots) for i in range(rank)]
-    kpos_bound = max(
-        (tmax[i] + order * amax[i]) for i in range(rank)
-    ) + 1
+    expansion = _DensityExpansion(rs, targets, order)
+    bound = expansion.run(1, 1)
+    bits = max(bound.values(), default=0).bit_length() + 1
+    table = {}
+    for key, packed in expansion.run(1 << bits, -1).items():
+        tp = _unpack(packed, bits)
+        if sum(abs(c) for c in tp.values()) > bound.get(key, 0):
+            raise AssertionError(f"density entry {key} exceeds its L1 majorant")
+        table[key] = tp
+    return table
 
-    # per-suffix feasibility data
-    suffix_data = []
-    for pos in range(len(roots) + 1):
-        rem = roots[pos:]
-        neg_cap = [max((b[i] for b in rem), default=0) for i in range(rank)]
-        pos_ok = [any(b[i] > 0 for b in rem) for i in range(rank)]
-        kernel = _integer_kernel(rem, rank)
-        suffix_data.append((neg_cap, pos_ok, kernel))
 
-    def feasible(coords, qleft, pos):
-        neg_cap, pos_ok, kernel = suffix_data[pos]
-        for tau in targets:
-            ok = True
-            for i in range(rank):
-                d = coords[i] - tau[i]
-                if d > qleft * neg_cap[i]:
-                    ok = False
-                    break
-                if d < 0 and not pos_ok[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for func in kernel:
-                if sum(f * (tau[i] - coords[i]) for i, f in enumerate(func)) != 0:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+def _unpack(packed: int, bits: int) -> TPoly:
+    """The t-polynomial whose value at t = 2^bits is packed (|coefficients| < 2^(bits-1))."""
+    out = {}
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    deg = 0
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            out[deg] = c
+        packed = (packed - c) >> bits
+        deg += 1
+    return out
 
-    states: dict = {((0,) * rank, 0): {0: 1}}
-    for pos, alpha in enumerate(roots):
-        # build the full (k, qdeg) -> tpoly series of this root's factor column
-        column: dict = {(0, 0): {0: 1}}
-        towers = []
-        for j in range(0, order + 1):
-            towers.append((j, +1, kpos_bound if j == 0 else order // max(j, 1)))
-        for j in range(1, order + 1):
-            towers.append((j, -1, order // j))
-        for j, sign, kmax in towers:
-            terms = _tower_terms(j, order, kmax)
-            if not terms:
-                continue
-            new = dict(column)
-            for (k0, n0), tp0 in column.items():
-                for k, dq, tp in terms:
-                    n1 = n0 + dq
-                    if n1 > order:
+
+class _DensityExpansion:
+    """The root-by-root expansion of Delta onto one target set, up to q^order.
+
+    run(t, sign) evaluates it with C_a built from the factors (t + sign q^i):
+    (2^B, -1) gives packed t-polynomials, (1, +1) their L1 majorants.  Both
+    runs share the reachability budgets.
+    """
+
+    def __init__(self, rs: RootSystem, targets: frozenset, order: int):
+        rank = rs.rank
+        self.order = order
+        self.roots = sorted(rs.positive_roots, key=sum, reverse=True)
+        self.tmax = [max(t[i] for t in targets) for i in range(rank)]
+        # per suffix roots[pos:]: how far it can lower each coordinate per unit
+        # of q-degree, which coordinates it can raise, and the targets grouped
+        # by their image under the functionals vanishing on it
+        self.suffix = []
+        for pos in range(len(self.roots) + 1):
+            rem = self.roots[pos:]
+            neg_cap = [max((b[i] for b in rem), default=0) for i in range(rank)]
+            pos_ok = [any(b[i] > 0 for b in rem) for i in range(rank)]
+            kernel = _integer_kernel(rem, rank)
+            groups: dict = {}
+            for tau in targets:
+                groups.setdefault(_image(kernel, tau), []).append(tau)
+            self.suffix.append((neg_cap, pos_ok, kernel, groups, {}))
+
+    def need(self, coords: tuple, pos: int):
+        """Least q-budget with which roots[pos:] can take coords onto a target, or None."""
+        neg_cap, pos_ok, kernel, groups, memo = self.suffix[pos]
+        if coords in memo:
+            return memo[coords]
+        best = None
+        for tau in groups.get(_image(kernel, coords), ()):
+            req = 0
+            for c, goal, cap, ok in zip(coords, tau, neg_cap, pos_ok):
+                d = c - goal
+                if d > 0:
+                    if not cap:
+                        break
+                    req = max(req, -(-d // cap))
+                elif d < 0 and not ok:
+                    break
+            else:
+                if best is None or req < best:
+                    best = req
+        memo[coords] = best
+        return best
+
+    def run(self, t: int, sign: int) -> dict:
+        order = self.order
+        column = _FactorColumn(t, sign, order)
+        states: dict = {(0,) * len(self.tmax): {0: 1}}
+        for pos, alpha in enumerate(self.roots):
+            neg_cap = self.suffix[pos + 1][0]
+            nxt: dict = {}
+            for coords, series in states.items():
+                qleft = order - min(series)
+                # beyond kmax even the whole budget cannot bring a coordinate back
+                kmax = min((self.tmax[i] + qleft * neg_cap[i] - coords[i]) // a
+                           for i, a in enumerate(alpha) if a > 0)
+                for k in range(-qleft, kmax + 1):
+                    c1 = tuple(c + k * a for c, a in zip(coords, alpha))
+                    nd = self.need(c1, pos + 1)
+                    if nd is None or nd > qleft:
                         continue
-                    k1 = k0 + sign * k
-                    if k1 > kpos_bound or k1 < -order:
-                        continue
-                    key = (k1, n1)
-                    add = _t_mul(tp0, tp)
-                    cur = new.get(key)
-                    new[key] = _t_add(cur, add) if cur else add
-            column = {k: v for k, v in new.items() if v}
+                    cap = order - nd
+                    col = column(k)
+                    acc = nxt.get(c1)
+                    if acc is None:
+                        acc = nxt[c1] = [0] * (order + 1)
+                    for n0, v in series.items():
+                        top = cap - n0
+                        for dq, x in col:
+                            if dq > top:
+                                break
+                            acc[n0 + dq] += v * x
+            states = {}
+            for c1, acc in nxt.items():
+                kept = {n: v for n, v in enumerate(acc) if v}
+                if kept:
+                    states[c1] = kept
+        return {(c, n): v for c, series in states.items() for n, v in series.items()}
 
-        nxt: dict = {}
-        for (coords, n0), tp0 in states.items():
-            for (k, dq), tp in column.items():
-                n1 = n0 + dq
-                if n1 > order:
-                    continue
-                c1 = tuple(coords[i] + k * alpha[i] for i in range(rank))
-                if not feasible(c1, order - n1, pos + 1):
-                    continue
-                key = (c1, n1)
-                add = _t_mul(tp0, tp)
-                cur = nxt.get(key)
-                nxt[key] = _t_add(cur, add) if cur else add
-        states = {k: v for k, v in nxt.items() if v}
 
-    return {key: tp for key, tp in states.items() if key[0] in targets}
+def _image(kernel, coords) -> tuple:
+    return tuple(sum(f * c for f, c in zip(func, coords)) for func in kernel)
+
+
+class _FactorColumn:
+    """col(k) of one root's density factor, as sorted sparse [(qdeg, value)] up to q^order."""
+
+    def __init__(self, t: int, sign: int, order: int):
+        self.t = t
+        self.sign = sign
+        self.order = order
+        self.c = [[1] + [0] * order]  # C_a as dense q-series
+        self.memo: dict = {}
+
+    def _c(self, a: int) -> list:
+        order = self.order
+        while len(self.c) <= a:
+            i = len(self.c) - 1
+            prev = self.c[i]
+            # times (t + sign q^i), then over (1 - q^{i+1}) as a strided prefix sum
+            cur = [self.t * x for x in prev]
+            for n in range(i, order + 1):
+                cur[n] += self.sign * prev[n - i]
+            for n in range(i + 1, order + 1):
+                cur[n] += cur[n - i - 1]
+            self.c.append(cur)
+        return self.c[a]
+
+    def __call__(self, k: int) -> list:
+        got = self.memo.get(k)
+        if got is not None:
+            return got
+        order = self.order
+        if k < 0:
+            got = [(n - k, x) for n, x in self(-k) if n - k <= order]
+        else:
+            out = [0] * (order + 1)
+            for b in range(order + 1):
+                cb = self._c(b)
+                ckb = self._c(k + b)
+                for i in range(order + 1 - b):
+                    x = cb[i]
+                    if x:
+                        for j in range(order + 1 - b - i):
+                            out[b + i + j] += x * ckb[j]
+            got = [(n, x) for n, x in enumerate(out) if x]
+        self.memo[k] = got
+        return got
 
 
 def _integer_kernel(root_list, rank):
@@ -428,11 +514,13 @@ def _verify_orthogonality(rs, epoly: EPoly, lower, table: PairingTable):
     for mu, c in epoly.coeffs.items():
         coeff_series[mu] = c.series_q(big)
     for nu in lower:
+        pair_series = {mu: table.series(mu, nu) for mu in coeff_series}
         for n in range(big + 1):
             acc = QTRat.zero()
             for mu, cs in coeff_series.items():
+                ps = pair_series[mu]
                 for k in range(n + 1):
-                    tp = table.series(mu, nu)[n - k]
+                    tp = ps[n - k]
                     if tp and not cs[k].is_zero():
                         acc = acc + cs[k] * _tp_to_qtrat(tp)
             if not acc.is_zero():

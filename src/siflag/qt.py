@@ -84,30 +84,6 @@ def _int_content(a: BPoly) -> int:
 
 # -- univariate Z[t] helpers (t-polys are dicts {dt: int}) ---------------------
 
-def _t_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _t_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
 def _t_scale(a, c):
     return {k: c * v for k, v in a.items()} if c else {}
 

@@ -109,24 +109,14 @@ def _window_cap(rs: RootSystem, lam: Weight) -> int:
     return cap
 
 
+_COSET_TREES: dict = {}
+
+
 def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, WeylElement]]:
     """Cover steps (i, u) with s_i u > u from e up to w, staying inside W^lam."""
-    reps = set(minimal_coset_reps(rs, lam))
-    if w not in reps:
+    parent = _coset_tree(rs, lam)
+    if w not in parent:
         raise ValueError("w is not a minimal coset representative")
-    parent: dict[WeylElement, tuple[int, WeylElement]] = {}
-    frontier = [rs.identity]
-    seen = {rs.identity}
-    while frontier:
-        nxt = []
-        for u in sorted(frontier, key=lambda x: x.word()):
-            for i in range(1, rs.rank + 1):
-                v = rs.simple_reflection(i) * u
-                if v in reps and v not in seen and v.length() == u.length() + 1:
-                    parent[v] = (i, u)
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
     steps = []
     cur = w
     while cur != rs.identity:
@@ -135,6 +125,28 @@ def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, 
         cur = u
     steps.reverse()
     return steps
+
+
+def _coset_tree(rs: RootSystem, lam: Weight) -> dict:
+    """Breadth-first cover tree of W^lam: {v: (i, u)} with v = s_i u, and e -> None."""
+    key = (rs.key, lam.coords)
+    got = _COSET_TREES.get(key)
+    if got is not None:
+        return got
+    reps = set(minimal_coset_reps(rs, lam))
+    parent: dict = {rs.identity: None}
+    frontier = [rs.identity]
+    while frontier:
+        nxt = []
+        for u in sorted(frontier, key=lambda x: x.word()):
+            for i in range(1, rs.rank + 1):
+                v = rs.simple_reflection(i) * u
+                if v in reps and v not in parent and v.length() == u.length() + 1:
+                    parent[v] = (i, u)
+                    nxt.append(v)
+        frontier = nxt
+    _COSET_TREES[key] = parent
+    return parent
 
 
 def genweyl_char(rs: RootSystem, w: WeylElement, lam: Weight) -> GenWeylChar:

@@ -26,6 +26,7 @@ from siflag.verify import check_nmconn
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
+B2 = build_root_system("B", 2)
 C2 = build_root_system("C", 2)
 
 
@@ -115,7 +116,6 @@ def test_eigen_solve_examples():
 def test_eigen_solve_window_ladder():
     # too small a window must fail as "not uniquely solvable" (not give a wrong
     # answer), so that base_char climbs to the next window
-    B2 = build_root_system("B", 2)
     for rs, lam, too_small, first_ok in ((B2, (1, 0), 1, 2), (C2, (1, 1), 2, 3)):
         lam = Weight(lam)
         with pytest.raises(ValueError, match="not uniquely solvable"):
@@ -155,11 +155,13 @@ def test_base_window_ladder_climbs_past_26():
 
 
 def test_base_methods_agree_c2():
-    # the oracle also covers C2; the two independent routes must coincide there
-    for i in (1, 2):
-        lam = C2.fundamental_weight(i)
-        oracle = specialize(bar_conjugate(gram_schmidt_E(C2, -lam)), ("t-inf", "q-inv"))
-        assert base_char(C2, lam) == oracle, i
+    # the oracle also covers C2 and B2; the two independent routes must coincide
+    # there (G2 agrees too, but its two oracle solves add about 15 s)
+    for rs in (C2, B2):
+        for i in (1, 2):
+            lam = rs.fundamental_weight(i)
+            oracle = specialize(bar_conjugate(gram_schmidt_E(rs, -lam)), ("t-inf", "q-inv"))
+            assert base_char(rs, lam) == oracle, (rs.key, i)
 
 
 def test_lambda_w_examples():
@@ -269,3 +271,6 @@ def test_coset_chain_stays_in_reps():
             u = A2.simple_reflection(i) * u
             assert u in reps
         assert u == w
+    # s2 fixes omega1, so it lies outside W^lam, also once the cover tree is cached
+    with pytest.raises(ValueError, match="not a minimal coset representative"):
+        coset_chain(A2, lam, A2.simple_reflection(2))
