@@ -3,13 +3,13 @@
 An affine element is stored canonically as a pair (w, beta) meaning w * t_beta,
 so equality is never a word problem.  The normalization tying the affine node to
 the finite data is t_{-theta^vee} = s_theta * s_0, equivalently
-s_0 = s_theta * t_{-theta^vee}.  Reduced words are produced by BFS over the group
-(shortest word = reduced word), with an inversion-count length function that the
-test suite cross-checks against BFS distance.
+s_0 = s_theta * t_{-theta^vee}.  Lengths are inversion counts (Iwahori-Matsumoto),
+and reduced words come from left descents: i is a left descent of x exactly when
+l(s_i x) = l(x) - 1 (exchange property).  The test suite cross-checks both the
+length and the greedy-descent word against a breadth-first search of the group.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,7 +64,7 @@ def translation(rs: RootSystem, beta: Coweight) -> AffineElement:
 
 
 def element_from_word(rs: RootSystem, word: Word) -> AffineElement:
-    gens = _cache(rs).gens
+    gens = [affine_simple(rs, i) for i in range(rs.rank + 1)]
     out = affine_identity(rs)
     for i in word:
         out = out * gens[i]
@@ -81,9 +81,9 @@ def affine_length(x: AffineElement) -> int:
     rs = x.finite.rs
     beta = Coweight(x.trans)
     total = 0
-    for gamma in rs.positive_roots:
-        p = rs.pair_coroot_root(beta, gamma)
-        w_gamma_neg = rs.root_is_negative(x.finite.act(rs.root_to_weight(gamma)))
+    for gamma_wt in rs.positive_root_weights:
+        p = rs.pairing(beta, gamma_wt)
+        w_gamma_neg = rs.root_is_negative(x.finite.act(gamma_wt))
         # alpha = gamma, positive towers start at n = 0
         total += max(0, p) + (1 if p >= 0 and w_gamma_neg else 0)
         # alpha = -gamma, towers start at n = 1; w(-gamma) < 0 iff w(gamma) > 0
@@ -91,57 +91,33 @@ def affine_length(x: AffineElement) -> int:
     return total
 
 
-class _AffineCache:
-    """Per-root-system affine data: the generators s_0..s_r and the BFS ball of words."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.gens = tuple(affine_simple(rs, i) for i in range(rs.rank + 1))
-        ident = affine_identity(rs)
-        self.words: dict[AffineElement, Word] = {ident: ()}
-        self.frontier: list[AffineElement] = [ident]
-        self.radius = 0
-        self.all_words: dict[AffineElement, tuple[Word, ...]] = {}
-        # frontier and radius advance together; one expansion at a time
-        self.lock = threading.Lock()
-
-    def expand_to(self, radius: int) -> None:
-        with self.lock:
-            while self.radius < radius and self.frontier:
-                nxt = []
-                for x in self.frontier:
-                    base = self.words[x]
-                    for i, gen in enumerate(self.gens):
-                        y = x * gen
-                        if y not in self.words:
-                            self.words[y] = base + (i,)
-                            nxt.append(y)
-                self.frontier = nxt
-                self.radius += 1
-
-
-_CACHES: dict[int, _AffineCache] = {}
-
-
-def _cache(rs: RootSystem) -> _AffineCache:
-    got = _CACHES.get(id(rs))
-    if got is None or got.rs is not rs:
-        got = _AffineCache(rs)
-        _CACHES[id(rs)] = got
-    return got
+def _left_descents(x: AffineElement, n: int):
+    """Yield (i, s_i x) for each left descent i of x, in increasing i; n is l(x)."""
+    rs = x.finite.rs
+    for i in range(rs.rank + 1):
+        y = affine_simple(rs, i) * x
+        if affine_length(y) == n - 1:
+            yield i, y
 
 
 def shortest_word(x: AffineElement) -> Word:
-    """A reduced word for x, found by BFS from the identity (so provably minimal)."""
-    cache = _cache(x.finite.rs)
-    target = affine_length(x)
-    cache.expand_to(target)
-    word = cache.words.get(x)
-    if word is None:
-        raise AssertionError("length formula disagrees with BFS reachability")
-    if len(word) != target:
-        raise AssertionError("BFS word length disagrees with the length formula")
-    return word
+    """The lexicographically smallest reduced word of x, by greedy left descent.
+
+    Each step strips the smallest left descent; the walk must reach the identity
+    after exactly l(x) steps, or the length formula is inconsistent.
+    """
+    n = affine_length(x)
+    word = []
+    while n > 0:
+        step = next(_left_descents(x, n), None)
+        if step is None:
+            raise AssertionError(f"no left descent lowers length {n} by one")
+        i, x = step
+        word.append(i)
+        n -= 1
+    if not x.is_identity():
+        raise AssertionError("left descent reached length 0 away from the identity")
+    return tuple(word)
 
 
 def translation_word(rs: RootSystem, beta: Coweight) -> Word:
@@ -150,23 +126,22 @@ def translation_word(rs: RootSystem, beta: Coweight) -> Word:
 
 
 def all_reduced_words(x: AffineElement) -> tuple[Word, ...]:
-    """Every reduced word of x, by left-descent recursion."""
-    cache = _cache(x.finite.rs)
-    got = cache.all_words.get(x)
-    if got is not None:
+    """Every reduced word of x in lexicographic order, by left-descent recursion."""
+    memo: dict[AffineElement, tuple[Word, ...]] = {}
+
+    def words(y: AffineElement, n: int) -> tuple[Word, ...]:
+        got = memo.get(y)
+        if got is None:
+            if n == 0:
+                got = ((),)
+            else:
+                # ascending i over sorted suffixes: already in lexicographic order
+                got = tuple((i,) + rest for i, z in _left_descents(y, n)
+                            for rest in words(z, n - 1))
+            memo[y] = got
         return got
-    n = affine_length(x)
-    if n == 0:
-        result: tuple[Word, ...] = ((),)
-    else:
-        acc = []
-        for i, gen in enumerate(cache.gens):
-            y = gen * x
-            if affine_length(y) == n - 1:
-                acc.extend((i,) + rest for rest in all_reduced_words(y))
-        result = tuple(sorted(acc))
-    cache.all_words[x] = result
-    return result
+
+    return words(x, affine_length(x))
 
 
 # -- quantum Bruhat graph ----------------------------------------------------
@@ -238,23 +213,18 @@ def walk_quantum(rs: RootSystem, word: Word, start: WeylElement) -> list[WeylEle
 
 def minimal_loops(rs: RootSystem, w: WeylElement) -> list[Word]:
     """All shortest nonempty quantum-Bruhat loops based at w, as operator words."""
-    # shortest distance back to w from each cover target
-    def dist_to(target: WeylElement, source: WeylElement) -> int:
-        if source == target:
-            return 0
-        seen = {source}
-        queue = deque([(source, 0)])
-        while queue:
-            u, d = queue.popleft()
-            for cov in quantum_covers(rs, u):
-                if cov.target == target:
-                    return d + 1
-                if cov.target not in seen:
-                    seen.add(cov.target)
-                    queue.append((cov.target, d + 1))
-        raise AssertionError("unreachable: graph is strongly connected")
+    # distance from every element to w: one BFS from w over reversed cover edges
+    dist = {w: 0}
+    queue = deque([w])
+    while queue:
+        u = queue.popleft()
+        for i in range(rs.rank + 1):
+            source = (rs.theta_reflection() if i == 0 else rs.simple_reflection(i)) * u
+            if source not in dist and quantum_step(rs, i, source) == u:
+                dist[source] = dist[u] + 1
+                queue.append(source)
 
-    best = min(1 + dist_to(w, cov.target) for cov in quantum_covers(rs, w))
+    best = min(1 + dist[cov.target] for cov in quantum_covers(rs, w))
     loops: list[Word] = []
 
     def extend(u: WeylElement, path: tuple[int, ...]) -> None:
@@ -263,11 +233,11 @@ def minimal_loops(rs: RootSystem, w: WeylElement) -> list[Word]:
                 loops.append(tuple(reversed(path)))
             return
         for cov in quantum_covers(rs, u):
-            if dist_to(w, cov.target) <= best - len(path) - 1:
+            if dist[cov.target] <= best - len(path) - 1:
                 extend(cov.target, path + (cov.letter,))
 
     extend(w, ())
-    return sorted(set(loops))
+    return sorted(loops)
 
 
 def loop_translation_weight(rs: RootSystem, loop: Word, w: WeylElement) -> Coweight:

@@ -32,8 +32,8 @@ class RunConfig:
     out: str | None = None
     global_series: bool = False
     dagger: bool = False
-    qb_from: str = "e"
-    qb_to: str | None = None
+    qb_from: WeylElement | None = None
+    qb_to: WeylElement | None = None
 
 
 @dataclass
@@ -200,7 +200,8 @@ def parse_args(argv) -> RunConfig:
 
     p_qb = sub.add_parser("qbruhat", help="adapted sequences and the quantum Bruhat graph")
     common(p_qb)
-    p_qb.add_argument("--from", dest="qb_from", default="e")
+    p_qb.add_argument("--from", dest="qb_from", default=None,
+                      help="start of the adapted sequence (default e); needs --to")
     p_qb.add_argument("--to", dest="qb_to", default=None)
 
     p_emac = sub.add_parser("emac", help="nonsymmetric Macdonald polynomial oracle")
@@ -254,8 +255,11 @@ def parse_args(argv) -> RunConfig:
             raise SystemExit("--jobs must be >= 1")
         config.jobs = args.jobs
     if args.command == "qbruhat":
-        config.qb_from = args.qb_from
-        config.qb_to = args.qb_to
+        if args.qb_from is not None and args.qb_to is None:
+            raise SystemExit("qbruhat --from needs --to")
+        if args.qb_to is not None:
+            config.qb_from = parse_weyl_word(rs, args.qb_from or "e")
+            config.qb_to = parse_weyl_word(rs, args.qb_to)
     config.global_series = getattr(args, "global_series", False)
     config.dagger = getattr(args, "dagger", False)
     return config
@@ -263,8 +267,11 @@ def parse_args(argv) -> RunConfig:
 
 def _write(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as err:
+            raise SystemExit(f"cannot write --out {config.out}: {err.strerror}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -279,9 +286,7 @@ def main(argv=None) -> int:
 
     if config.command == "qbruhat":
         if config.qb_to is not None:
-            v = parse_weyl_word(rs, config.qb_from)
-            w = parse_weyl_word(rs, config.qb_to)
-            word = adapted_sequence(rs, v, w)
+            word = adapted_sequence(rs, config.qb_from, config.qb_to)
             _write(config, " ".join(map(str, word)))
             return 0
         edges = []

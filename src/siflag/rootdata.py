@@ -175,8 +175,9 @@ class RootSystem:
             for i in range(rank)
         )
         # fundamental-weight coordinate images of positive/negative roots
+        self.positive_root_weights = tuple(self.root_to_weight(b) for b in self.positive_roots)
         self._neg_root_wts = frozenset(
-            tuple(-c for c in self.root_to_weight(b).coords) for b in self.positive_roots
+            tuple(-c for c in wt.coords) for wt in self.positive_root_weights
         )
         self.identity = WeylElement(
             self, tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
@@ -305,9 +306,6 @@ class RootSystem:
             raise ValueError("mismatched root systems")
         return sum(b * l for b, l in zip(beta.coords, lam.coords))
 
-    def pair_coroot_root(self, beta: Coweight, root: Coords) -> int:
-        return self.pairing(beta, self.root_to_weight(root))
-
     def root_is_negative(self, lam: Weight) -> bool:
         """Whether a weight known to be a root is a negative root."""
         return lam.coords in self._neg_root_wts
@@ -365,11 +363,7 @@ class RootSystem:
     def _length(self, w: WeylElement) -> int:
         got = self._lengths.get(w)
         if got is None:
-            got = sum(
-                1
-                for b in self.positive_roots
-                if self.root_is_negative(w.act(self.root_to_weight(b)))
-            )
+            got = sum(1 for wt in self.positive_root_weights if self.root_is_negative(w.act(wt)))
             self._lengths[w] = got
         return got
 

@@ -1,10 +1,12 @@
 """Affine Weyl group, translation words, and the quantum Bruhat graph."""
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 import pytest
 
+from siflag import affine
 from siflag.affine import (
     adapted_sequence,
     affine_identity,
@@ -26,6 +28,10 @@ from siflag.rootdata import Coweight, Weight, build_root_system
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 C2 = build_root_system("C", 2)
+# every type up to rank 3: the reference searches below run on all of them
+SMALL = tuple(build_root_system(t, r) for t, r in (
+    ("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)))
+RANK4 = tuple(build_root_system(t, 4) for t in "ABCDF")
 
 
 def test_s0_action_examples():
@@ -69,8 +75,9 @@ def test_translation_words_a1():
 
 
 def test_translation_word_multiplies_out():
-    for rs in (A1, A2):
-        betas = [Coweight(c) for c in product(range(-2, 3), repeat=rs.rank)]
+    boxes = [(A1, range(-2, 3)), (A2, range(-2, 3))] + [(rs, range(-1, 2)) for rs in RANK4]
+    for rs, box in boxes:
+        betas = [Coweight(c) for c in product(box, repeat=rs.rank)]
         for beta in betas:
             word = translation_word(rs, beta)
             assert element_from_word(rs, word) == translation(rs, beta)
@@ -86,21 +93,31 @@ def test_translations_commute_and_add():
         assert t1 * t2 == t2 * t1 == translation(rs, b1 + b2)
 
 
+def _bfs_words(rs, radius):
+    """First word breadth-first search reaches each element by, within radius.
+
+    Frontiers stay in lexicographic order of their words, so each word is the
+    lexicographically smallest reduced word of its element.
+    """
+    words = {affine_identity(rs): ()}
+    frontier = [affine_identity(rs)]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for i in range(rs.rank + 1):
+                y = x * affine_simple(rs, i)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    nxt.append(y)
+        frontier = nxt
+    return words
+
+
 def test_length_formula_matches_bfs():
-    for rs in (A1, A2, C2):
-        seen = {affine_identity(rs): 0}
-        frontier = [affine_identity(rs)]
-        for depth in range(1, 7):
-            nxt = []
-            for x in frontier:
-                for i in range(rs.rank + 1):
-                    y = x * affine_simple(rs, i)
-                    if y not in seen:
-                        seen[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        for x, dist in seen.items():
-            assert affine_length(x) == dist
+    for rs in SMALL:
+        for x, word in _bfs_words(rs, 6).items():
+            assert affine_length(x) == len(word)
+            assert shortest_word(x) == word
 
 
 def test_shortest_word_is_reduced():
@@ -108,6 +125,17 @@ def test_shortest_word_is_reduced():
     word = shortest_word(x)
     assert element_from_word(A2, word) == x
     assert len(word) == affine_length(x)
+
+
+def test_shortest_word_raises_on_inconsistent_length(monkeypatch):
+    x = element_from_word(A2, (0, 1, 2, 0, 1))
+    true_length = affine.affine_length
+    monkeypatch.setattr(affine, "affine_length", lambda y: true_length(y) + 1)
+    with pytest.raises(AssertionError, match="no left descent"):
+        shortest_word(x)
+    monkeypatch.setattr(affine, "affine_length", lambda y: max(true_length(y) - 1, 0))
+    with pytest.raises(AssertionError, match="away from the identity"):
+        shortest_word(x)
 
 
 def test_all_reduced_words():
@@ -193,9 +221,49 @@ def test_minimal_loops_a1():
 
 
 def test_minimal_loops_walk_back():
-    for rs in (A2, C2):
-        for w in rs.weyl_elements():
+    for rs in (A2, C2) + RANK4:
+        elements = rs.weyl_elements() if rs.rank < 4 else [rs.identity]
+        for w in elements:
             loops = minimal_loops(rs, w)
             assert loops
             for loop in loops:
                 assert walk_quantum(rs, loop, w)[-1] == w
+
+
+def _forward_bfs_minimal_loops(rs, w):
+    """Reference: one forward BFS per distance query, pruned depth-first search."""
+    def dist_to(target, source):
+        if source == target:
+            return 0
+        seen = {source}
+        queue = deque([(source, 0)])
+        while queue:
+            u, d = queue.popleft()
+            for cov in quantum_covers(rs, u):
+                if cov.target == target:
+                    return d + 1
+                if cov.target not in seen:
+                    seen.add(cov.target)
+                    queue.append((cov.target, d + 1))
+        raise AssertionError("unreachable: graph is strongly connected")
+
+    best = min(1 + dist_to(w, cov.target) for cov in quantum_covers(rs, w))
+    loops = []
+
+    def extend(u, path):
+        if len(path) == best:
+            if u == w:
+                loops.append(tuple(reversed(path)))
+            return
+        for cov in quantum_covers(rs, u):
+            if dist_to(w, cov.target) <= best - len(path) - 1:
+                extend(cov.target, path + (cov.letter,))
+
+    extend(w, ())
+    return sorted(set(loops))
+
+
+def test_minimal_loops_match_forward_bfs_reference():
+    for rs in SMALL:
+        for w in rs.weyl_elements():
+            assert minimal_loops(rs, w) == _forward_bfs_minimal_loops(rs, w)

@@ -69,6 +69,24 @@ def test_cli_roots_and_qbruhat(capsys):
     assert {"from": "s1", "to": "e", "letter": 0} in edges
 
 
+def test_qbruhat_words_are_checked_at_parsing():
+    for argv in (["--from", "s5"], ["--from", "s5", "--to", "e"], ["--to", "x1"]):
+        with pytest.raises(SystemExit, match="out of range|cannot parse|needs --to"):
+            parse_args(["qbruhat", "--type", "A2", *argv])
+    with pytest.raises(SystemExit, match="--from needs --to"):
+        parse_args(["qbruhat", "--type", "A2", "--from", "e"])
+    cfg = parse_args(["qbruhat", "--type", "A2", "--to", "w0"])
+    assert cfg.qb_from == cfg.rs.identity
+    assert cfg.qb_to == cfg.rs.longest_element()
+
+
+def test_out_to_missing_directory_is_a_clean_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit, match="cannot write --out") as err:
+        main(["roots", "--type", "A1", "--out", str(target)])
+    assert str(target) in str(err.value)
+
+
 def test_cli_weylchar_and_emac(capsys):
     assert main(["weylchar", "--type", "A1", "--lambda", "1", "--w", "e", "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
