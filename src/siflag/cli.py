@@ -317,16 +317,23 @@ def main(argv=None) -> int:
 
     if config.command == "weylchar":
         w = rs.element_from_word(config.w_word)
-        if config.global_series:
-            result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
-        else:
-            result = wc.genweyl_char(rs, w, config.lam).value
+        # a base the eigen solve cannot pin is the engine's to report
+        try:
+            if config.global_series:
+                result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
+            else:
+                result = wc.genweyl_char(rs, w, config.lam).value
+        except ValueError as err:
+            raise SystemExit(f"weylchar: {err}")
         _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "twisted":
         w = rs.element_from_word(config.w_word)
-        result = wc.twisted_euler_char(rs, w, config.lam, config.trunc)
+        try:
+            result = wc.twisted_euler_char(rs, w, config.lam, config.trunc)
+        except ValueError as err:
+            raise SystemExit(f"twisted: {err}")
         _write(config, emit(result, config.fmt))
         return 0
 

@@ -38,10 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .qt import QTRat, gauss_nullspace, gauss_solve
+from .qt import Poly, QTRat, gauss_nullspace, gauss_solve
 from .rootdata import RootSystem, Weight, hull_weights
-
-TPoly = dict  # {t_degree: int}
 
 
 # -- the triangular order -------------------------------------------------------
@@ -112,9 +110,9 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     return table
 
 
-def _unpack(packed: int, bits: int) -> TPoly:
+def _unpack(packed: int, bits: int) -> Poly:
     """The t-polynomial whose value at t = 2^bits is packed (|coefficients| < 2^(bits-1))."""
-    out = {}
+    out = Poly()
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     deg = 0
@@ -301,10 +299,10 @@ class PairingTable:
                 targets.add(_weight_to_root_int(rs, nu - mu))
         self.table = density_table(rs, frozenset(targets), order)
 
-    def series(self, mu: Weight, nu: Weight) -> list[TPoly]:
+    def series(self, mu: Weight, nu: Weight) -> list[Poly]:
         """q-order coefficients (integer t-polys) of <e^mu, e^nu> = ct(e^{mu-nu} Delta)."""
         key = _weight_to_root_int(self.rs, nu - mu)
-        return [self.table.get((key, n), {}) for n in range(self.order + 1)]
+        return [self.table.get((key, n), Poly()) for n in range(self.order + 1)]
 
 
 def _pairing_table(rs: RootSystem, lam_plus: Weight, order: int) -> PairingTable:
@@ -323,8 +321,8 @@ def density_ct_pair(rs: RootSystem, f: dict, g: dict, order: int) -> QTRat:
     e^mu to e^{-mu}.  The result is the exact pairing against the q-truncated
     density, a polynomial in q of degree <= order with Q(t) coefficients.
     """
-    fw = {(w if isinstance(w, Weight) else Weight(tuple(w))): _as_qtrat(c) for w, c in f.items()}
-    gw = {(w if isinstance(w, Weight) else Weight(tuple(w))): _as_qtrat(c) for w, c in g.items()}
+    fw = {(w if isinstance(w, Weight) else Weight(tuple(w))): QTRat._coerce(c) for w, c in f.items()}
+    gw = {(w if isinstance(w, Weight) else Weight(tuple(w))): QTRat._coerce(c) for w, c in g.items()}
     targets = set()
     for mu in fw:
         for nu in gw:
@@ -347,16 +345,8 @@ def density_ct_pair(rs: RootSystem, f: dict, g: dict, order: int) -> QTRat:
     total = QTRat.zero()
     for n, c in enumerate(per_order):
         if not c.is_zero():
-            total = total + c * _q_power(n)
+            total = total + c * QTRat.q(n)
     return total
-
-
-def _as_qtrat(c) -> QTRat:
-    if isinstance(c, QTRat):
-        return c
-    if isinstance(c, Fraction):
-        return QTRat.from_fraction(c)
-    return QTRat.from_int(c)
 
 
 # -- Gram-Schmidt ------------------------------------------------------------------
@@ -431,8 +421,8 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     return result
 
 
-def _tp_to_qtrat(tp: TPoly) -> QTRat:
-    return QTRat({(0, dt): c for dt, c in tp.items()})
+def _tp_to_qtrat(tp: Poly) -> QTRat:
+    return QTRat(Poly({0: tp}) if tp else Poly())
 
 
 def _solve_orthogonality(gram, rhs_series, big):
@@ -483,7 +473,7 @@ def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
         den = zero
         for j, c in enumerate(vec):
             if not c.is_zero():
-                den = den + c * _q_power(j)
+                den = den + c * QTRat.q(j)
         if den.is_zero():
             continue
         # numerator = truncation of series * den to q-degree dp
@@ -492,7 +482,7 @@ def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
             acc = zero
             for j in range(min(n, dq) + 1):
                 acc = acc + vec[j] * series[n - j]
-            num = num + acc * _q_power(n)
+            num = num + acc * QTRat.q(n)
         cand = num / den
         try:
             expanded = cand.series_q(len(series) - 1)
@@ -501,10 +491,6 @@ def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
         if all(expanded[n] == series[n] for n in range(len(series))):
             return cand
     raise ValueError("rational reconstruction failed: raise the truncation order")
-
-
-def _q_power(n: int) -> QTRat:
-    return QTRat({(n, 0): 1})
 
 
 def _verify_orthogonality(rs, epoly: EPoly, lower, table: PairingTable):

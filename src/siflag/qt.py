@@ -1,9 +1,13 @@
 """Exact rational functions in the two formal parameters q and t.
 
-Polynomials are sparse dicts {(q_degree, t_degree): int}; a QTRat is a reduced
-fraction of two such polynomials with a sign-normalized denominator, so equal
-values always have equal representations.  Reduction runs a primitive-PRS gcd
-in (Z[t])[q], which is plenty at the small degrees this engine produces.
+One polynomial type, ``Poly``, a sparse dict {degree: coefficient}, serves
+both rings: with int coefficients it is an element of Z[t], with Poly-in-t
+coefficients an element of (Z[t])[q] = Z[q,t].  Sums, products, the
+pseudo-remainder, exact division, content and the primitive-PRS gcd (Brown,
+J. ACM 1971) are each written once and recurse through the coefficient ring
+down to the integers.  A QTRat is a reduced fraction of two elements of
+(Z[t])[q] with integer content divided out and a positive leading denominator
+coefficient, so equal values always have equal representations.
 
 The package has one exact elimination kernel, ``_rref``: a row-sparse reduced
 row echelon form that takes pivot columns in increasing order, so its output is
@@ -16,292 +20,172 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-BPoly = dict  # {(dq, dt): int}
 
-P_ONE: BPoly = {(0, 0): 1}
+class Poly(dict):
+    """A polynomial {degree: coefficient} that never stores a zero coefficient.
+
+    Coefficients are ints (the polynomial is in Z[t]) or Polys in t (it is in
+    (Z[t])[q]).  A Poly is not changed once built, so values share freely.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: Poly) -> Poly:
+        return _addmul(Poly(self), other)
+
+    def __neg__(self) -> Poly:
+        return Poly({k: -c for k, c in self.items()})
+
+    def __sub__(self, other: Poly) -> Poly:
+        return _addmul(Poly(self), other, -1)
+
+    def __mul__(self, other: Poly) -> Poly:
+        out = Poly()
+        for i, a in self.items():
+            _addmul(out, other, a, i)
+        return out
+
+    def __floordiv__(self, b: Poly) -> Poly:
+        """The exact quotient self / b; raises ValueError when b does not divide self."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = max(b)
+        lb = b[db]
+        rem, quo = Poly(self), Poly()
+        while rem:
+            dr = max(rem)
+            lr = rem[dr]
+            if dr < db or isinstance(lr, int) and lr % lb:
+                raise ValueError("inexact division")
+            c = quo[dr - db] = lr // lb
+            _addmul(rem, b, -c, dr - db)
+        return quo
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def scale(self, c) -> Poly:
+        """self times a nonzero coefficient c, or times a nonzero int at either level."""
+        return Poly({k: c * v for k, v in self.items()})
+
+    __rmul__ = scale
 
 
-def p_int(n: int) -> BPoly:
-    return {(0, 0): n} if n else {}
-
-def p_q(power: int = 1) -> BPoly:
-    return {(power, 0): 1}
-
-def p_t(power: int = 1) -> BPoly:
-    return {(0, power): 1}
-
-
-def p_add(a: BPoly, b: BPoly) -> BPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
+def _addmul(out: Poly, b: Poly, c=1, shift: int = 0) -> Poly:
+    """out + c x^shift b for a nonzero coefficient c, computed in place in out."""
+    get = out.get
+    for k, v in b.items():
+        k += shift
+        v = c * v
+        s = get(k)
+        if s is None:
+            out[k] = v
         else:
-            out.pop(k, None)
-    return out
-
-
-def p_neg(a: BPoly) -> BPoly:
-    return {k: -c for k, c in a.items()}
-
-
-def p_sub(a: BPoly, b: BPoly) -> BPoly:
-    return p_add(a, p_neg(b))
-
-
-def p_mul(a: BPoly, b: BPoly) -> BPoly:
-    out: BPoly = {}
-    for (qa, ta), ca in a.items():
-        for (qb, tb), cb in b.items():
-            k = (qa + qb, ta + tb)
-            s = out.get(k, 0) + ca * cb
+            s = s + v
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
+                del out[k]
     return out
 
 
-def p_deg_q(a: BPoly) -> int:
-    return max(k[0] for k in a) if a else -1
+_T_ONE = Poly({0: 1})  # 1 in Z[t]
+_ONE = Poly({0: _T_ONE})  # 1 in (Z[t])[q]
 
 
-def p_deg_t(a: BPoly) -> int:
-    return max(k[1] for k in a) if a else -1
+def _mono(dq: int, dt: int, c: int) -> Poly:
+    """c q^dq t^dt in (Z[t])[q]."""
+    return Poly({dq: Poly({dt: c})}) if c else Poly()
 
 
-def p_val_q(a: BPoly) -> int:
-    return min(k[0] for k in a) if a else 0
+def _negative(a) -> bool:
+    """Whether the leading coefficient of a nonzero a, read down to Z, is negative."""
+    while isinstance(a, Poly):
+        a = a[max(a)]
+    return a < 0
 
 
-def _int_content(a: BPoly) -> int:
-    g = 0
-    for c in a.values():
-        g = int_gcd(g, abs(c))
-    return g or 1
-
-
-# -- univariate Z[t] helpers (t-polys are dicts {dt: int}) ---------------------
-
-def _t_scale(a, c):
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
-def _t_deg(a):
-    return max(a) if a else -1
-
-
-def _t_content(a):
-    g = 0
-    for c in a.values():
-        g = int_gcd(g, abs(c))
-    return g or 1
-
-
-def _t_primitive(a):
-    g = _t_content(a)
-    lead = a.get(_t_deg(a), 0) if a else 0
-    if lead < 0:
-        g = -g
-    return {k: c // g for k, c in a.items()} if a else {}
-
-
-def _t_prem(a, b):
-    """Pseudo-remainder of a by b over Z[t] (integer arithmetic only)."""
-    db = _t_deg(b)
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder of a by b: lc(b)^k a reduced below deg b with no division."""
+    db = max(b)
     lb = b[db]
-    rem = dict(a)
-    while rem:
-        dr = _t_deg(rem)
-        if dr < db:
-            break
-        lr = rem[dr]
-        new = {k: c * lb for k, c in rem.items()}
-        for kb, cb in b.items():
-            k = dr - db + kb
-            s = new.get(k, 0) - lr * cb
-            if s:
-                new[k] = s
-            else:
-                new.pop(k, None)
-        rem = new
-    return rem
-
-
-def _t_div_exact(a, b):
-    """Exact division in Z[t]; raises when b does not divide a."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return {}
-    rem = dict(a)
-    quo: dict[int, int] = {}
-    db = _t_deg(b)
-    lb = b[db]
-    while rem:
-        dr = _t_deg(rem)
-        if dr < db:
-            raise ValueError("inexact t-polynomial division")
-        lr = rem[dr]
-        if lr % lb:
-            raise ValueError("inexact t-polynomial division")
-        c = lr // lb
-        quo[dr - db] = c
-        for kb, cb in b.items():
-            k = dr - db + kb
-            s = rem.get(k, 0) - c * cb
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return quo
-
-
-def _t_gcd(a, b):
-    """gcd in Z[t] (content times primitive gcd), positive leading coefficient."""
-    if not a and not b:
-        return {}
-    ca = _t_content(a) if a else 0
-    cb = _t_content(b) if b else 0
-    cont = int_gcd(ca, cb)
-    x, y = _t_primitive(a), _t_primitive(b)
-    if _t_deg(x) < _t_deg(y):
-        x, y = y, x
-    while y:
-        rem = _t_prem(x, y)
-        x, y = y, (_t_primitive(rem) if rem else {})
-    return _t_scale(x, cont)
-
-
-# -- bivariate gcd via (Z[t])[q] ------------------------------------------------
-
-def _q_coeffs(a: BPoly):
-    """Split a bivariate poly into {q_degree: t-poly}."""
-    out: dict[int, dict[int, int]] = {}
-    for (dq, dt), c in a.items():
-        out.setdefault(dq, {})[dt] = c
-    return out
-
-
-def _from_q_coeffs(qc) -> BPoly:
-    out: BPoly = {}
-    for dq, tp in qc.items():
-        for dt, c in tp.items():
-            if c:
-                out[(dq, dt)] = c
-    return out
-
-
-def _qpoly_content(a: BPoly):
-    """gcd in Z[t] of all q-coefficients."""
-    qc = _q_coeffs(a)
-    g: dict[int, int] = {}
-    for tp in qc.values():
-        g = _t_gcd(g, tp)
-        if _t_deg(g) == 0 and abs(g.get(0, 0)) == 1:
-            break
-    return g
-
-
-def _qpoly_primitive(a: BPoly) -> BPoly:
-    if not a:
-        return {}
-    cont = _qpoly_content(a)
-    qc = _q_coeffs(a)
-    out = {dq: _t_div_exact(tp, cont) for dq, tp in qc.items()}
-    return _from_q_coeffs(out)
-
-
-def _qpoly_pseudo_rem(a: BPoly, b: BPoly) -> BPoly:
-    """Pseudo-remainder of a by b in (Z[t])[q]."""
-    da, db = p_deg_q(a), p_deg_q(b)
-    if db < 0:
-        raise ZeroDivisionError
-    lb = _q_coeffs(b)[db]
-    rem = dict(a)
-    while rem and p_deg_q(rem) >= db:
-        dr = p_deg_q(rem)
-        lr = _q_coeffs(rem)[dr]
-        # lb * rem - q^{dr-db} * lr * b kills the leading q-term exactly
-        rem = p_sub(
-            p_mul(rem, _from_q_coeffs({0: lb})),
-            p_mul(b, _from_q_coeffs({dr - db: lr})),
-        )
-    return rem
-
-
-def _monomial_gcd(a: BPoly, b: BPoly) -> BPoly:
-    qa = min(k[0] for k in a)
-    ta = min(k[1] for k in a)
-    qb = min(k[0] for k in b)
-    tb = min(k[1] for k in b)
-    return {(min(qa, qb), min(ta, tb)): int_gcd(_int_content(a), _int_content(b))}
-
-
-def p_gcd(a: BPoly, b: BPoly) -> BPoly:
-    """gcd in Z[q,t], primitive up to an integer content, sign-normalized."""
-    if not a:
-        return _sign_normalize(b)
-    if not b:
-        return _sign_normalize(a)
-    if len(a) == 1 or len(b) == 1:
-        return _monomial_gcd(a, b)
-    if all(k[0] == 0 for k in a) and all(k[0] == 0 for k in b):
-        # both free of q: univariate gcd in t
-        g = _t_gcd({dt: c for (_, dt), c in a.items()}, {dt: c for (_, dt), c in b.items()})
-        return {(0, dt): c for dt, c in g.items()}
-    cont = _t_gcd(_qpoly_content(a), _qpoly_content(b))
-    x, y = _qpoly_primitive(a), _qpoly_primitive(b)
-    if p_deg_q(x) < p_deg_q(y):
-        x, y = y, x
-    while y:
-        rem = _qpoly_pseudo_rem(x, y)
-        x, y = y, (_qpoly_primitive(rem) if rem else {})
-    g = p_mul(_qpoly_primitive(x), _from_q_coeffs({0: cont}))
-    return _sign_normalize(g)
-
-
-def _lead_key(a: BPoly):
-    return max(a)
-
-
-def _sign_normalize(a: BPoly) -> BPoly:
-    if a and a[_lead_key(a)] < 0:
-        return p_neg(a)
+    while a and max(a) >= db:
+        da = max(a)
+        lr = a[da]
+        a = _addmul(a.scale(lb), b, -lr, da - db)
     return a
 
 
-def p_div_exact(a: BPoly, b: BPoly) -> BPoly:
-    """Exact division in Z[q,t] viewed in (Z[t])[q]; raises if inexact."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return {}
-    rem = dict(a)
-    quo: BPoly = {}
-    db = p_deg_q(b)
-    lb = _q_coeffs(b)[db]
-    while rem:
-        dr = p_deg_q(rem)
-        if dr < db:
-            raise ValueError("inexact bivariate division")
-        lr = _q_coeffs(rem)[dr]
-        qt = _t_div_exact(lr, lb)
-        for dt, c in qt.items():
-            quo[(dr - db, dt)] = quo.get((dr - db, dt), 0) + c
-        rem = p_sub(rem, p_mul(b, _from_q_coeffs({dr - db: qt})))
-    return {k: c for k, c in quo.items() if c}
+def _content(a: Poly):
+    """The gcd of the coefficients of a nonzero a, with a positive leading coefficient."""
+    if isinstance(next(iter(a.values())), int):
+        return int_gcd(*a.values())
+    c = Poly()
+    for v in a.values():
+        c = _gcd(c, v)
+        if c == _T_ONE:
+            break
+    return c
 
 
-def p_str(a: BPoly) -> str:
+def _primitive(a: Poly):
+    """(c, p) with a = c p for a nonzero a: c its content up to sign, p with a positive lead."""
+    c = _content(a)
+    if _negative(a):
+        c = -c
+    elif c == 1 or c == _T_ONE:
+        return c, a
+    return c, Poly({k: v // c for k, v in a.items()})
+
+
+def _gcd(a, b):
+    """gcd in Z, Z[t] or (Z[t])[q], with a positive leading coefficient."""
+    if isinstance(a, int):
+        return int_gcd(a, b)
+    if not a or not b:
+        a = a or b
+        return -a if a and _negative(a) else a
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # gcd(c x^k, b) = x^min(k, val b) gcd(c, content b)
+        (k, c), = a.items()
+        return Poly({min(k, min(b)): _gcd(c, _content(b))})
+    ca, x = _primitive(a)
+    cb, y = _primitive(b)
+    if max(x) < max(y):
+        x, y = y, x
+    while y:
+        rem = _prem(x, y)
+        x, y = y, (_primitive(rem)[1] if rem else rem)
+    return x.scale(_gcd(ca, cb))
+
+
+def p_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd in Z[q,t] = (Z[t])[q], with a positive lexicographically leading coefficient.
+
+    The one entry point through which QTRat reduces a fraction.
+    """
+    return _gcd(a, b)
+
+
+def _terms(a: Poly) -> dict:
+    """{(q_degree, t_degree): int} view of an element of (Z[t])[q]."""
+    return {(dq, dt): c for dq, tp in a.items() for dt, c in tp.items()}
+
+
+def _display_key(k: tuple) -> tuple:
+    return (k[0] + k[1], k[0], k[1])
+
+
+def p_str(a: Poly) -> str:
     """Compact display form, lowest total degree first, e.g. '1-q*t'."""
     if not a:
         return "0"
-    keys = sorted(a, key=lambda k: (k[0] + k[1], k[0], k[1]))
+    terms = _terms(a)
     bits = []
-    for (dq, dt) in keys:
-        c = a[(dq, dt)]
+    for (dq, dt) in sorted(terms, key=_display_key):
+        c = terms[(dq, dt)]
         mono = []
         if dq:
             mono.append("q" if dq == 1 else f"q^{dq}")
@@ -318,61 +202,57 @@ def p_str(a: BPoly) -> str:
     return "".join(bits)
 
 
+def _t_coeff(a: Poly, dt: int) -> Poly:
+    """The coefficient of t^dt in a, a polynomial in q alone."""
+    return Poly({dq: Poly({0: tp[dt]}) for dq, tp in a.items() if dt in tp})
+
+
 class QTRat:
-    """Reduced fraction of integer polynomials in q and t."""
+    """Reduced fraction of integer polynomials in q and t, each a Poly in q over Z[t]."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: BPoly, den: BPoly | None = None):
+    def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            self.num, self.den = dict(num), dict(P_ONE)
+            self.num, self.den = num, _ONE
             return
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = {}, dict(P_ONE)
-            return
-        if den == P_ONE:
-            self.num, self.den = dict(num), dict(P_ONE)
+        if not num or den == _ONE:
+            self.num, self.den = num, _ONE
             return
         g = p_gcd(num, den)
-        if g != P_ONE:
-            num = p_div_exact(num, g)
-            den = p_div_exact(den, g)
-        cn, cd = _int_content(num), _int_content(den)
-        ci = int_gcd(cn, cd)
-        if ci > 1:
-            num = {k: c // ci for k, c in num.items()}
-            den = {k: c // ci for k, c in den.items()}
-        if den[_lead_key(den)] < 0:
-            num, den = p_neg(num), p_neg(den)
+        if g != _ONE:
+            num, den = num // g, den // g
+        if _negative(den):
+            num, den = -num, -den
         self.num, self.den = num, den
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zero() -> "QTRat":
-        return QTRat({})
+        return QTRat(Poly())
 
     @staticmethod
     def one() -> "QTRat":
-        return QTRat(dict(P_ONE))
+        return QTRat(_ONE)
 
     @staticmethod
     def from_int(n: int) -> "QTRat":
-        return QTRat(p_int(n))
+        return QTRat(_mono(0, 0, n))
 
     @staticmethod
     def from_fraction(x: Fraction) -> "QTRat":
-        return QTRat(p_int(x.numerator), p_int(x.denominator))
+        return QTRat(_mono(0, 0, x.numerator), _mono(0, 0, x.denominator))
 
     @staticmethod
     def q(power: int = 1) -> "QTRat":
-        return QTRat(p_q(power))
+        return QTRat(_mono(power, 0, 1))
 
     @staticmethod
     def t(power: int = 1) -> "QTRat":
-        return QTRat(p_t(power))
+        return QTRat(_mono(0, power, 1))
 
     # -- ring/field structure ----------------------------------------------------
 
@@ -389,7 +269,7 @@ class QTRat:
         return self.num == coerced.num and self.den == coerced.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((self.num, self.den))
 
     @staticmethod
     def _coerce(other):
@@ -410,17 +290,14 @@ class QTRat:
         if not self.num:
             return other
         if self.den == other.den:
-            return QTRat(p_add(self.num, other.num), dict(self.den))
-        return QTRat(
-            p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
-            p_mul(self.den, other.den),
-        )
+            return QTRat(self.num + other.num, self.den)
+        return QTRat(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QTRat":
         out = QTRat.__new__(QTRat)
-        out.num, out.den = p_neg(self.num), dict(self.den)
+        out.num, out.den = -self.num, self.den
         return out
 
     def __sub__(self, other) -> "QTRat":
@@ -436,7 +313,7 @@ class QTRat:
         other = QTRat._coerce(other)
         if other is None:
             return NotImplemented
-        return QTRat(p_mul(self.num, other.num), p_mul(self.den, other.den))
+        return QTRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -446,10 +323,10 @@ class QTRat:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError
-        return QTRat(p_mul(self.num, other.den), p_mul(self.den, other.num))
+        return QTRat(self.num * other.den, self.den * other.num)
 
     def __repr__(self) -> str:
-        if self.den == P_ONE:
+        if self.den == _ONE:
             return p_str(self.num)
         return f"({p_str(self.num)})/({p_str(self.den)})"
 
@@ -457,44 +334,40 @@ class QTRat:
         num, den = self.num, self.den
         if den:
             # display preference: positive lowest-order denominator term
-            low = min(den, key=lambda k: (k[0] + k[1], k[0], k[1]))
-            if den[low] < 0:
-                num, den = p_neg(num), p_neg(den)
+            terms = _terms(den)
+            if terms[min(terms, key=_display_key)] < 0:
+                num, den = -num, -den
         return {"num": p_str(num), "den": p_str(den)}
 
     # -- specializations -----------------------------------------------------------
 
     def subs_t_zero(self) -> "QTRat":
-        num0 = {k: c for k, c in self.num.items() if k[1] == 0}
-        den0 = {k: c for k, c in self.den.items() if k[1] == 0}
+        den0 = _t_coeff(self.den, 0)
         if not den0:
             raise ValueError("pole at t = 0")
-        return QTRat(num0, den0)
+        return QTRat(_t_coeff(self.num, 0), den0)
 
     def limit_t_inf(self) -> "QTRat":
         """Exact limit t -> infinity via the substitution t = 1/s at s = 0."""
         if not self.num:
             return QTRat.zero()
-        dn, dd = p_deg_t(self.num), p_deg_t(self.den)
+        dn, dd = max(map(max, self.num.values())), max(map(max, self.den.values()))
         if dn > dd:
             raise ValueError("diverges as t -> infinity")
         if dn < dd:
             return QTRat.zero()
-        top_n = {(dq, 0): c for (dq, dt), c in self.num.items() if dt == dn}
-        top_d = {(dq, 0): c for (dq, dt), c in self.den.items() if dt == dd}
-        return QTRat(top_n, top_d)
+        return QTRat(_t_coeff(self.num, dn), _t_coeff(self.den, dd))
 
     def subs_q_inv(self) -> "QTRat":
         """Formal substitution q -> 1/q."""
         if not self.num:
             return QTRat.zero()
-        d = max(p_deg_q(self.num), p_deg_q(self.den))
-        num = {(d - dq, dt): c for (dq, dt), c in self.num.items()}
-        den = {(d - dq, dt): c for (dq, dt), c in self.den.items()}
-        return QTRat(num, den)
+        d = max(max(self.num), max(self.den))
+        return QTRat(Poly({d - dq: tp for dq, tp in self.num.items()}),
+                     Poly({d - dq: tp for dq, tp in self.den.items()}))
 
     def is_t_free(self) -> bool:
-        return all(dt == 0 for (_, dt) in self.num) and all(dt == 0 for (_, dt) in self.den)
+        return all(max(tp) == 0 for p in (self.num, self.den) for tp in p.values())
 
     def as_q_laurent(self) -> dict[int, Fraction]:
         """Exact Laurent polynomial in q, {exponent: coefficient}; raises if not one.
@@ -506,27 +379,25 @@ class QTRat:
             raise ValueError("coefficient still depends on t")
         if len(self.den) != 1:
             raise ValueError("coefficient is not a Laurent polynomial in q")
-        ((k, _), c), = self.den.items()
-        return {dq - k: Fraction(a, c) for (dq, _), a in self.num.items()}
+        (k, c), = self.den.items()
+        return {dq - k: Fraction(tp[0], c[0]) for dq, tp in self.num.items()}
 
     def series_q(self, order: int) -> list["QTRat"]:
         """Power-series expansion in q to the given order; coefficients are t-only."""
         if not self.num:
             return [QTRat.zero()] * (order + 1)
-        vd = p_val_q(self.den)
-        vn = p_val_q(self.num)
-        if vn < vd:
+        vd = min(self.den)
+        if min(self.num) < vd:
             raise ValueError("negative q-valuation: not a power series")
-        num_q = _q_coeffs({(dq - vd, dt): c for (dq, dt), c in self.num.items()})
-        den_q = _q_coeffs({(dq - vd, dt): c for (dq, dt), c in self.den.items()})
-        d0 = QTRat(_from_q_coeffs({0: den_q[0]}))
+        d0 = QTRat(Poly({0: self.den[vd]}))
         out: list[QTRat] = []
         for n in range(order + 1):
-            acc = QTRat(_from_q_coeffs({0: num_q.get(n, {})}))
+            c = self.num.get(n + vd)
+            acc = QTRat(Poly({0: c})) if c else QTRat.zero()
             for k in range(1, n + 1):
-                dk = den_q.get(k)
+                dk = self.den.get(k + vd)
                 if dk:
-                    acc = acc - QTRat(_from_q_coeffs({0: dk})) * out[n - k]
+                    acc = acc - QTRat(Poly({0: dk})) * out[n - k]
             out.append(acc / d0)
         return out
 

@@ -80,7 +80,7 @@ def base_char(rs: RootSystem, lam: Weight) -> CharPoly:
                 got = eigen_solve_base(rs, lam, window).value
             except ValueError as err:
                 if window >= cap:
-                    raise ValueError(f"eigen base solve failed for {lam}: {err}")
+                    raise ValueError(f"eigen base solve failed for {lam.coords}: {err}")
                 window += 6
         if got.coeff(lam, 0) != 1:
             raise AssertionError("base character is not monic at (lam, q^0)")

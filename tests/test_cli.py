@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import siflag
+from siflag import weylchar
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
 from siflag.rootdata import Weight, build_root_system
@@ -85,6 +86,20 @@ def test_out_to_missing_directory_is_a_clean_error(tmp_path):
     with pytest.raises(SystemExit, match="cannot write --out") as err:
         main(["roots", "--type", "A1", "--out", str(target)])
     assert str(target) in str(err.value)
+
+
+def test_failed_base_solve_is_a_clean_error(monkeypatch):
+    # F4 omega4 fails this way after seconds of real solving; a stub fails at once
+    def unsolvable(rs, lam, window):
+        raise ValueError("loop eigen-system is not uniquely solvable on this window")
+
+    monkeypatch.setattr(weylchar, "eigen_solve_base", unsolvable)
+    monkeypatch.setattr(weylchar, "_BASE_CACHE", {})
+    for command in ("weylchar", "twisted"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--type", "F4", "--lambda", "0,0,0,1"])
+        assert exc.value.code == (f"{command}: eigen base solve failed for (0, 0, 0, 1): "
+                                  "loop eigen-system is not uniquely solvable on this window")
 
 
 def test_cli_weylchar_and_emac(capsys):

@@ -3,22 +3,35 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 
+from siflag import qt
 from siflag.qt import (
+    Poly,
     QTRat,
     gauss_nullspace,
     gauss_solve,
-    p_gcd,
-    p_mul,
     p_str,
-    p_sub,
 )
 
 Q = QTRat.q()
 T = QTRat.t()
 ONE = QTRat.one()
+
+
+def _poly(flat: dict) -> Poly:
+    """The element of (Z[t])[q] with the flat terms {(q_degree, t_degree): int}."""
+    out: dict = {}
+    for (dq, dt), c in flat.items():
+        if c:
+            out.setdefault(dq, Poly())[dt] = c
+    return Poly(out)
+
+
+def _flat(a: Poly) -> dict:
+    return {(dq, dt): c for dq, tp in a.items() for dt, c in tp.items()}
 
 
 def test_basic_arithmetic_and_reduction():
@@ -37,7 +50,7 @@ def test_random_field_axioms():
         num = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3) for _ in range(3)}
         num = {k: c for k, c in num.items() if c}
         den = {(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(1, 3)}
-        return QTRat(num, den)
+        return QTRat(_poly(num), _poly(den))
 
     for _ in range(40):
         a, b, c = rand(), rand(), rand()
@@ -47,20 +60,21 @@ def test_random_field_axioms():
 
 
 def test_gcd_cancellation_is_canonical():
-    one_minus_qt = p_sub({(0, 0): 1}, {(1, 1): 1})
-    sq = p_mul(one_minus_qt, one_minus_qt)
+    one_minus_qt = _poly({(0, 0): 1}) - _poly({(1, 1): 1})
+    sq = one_minus_qt * one_minus_qt
     # gcd is sign-normalized to a positive lex-leading coefficient: qt - 1
-    assert p_gcd(sq, one_minus_qt) == {(1, 1): 1, (0, 0): -1}
-    r = QTRat(p_mul({(0, 1): 2}, one_minus_qt), p_mul({(0, 0): 4}, sq))
-    assert r == QTRat({(0, 1): 1}, p_mul({(0, 0): 2}, one_minus_qt))
+    assert _flat(qt.p_gcd(sq, one_minus_qt)) == {(1, 1): 1, (0, 0): -1}
+    r = QTRat(_poly({(0, 1): 2}) * one_minus_qt, _poly({(0, 0): 4}) * sq)
+    assert r == QTRat(_poly({(0, 1): 1}), _poly({(0, 0): 2}) * one_minus_qt)
 
 
 def test_denominator_sign_normalized():
-    r = QTRat({(0, 0): 1}, {(1, 1): -1, (0, 0): 1})
-    s = QTRat({(0, 0): -1}, {(1, 1): 1, (0, 0): -1})
+    r = QTRat(_poly({(0, 0): 1}), _poly({(1, 1): -1, (0, 0): 1}))
+    s = QTRat(_poly({(0, 0): -1}), _poly({(1, 1): 1, (0, 0): -1}))
     assert r == s
     # leading (lex-largest) denominator coefficient is positive
-    assert max(r.den)[0] >= 0 and r.den[max(r.den)] > 0
+    den = _flat(r.den)
+    assert max(den)[0] >= 0 and den[max(den)] > 0
 
 
 def test_subs_t_zero():
@@ -110,10 +124,10 @@ def test_series_q():
 
 
 def test_p_str_formats():
-    assert p_str({(0, 0): 1, (0, 1): -1}) == "1-t"
-    assert p_str({(0, 0): 1, (1, 1): -1}) == "1-q*t"
-    assert p_str({}) == "0"
-    assert p_str({(2, 0): 3}) == "3*q^2"
+    assert p_str(_poly({(0, 0): 1, (0, 1): -1})) == "1-t"
+    assert p_str(_poly({(0, 0): 1, (1, 1): -1})) == "1-q*t"
+    assert p_str(Poly()) == "0"
+    assert p_str(_poly({(2, 0): 3})) == "3*q^2"
     f = (ONE - T) / (ONE - Q * T)
     assert f.to_json() == {"num": "1-t", "den": "1-q*t"}
 
@@ -135,6 +149,363 @@ def test_gauss_solve_over_fraction():
     rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = gauss_solve(rows, [Fraction(5), Fraction(10)], Fraction(0))
     assert x == [Fraction(1), Fraction(3)]
+
+
+# -- the polynomial core against the flat-dict reference it replaced -----------
+#
+# Z[q,t] used to have its own flat representation {(q_degree, t_degree): int}
+# and its own univariate helpers in t; that code is kept here verbatim as the
+# reference for p_gcd, exact division and the reduced form of a QTRat.
+
+BPoly = dict  # {(dq, dt): int}
+
+P_ONE: BPoly = {(0, 0): 1}
+
+
+def p_add(a: BPoly, b: BPoly) -> BPoly:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def p_neg(a: BPoly) -> BPoly:
+    return {k: -c for k, c in a.items()}
+
+
+def p_sub(a: BPoly, b: BPoly) -> BPoly:
+    return p_add(a, p_neg(b))
+
+
+def p_mul(a: BPoly, b: BPoly) -> BPoly:
+    out: BPoly = {}
+    for (qa, ta), ca in a.items():
+        for (qb, tb), cb in b.items():
+            k = (qa + qb, ta + tb)
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def p_deg_q(a: BPoly) -> int:
+    return max(k[0] for k in a) if a else -1
+
+
+def _int_content(a: BPoly) -> int:
+    g = 0
+    for c in a.values():
+        g = int_gcd(g, abs(c))
+    return g or 1
+
+
+# -- univariate Z[t] helpers (t-polys are dicts {dt: int}) ---------------------
+
+def _t_scale(a, c):
+    return {k: c * v for k, v in a.items()} if c else {}
+
+
+def _t_deg(a):
+    return max(a) if a else -1
+
+
+def _t_content(a):
+    g = 0
+    for c in a.values():
+        g = int_gcd(g, abs(c))
+    return g or 1
+
+
+def _t_primitive(a):
+    g = _t_content(a)
+    lead = a.get(_t_deg(a), 0) if a else 0
+    if lead < 0:
+        g = -g
+    return {k: c // g for k, c in a.items()} if a else {}
+
+
+def _t_prem(a, b):
+    """Pseudo-remainder of a by b over Z[t] (integer arithmetic only)."""
+    db = _t_deg(b)
+    lb = b[db]
+    rem = dict(a)
+    while rem:
+        dr = _t_deg(rem)
+        if dr < db:
+            break
+        lr = rem[dr]
+        new = {k: c * lb for k, c in rem.items()}
+        for kb, cb in b.items():
+            k = dr - db + kb
+            s = new.get(k, 0) - lr * cb
+            if s:
+                new[k] = s
+            else:
+                new.pop(k, None)
+        rem = new
+    return rem
+
+
+def _t_div_exact(a, b):
+    """Exact division in Z[t]; raises when b does not divide a."""
+    if not b:
+        raise ZeroDivisionError
+    if not a:
+        return {}
+    rem = dict(a)
+    quo: dict[int, int] = {}
+    db = _t_deg(b)
+    lb = b[db]
+    while rem:
+        dr = _t_deg(rem)
+        if dr < db:
+            raise ValueError("inexact t-polynomial division")
+        lr = rem[dr]
+        if lr % lb:
+            raise ValueError("inexact t-polynomial division")
+        c = lr // lb
+        quo[dr - db] = c
+        for kb, cb in b.items():
+            k = dr - db + kb
+            s = rem.get(k, 0) - c * cb
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return quo
+
+
+def _t_gcd(a, b):
+    """gcd in Z[t] (content times primitive gcd), positive leading coefficient."""
+    if not a and not b:
+        return {}
+    ca = _t_content(a) if a else 0
+    cb = _t_content(b) if b else 0
+    cont = int_gcd(ca, cb)
+    x, y = _t_primitive(a), _t_primitive(b)
+    if _t_deg(x) < _t_deg(y):
+        x, y = y, x
+    while y:
+        rem = _t_prem(x, y)
+        x, y = y, (_t_primitive(rem) if rem else {})
+    return _t_scale(x, cont)
+
+
+# -- bivariate gcd via (Z[t])[q] ------------------------------------------------
+
+def _q_coeffs(a: BPoly):
+    """Split a bivariate poly into {q_degree: t-poly}."""
+    out: dict[int, dict[int, int]] = {}
+    for (dq, dt), c in a.items():
+        out.setdefault(dq, {})[dt] = c
+    return out
+
+
+def _from_q_coeffs(qc) -> BPoly:
+    out: BPoly = {}
+    for dq, tp in qc.items():
+        for dt, c in tp.items():
+            if c:
+                out[(dq, dt)] = c
+    return out
+
+
+def _qpoly_content(a: BPoly):
+    """gcd in Z[t] of all q-coefficients."""
+    qc = _q_coeffs(a)
+    g: dict[int, int] = {}
+    for tp in qc.values():
+        g = _t_gcd(g, tp)
+        if _t_deg(g) == 0 and abs(g.get(0, 0)) == 1:
+            break
+    return g
+
+
+def _qpoly_primitive(a: BPoly) -> BPoly:
+    if not a:
+        return {}
+    cont = _qpoly_content(a)
+    qc = _q_coeffs(a)
+    out = {dq: _t_div_exact(tp, cont) for dq, tp in qc.items()}
+    return _from_q_coeffs(out)
+
+
+def _qpoly_pseudo_rem(a: BPoly, b: BPoly) -> BPoly:
+    """Pseudo-remainder of a by b in (Z[t])[q]."""
+    da, db = p_deg_q(a), p_deg_q(b)
+    if db < 0:
+        raise ZeroDivisionError
+    lb = _q_coeffs(b)[db]
+    rem = dict(a)
+    while rem and p_deg_q(rem) >= db:
+        dr = p_deg_q(rem)
+        lr = _q_coeffs(rem)[dr]
+        # lb * rem - q^{dr-db} * lr * b kills the leading q-term exactly
+        rem = p_sub(
+            p_mul(rem, _from_q_coeffs({0: lb})),
+            p_mul(b, _from_q_coeffs({dr - db: lr})),
+        )
+    return rem
+
+
+def _monomial_gcd(a: BPoly, b: BPoly) -> BPoly:
+    qa = min(k[0] for k in a)
+    ta = min(k[1] for k in a)
+    qb = min(k[0] for k in b)
+    tb = min(k[1] for k in b)
+    return {(min(qa, qb), min(ta, tb)): int_gcd(_int_content(a), _int_content(b))}
+
+
+def p_gcd(a: BPoly, b: BPoly) -> BPoly:
+    """gcd in Z[q,t], primitive up to an integer content, sign-normalized."""
+    if not a:
+        return _sign_normalize(b)
+    if not b:
+        return _sign_normalize(a)
+    if len(a) == 1 or len(b) == 1:
+        return _monomial_gcd(a, b)
+    if all(k[0] == 0 for k in a) and all(k[0] == 0 for k in b):
+        # both free of q: univariate gcd in t
+        g = _t_gcd({dt: c for (_, dt), c in a.items()}, {dt: c for (_, dt), c in b.items()})
+        return {(0, dt): c for dt, c in g.items()}
+    cont = _t_gcd(_qpoly_content(a), _qpoly_content(b))
+    x, y = _qpoly_primitive(a), _qpoly_primitive(b)
+    if p_deg_q(x) < p_deg_q(y):
+        x, y = y, x
+    while y:
+        rem = _qpoly_pseudo_rem(x, y)
+        x, y = y, (_qpoly_primitive(rem) if rem else {})
+    g = p_mul(_qpoly_primitive(x), _from_q_coeffs({0: cont}))
+    return _sign_normalize(g)
+
+
+def _lead_key(a: BPoly):
+    return max(a)
+
+
+def _sign_normalize(a: BPoly) -> BPoly:
+    if a and a[_lead_key(a)] < 0:
+        return p_neg(a)
+    return a
+
+
+def p_div_exact(a: BPoly, b: BPoly) -> BPoly:
+    """Exact division in Z[q,t] viewed in (Z[t])[q]; raises if inexact."""
+    if not b:
+        raise ZeroDivisionError
+    if not a:
+        return {}
+    rem = dict(a)
+    quo: BPoly = {}
+    db = p_deg_q(b)
+    lb = _q_coeffs(b)[db]
+    while rem:
+        dr = p_deg_q(rem)
+        if dr < db:
+            raise ValueError("inexact bivariate division")
+        lr = _q_coeffs(rem)[dr]
+        qt = _t_div_exact(lr, lb)
+        for dt, c in qt.items():
+            quo[(dr - db, dt)] = quo.get((dr - db, dt), 0) + c
+        rem = p_sub(rem, p_mul(b, _from_q_coeffs({dr - db: qt})))
+    return {k: c for k, c in quo.items() if c}
+
+
+
+def _ref_reduce(num: BPoly, den: BPoly):
+    """The reduced (num, den) the flat-dict QTRat constructor stored."""
+    if not num:
+        return {}, dict(P_ONE)
+    if den == P_ONE:
+        return dict(num), dict(P_ONE)
+    g = p_gcd(num, den)
+    if g != P_ONE:
+        num = p_div_exact(num, g)
+        den = p_div_exact(den, g)
+    ci = int_gcd(_int_content(num), _int_content(den))
+    if ci > 1:
+        num = {k: c // ci for k, c in num.items()}
+        den = {k: c // ci for k, c in den.items()}
+    if den[_lead_key(den)] < 0:
+        num, den = p_neg(num), p_neg(den)
+    return num, den
+
+
+def _rand_flat(rng, q_free: bool, n_terms: int) -> BPoly:
+    out: BPoly = {}
+    while not out:
+        for _ in range(n_terms):
+            k = (0 if q_free else rng.randint(0, 2), rng.randint(0, 3))
+            out = p_add(out, {k: rng.randint(-4, 4) or 1})
+    return out
+
+
+def _rand_pair(rng, kind: str):
+    """(a, b) sharing a random factor, each times a signed integer content.
+
+    q_free: both in Z[t]; monomial: a is c q^i t^j; bivariate: neither is a
+    monomial.
+    """
+    q_free = kind == "q_free"
+    low = 2 if kind == "bivariate" else 1
+    shared = _rand_flat(rng, q_free, 1 if kind == "monomial" else rng.randint(low, 3))
+    a = p_mul(shared, _rand_flat(rng, q_free, 1 if kind == "monomial" else rng.randint(low, 3)))
+    b = p_mul(shared, _rand_flat(rng, q_free, rng.randint(low, 4)))
+    a = p_mul(a, {(0, 0): rng.choice((1, 2, 6, -1, -3))})
+    b = p_mul(b, {(0, 0): rng.choice((1, 4, 6, -1, -2))})
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["q_free", "monomial", "bivariate"])
+def test_core_matches_flat_reference(kind):
+    rng = random.Random(sum(map(ord, kind)))
+    seen = set()
+    for _ in range(60):
+        a, b = _rand_pair(rng, kind)
+        pa, pb = _poly(a), _poly(b)
+        assert _flat(pa + pb) == p_add(a, b)
+        assert _flat(pa - pb) == p_sub(a, b)
+        assert _flat(pa * pb) == p_mul(a, b)
+        g = p_gcd(a, b)
+        assert _flat(qt.p_gcd(pa, pb)) == g
+        assert _flat(qt.p_gcd(Poly(), pb)) == p_gcd({}, b)
+        pg = _poly(g)
+        assert _flat(pa // pg) == p_div_exact(a, g)
+        assert _flat(pb // pg) == p_div_exact(b, g)
+        r = QTRat(pa, pb)
+        assert (_flat(r.num), _flat(r.den)) == _ref_reduce(a, b)
+        seen.update(name for name, hit in (
+            ("nonconstant gcd", max(g) != (0, 0)),
+            ("negative leading coefficient", a[max(a)] < 0 or b[max(b)] < 0),
+            ("integer content above 1", _int_content(g) > 1)) if hit)
+    assert len(seen) == 3, seen
+
+
+def test_inexact_division_raises_at_both_levels():
+    one_plus_t = Poly({0: 1, 1: 1})
+    # in Z[t]: a leading coefficient that does not divide, and a nonzero remainder
+    with pytest.raises(ValueError):
+        one_plus_t // Poly({0: 2})
+    with pytest.raises(ValueError):
+        Poly({0: 1, 2: 1}) // one_plus_t
+    # in (Z[t])[q]: the same two failures one level up
+    with pytest.raises(ValueError):
+        _poly({(0, 0): 1, (1, 0): 1}) // _poly({(0, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError):
+        _poly({(0, 0): 1, (2, 0): 1}) // _poly({(0, 0): 1, (1, 0): 1})
+    with pytest.raises(ZeroDivisionError):
+        one_plus_t // Poly()
+    # and the reference agrees that each of them is inexact
+    for a, b in (({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}),
+                 ({(0, 0): 1, (2, 0): 1}, {(0, 0): 1, (1, 0): 1})):
+        with pytest.raises(ValueError):
+            p_div_exact(a, b)
 
 
 # -- the sparse RREF kernel against a dense Gauss-Jordan reference ---------------
