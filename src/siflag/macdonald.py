@@ -28,9 +28,12 @@ in t).  Every root's density factor has the same closed-form column of
 coefficients of its powers e^{k alpha} (the q-binomial theorem), and the product
 over the roots keeps only states that a per-suffix reachability budget lets
 still land on a wanted weight.  The orthogonality system is solved order by
-order over Q(t), and the rational function behind each coefficient series is
-recovered by exact Pade reconstruction, then re-verified against five extra
-q-orders.
+order over Z[t] (the order-0 block is unimodular, so every order of every
+coefficient is an integer t-polynomial), the rational function behind each
+coefficient series is recovered by a fraction-free Pade step, and the result is
+re-verified against five extra q-orders.  The density and all three later
+stages compute on t-polynomials packed into integers at t = 2^B, with B from an
+L1 majorant of what they compute, and decode only their results.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .qt import Poly, QTRat, gauss_nullspace, gauss_solve
+from .qt import Poly, QTRat, gauss_nullspace, gauss_solve, p_gcd
 from .rootdata import RootSystem, Weight, hull_weights
 
 
@@ -94,17 +97,19 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     is a ring homomorphism, so only the final coefficients must fit) and only
     the final entries are decoded.  B comes from a first run of the same
     expansion on L1 majorants (t -> 1, every minus sign made plus), which bound
-    the absolute coefficient sum of every final entry.
+    the absolute coefficient sum of every final entry.  A packed column entry
+    at e^{k alpha} is about t^k times a short band, so products are taken with
+    the trailing zero bits stripped and shifted back.
     """
     if not targets:
         return {}
     expansion = _DensityExpansion(rs, targets, order)
     bound = expansion.run(1, 1)
-    bits = max(bound.values(), default=0).bit_length() + 1
+    bits = _width(max(bound.values(), default=0))
     table = {}
     for key, packed in expansion.run(1 << bits, -1).items():
         tp = _unpack(packed, bits)
-        if sum(abs(c) for c in tp.values()) > bound.get(key, 0):
+        if _l1(tp) > bound.get(key, 0):
             raise AssertionError(f"density entry {key} exceeds its L1 majorant")
         table[key] = tp
     return table
@@ -125,6 +130,21 @@ def _unpack(packed: int, bits: int) -> Poly:
         packed = (packed - c) >> bits
         deg += 1
     return out
+
+
+def _pack(tp: Poly, bits: int) -> int:
+    """The value of a t-polynomial at t = 2^bits."""
+    return sum(c << (bits * d) for d, c in tp.items())
+
+
+def _l1(tp: Poly) -> int:
+    """The L1 majorant of a t-polynomial: its value at t = 1 with every sign made plus."""
+    return sum(map(abs, tp.values()))
+
+
+def _width(bound: int) -> int:
+    """The packing width for t-polynomials whose coefficients are at most bound in size."""
+    return bound.bit_length() + 1
 
 
 class _DensityExpansion:
@@ -185,6 +205,8 @@ class _DensityExpansion:
             nxt: dict = {}
             for coords, series in states.items():
                 qleft = order - min(series)
+                stripped = [(n0, v >> z, z) for n0, v in series.items()
+                            for z in ((v & -v).bit_length() - 1,)]
                 # beyond kmax even the whole budget cannot bring a coordinate back
                 kmax = min((self.tmax[i] + qleft * neg_cap[i] - coords[i]) // a
                            for i, a in enumerate(alpha) if a > 0)
@@ -198,12 +220,12 @@ class _DensityExpansion:
                     acc = nxt.get(c1)
                     if acc is None:
                         acc = nxt[c1] = [0] * (order + 1)
-                    for n0, v in series.items():
+                    for n0, v, zv in stripped:
                         top = cap - n0
-                        for dq, x in col:
+                        for dq, x, zx in col:
                             if dq > top:
                                 break
-                            acc[n0 + dq] += v * x
+                            acc[n0 + dq] += (v * x) << (zv + zx)
             states = {}
             for c1, acc in nxt.items():
                 kept = {n: v for n, v in enumerate(acc) if v}
@@ -246,7 +268,7 @@ class _FactorColumn:
             return got
         order = self.order
         if k < 0:
-            got = [(n - k, x) for n, x in self(-k) if n - k <= order]
+            got = [(n - k, x, z) for n, x, z in self(-k) if n - k <= order]
         else:
             out = [0] * (order + 1)
             for b in range(order + 1):
@@ -257,7 +279,8 @@ class _FactorColumn:
                     if x:
                         for j in range(order + 1 - b - i):
                             out[b + i + j] += x * ckb[j]
-            got = [(n, x) for n, x in enumerate(out) if x]
+            got = [(n, x >> z, z) for n, x in enumerate(out) if x
+                   for z in ((x & -x).bit_length() - 1,)]
         self.memo[k] = got
         return got
 
@@ -380,7 +403,7 @@ def default_truncation(rs: RootSystem, gamma: Weight) -> int:
 def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> EPoly:
     """The unique monic element e^gamma + lower terms orthogonal to its strict ideal.
 
-    Solved order-by-order in q over Q(t) up to default_truncation, reconstructed
+    Solved order by order in q over Z[t] up to default_truncation, reconstructed
     to exact rational coefficients, and re-verified on five extra q-orders;
     raises when that truncation is too small to pin the answer.  reverse_ties
     reverses the linear extension of the triangular order (the result must not
@@ -405,18 +428,15 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     big = order + _EXTRA_ORDERS
     table = _pairing_table(rs, gamma_plus, big)
 
-    m = len(lower)
     gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
     rhs_series = [table.series(gamma, nu) for nu in lower]
-
-    series = _solve_orthogonality(gram, rhs_series, big)
+    series = _solve_orthogonality(gram, rhs_series)
 
     coeffs = {gamma: QTRat.one()}
-    for idx, nu in enumerate(lower):
-        c_series = [series[n][idx] for n in range(big + 1)]
+    for nu, c_series in zip(lower, series):
         coeffs[nu] = _pade_reconstruct(c_series, order)
     result = EPoly(gamma, coeffs)
-    _verify_orthogonality(rs, result, lower, table)
+    _verify_orthogonality(result, lower, table)
     _E_CACHE[cache_key] = result
     return result
 
@@ -425,91 +445,182 @@ def _tp_to_qtrat(tp: Poly) -> QTRat:
     return QTRat(Poly({0: tp}) if tp else Poly())
 
 
-def _solve_orthogonality(gram, rhs_series, big):
-    """Per-q-order solve of sum_mu c_mu <e^mu, e^nu> = -<e^gamma, e^nu> over Q(t)."""
-    m = len(rhs_series)
-    zero = QTRat.zero()
-    g0 = [[_tp_to_qtrat(gram[row][col][0]) for col in range(m)] for row in range(m)]
-    out: list[list[QTRat]] = []
-    for n in range(big + 1):
-        rhs = []
-        for row in range(m):
-            acc = -_tp_to_qtrat(rhs_series[row][n])
-            for k in range(1, n + 1):
-                for col in range(m):
-                    gk = gram[row][col][k]
-                    if gk:
-                        acc = acc - _tp_to_qtrat(gk) * out[n - k][col]
-            rhs.append(acc)
-        x = gauss_solve([list(r) for r in g0], rhs, zero)
-        if x is None:
-            raise ValueError(
-                "pairing matrix singular at order 0: truncation too small or order ideal wrong")
-        out.append(x)
+def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
+    """Per-q-order solve of sum_mu c_mu <e^mu, e^nu> = -<e^gamma, e^nu> over Z[t].
+
+    The density at q^0 is supported on Q_+ with constant term 1, so the order-0
+    block g0 is unitriangular once the weights are listed along dominance.  Its
+    inverse, computed once, lies in Z[t], and so does every order of
+
+        x_n = g0^-1 (-rhs_n - sum_{k >= 1} g_k x_{n-k}).
+
+    The recurrence runs on integers packed at t = 2^B, with B from a first run
+    on L1 majorants (t -> 1, every minus sign made plus).  Returns each
+    coefficient's q-series through the last order.
+    """
+    inverse = _order0_inverse(gram)
+    bound = _gram_recurrence(gram, rhs_series, inverse, _l1, 1)
+    bits = _width(max(max(xs) for xs in bound))
+    packed = _gram_recurrence(gram, rhs_series, inverse, lambda tp: _pack(tp, bits), -1)
+    out: list[list[Poly]] = [[] for _ in rhs_series]
+    for n, (xs, majorants) in enumerate(zip(packed, bound)):
+        for col, (x, majorant) in enumerate(zip(xs, majorants)):
+            tp = _unpack(x, bits)
+            if _l1(tp) > majorant:
+                raise AssertionError(f"Gram solution at q^{n} exceeds its L1 majorant")
+            out[col].append(tp)
     return out
 
 
-def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
-    """Exact rational reconstruction of a Q(t)-coefficient q-series.
+def _order0_inverse(gram) -> list[list[Poly]]:
+    """The inverse of the order-0 pairing block, which must lie in Z[t]."""
+    m = len(gram)
+    zero, one = QTRat.zero(), QTRat.one()
+    g0 = [[_tp_to_qtrat(entry[0]) for entry in row] for row in gram]
+    inverse = [[None] * m for _ in range(m)]
+    for j in range(m):
+        x = gauss_solve(g0, [one if i == j else zero for i in range(m)], zero)
+        if x is None:
+            raise ValueError(
+                "pairing matrix singular at order 0: truncation too small or order ideal wrong")
+        for i, c in enumerate(x):
+            if c.den != one.den or any(c.num.keys() - {0}):
+                raise ValueError("order-0 pairing block is not unimodular over Z[t]")
+            inverse[i][j] = c.num.get(0, Poly())
+    return inverse
 
-    Fits numerator/denominator degrees about order/2 on the first orders, then
-    demands the reconstruction reproduce every available order.
+
+def _gram_recurrence(gram, rhs_series, inverse, value, sign) -> list[list[int]]:
+    """x_n = inverse (sign (rhs_n + sum_{k >= 1} g_k x_{n-k})), t-polynomials mapped by value."""
+    big = len(rhs_series[0]) - 1
+    inv = [[value(tp) for tp in row] for row in inverse]
+    # the Gram entries are the pairing table's own polynomials, many shared
+    vals = {id(tp): value(tp) for row in gram for entry in row for tp in entry if tp}
+    xs: list[list[int]] = []
+    for n in range(big + 1):
+        r = []
+        for g_row, rhs in zip(gram, rhs_series):
+            acc = value(rhs[n])
+            for k in range(1, n + 1):
+                for g, x in zip(g_row, xs[n - k]):
+                    if x and g[k]:
+                        acc += vals[id(g[k])] * x
+            r.append(sign * acc)
+        xs.append([sum(a * b for a, b in zip(row, r)) for row in inv])
+    return xs
+
+
+def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
+    """Exact rational reconstruction of a q-series with Z[t] coefficients.
+
+    In the box of numerator degree dp = order - order//2 and denominator degree
+    dq = order//2, a denominator v is a null vector of the Toeplitz rows that
+    make series * v vanish at the orders dp+1..order.  If some fraction in the
+    box reproduces every available order, every nonzero null vector gives that
+    same fraction (num_v D - N den_v has degree <= order and is O(q^(order+1))),
+    so one null vector suffices.  The reduced fraction is accepted only if
+    series * den = num holds at every available order; at q^0 that rules out a
+    denominator divisible by q, so the fraction is a power series.
     """
-    if all(c.is_zero() for c in series):
+    if not any(series):
         return QTRat.zero()
     dq = order // 2
     dp = order - dq
-
-    zero = QTRat.zero()
-    one = QTRat.one()
-    rows = []
-    for n in range(dp + 1, dp + dq + 1):
-        rows.append([series[n - j] if 0 <= n - j <= order else zero for j in range(dq + 1)])
-    candidates = gauss_nullspace(rows, dq + 1, zero, one) if rows else [[one]]
-    q_var = QTRat.q()
-    for vec in candidates:
-        if all(c.is_zero() for c in vec):
-            continue
-        den = zero
-        for j, c in enumerate(vec):
-            if not c.is_zero():
-                den = den + c * QTRat.q(j)
-        if den.is_zero():
-            continue
-        # numerator = truncation of series * den to q-degree dp
-        num = zero
-        for n in range(dp + 1):
-            acc = zero
-            for j in range(min(n, dq) + 1):
-                acc = acc + vec[j] * series[n - j]
-            num = num + acc * QTRat.q(n)
-        cand = num / den
-        try:
-            expanded = cand.series_q(len(series) - 1)
-        except ValueError:
-            continue
-        if all(expanded[n] == series[n] for n in range(len(series))):
-            return cand
+    rows = [[series[n - j] for j in range(dq + 1)] for n in range(dp + 1, order + 1)]
+    vec = _null_vector(rows, dq + 1)
+    den = Poly({j: c for j, c in enumerate(vec) if c})
+    num = Poly({n: c for n, c in enumerate(_convolve([(den, series)], dp)) if c})
+    cand = QTRat(num, den)
+    expanded = _convolve([(cand.den, series)], len(series) - 1)
+    if all(c == cand.num.get(n, Poly()) for n, c in enumerate(expanded)):
+        return cand
     raise ValueError("rational reconstruction failed: raise the truncation order")
 
 
-def _verify_orthogonality(rs, epoly: EPoly, lower, table: PairingTable):
-    """<E, e^nu> must vanish identically through every computed q-order."""
+def _null_vector(rows, ncols) -> list[Poly]:
+    """One nonzero right null vector of a matrix over Z[t] with fewer rows than columns.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on the
+    entries packed at t = 2^B, stopped at the first column without a pivot.
+    Every entry it forms is a minor of the matrix, and the product over the
+    rows of max(1, sum_j L1(a_ij)) bounds the coefficients of every minor, so
+    with B one bit longer than that product zero tests and exact divisions on
+    the integers mean the same as on Z[t]; a remainder raises.
+    """
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(map(_l1, row)))
+    bits = _width(bound)
+    a = [[_pack(tp, bits) for tp in row] for row in rows]
+    prev = 1
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            vec = [0] * ncols
+            vec[col] = prev
+            for pc, row in zip(pivots, a):
+                vec[pc] = -row[col]
+            return [_unpack(x, bits) for x in vec]
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        piv = prow[col]
+        # columns up to col are never read again, so only those right of it change
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[col]
+            for j in range(col + 1, ncols):
+                x, rem = divmod(piv * row[j] - f * prow[j], prev)
+                if rem:
+                    raise AssertionError("fraction-free elimination left a remainder")
+                row[j] = x
+        prev = piv
+        pivots.append(col)
+    raise AssertionError("every column took a pivot")
+
+
+def _convolve(pairs, top: int) -> list[Poly]:
+    """The q-orders 0..top of sum_i a_i b_i, exactly, for q-series with Z[t] coefficients.
+
+    Each a_i maps q-degrees to t-polynomials; each b_i lists them by q-degree
+    up to top.  The sums run on integers packed at t = 2^B, with B from the
+    same sums on L1 majorants.
+    """
+    def run(value):
+        out = [0] * (top + 1)
+        for a, b in pairs:
+            vb = [value(tp) for tp in b[:top + 1]]
+            for k, tp in a.items():
+                x = value(tp)
+                for n in range(k, top + 1):
+                    if vb[n - k]:
+                        out[n] += x * vb[n - k]
+        return out
+
+    bits = _width(max(run(_l1)))
+    return [_unpack(x, bits) for x in run(lambda tp: _pack(tp, bits))]
+
+
+def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
+    """<E, e^nu> must vanish identically through every computed q-order.
+
+    Checked from the coefficients alone, each scaled by a common denominator L
+    with L(q=0) != 0 (a unit in Q(t)[[q]]), so sum_mu (c_mu L) <e^mu, e^nu>
+    must vanish through the same orders.
+    """
     big = table.order
-    coeff_series = {}
-    for mu, c in epoly.coeffs.items():
-        coeff_series[mu] = c.series_q(big)
+    common = QTRat.one().den
+    for den in {c.den for c in epoly.coeffs.values()}:
+        common = common // p_gcd(common, den) * den
+    if 0 not in common:
+        raise AssertionError("coefficients are not power series in q")
+    scaled = {mu: c.num * (common // c.den) for mu, c in epoly.coeffs.items() if c}
     for nu in lower:
-        pair_series = {mu: table.series(mu, nu) for mu in coeff_series}
-        for n in range(big + 1):
-            acc = QTRat.zero()
-            for mu, cs in coeff_series.items():
-                ps = pair_series[mu]
-                for k in range(n + 1):
-                    tp = ps[n - k]
-                    if tp and not cs[k].is_zero():
-                        acc = acc + cs[k] * _tp_to_qtrat(tp)
-            if not acc.is_zero():
+        sums = _convolve([(cl, table.series(mu, nu)) for mu, cl in scaled.items()], big)
+        for n, c in enumerate(sums):
+            if c:
                 raise AssertionError(f"orthogonality fails against {nu} at q^{n}")
 
 

@@ -9,11 +9,13 @@ down to the integers.  A QTRat is a reduced fraction of two elements of
 (Z[t])[q] with integer content divided out and a positive leading denominator
 coefficient, so equal values always have equal representations.
 
-The package has one exact elimination kernel, ``_rref``: a row-sparse reduced
-row echelon form that takes pivot columns in increasing order, so its output is
-the canonical RREF.  ``gauss_solve`` and ``gauss_nullspace`` are built on it and
-serve both ``Fraction`` systems (the eigen base solve) and ``QTRat`` ones (the
-oracle's Gram solve and Pade nullspace).
+The package has one exact field elimination kernel, ``_rref``: a row-sparse
+reduced row echelon form that takes pivot columns in increasing order, so its
+output is the canonical RREF.  ``gauss_solve`` and ``gauss_nullspace`` are built
+on it and serve ``Fraction`` systems (the eigen base solve, the density's kernel
+functionals) and ``QTRat`` ones (the inverse of the oracle's order-0 Gram
+block).  The oracle's Pade step alone eliminates fraction-free over Z[t]
+(``macdonald._null_vector``); ``_rref`` remains the one field kernel.
 """
 from __future__ import annotations
 

@@ -261,3 +261,21 @@ def test_verify_report_bytes_are_pinned(tmp_path, label):
     out = tmp_path / "report.json"
     assert main(["verify", "--type", type_name, *args, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `siflag emac --format json`, taken when the oracle still solved and
+# reconstructed over Q(t): the packed-integer route must give the same bytes.
+PINNED_EMAC = {
+    ("A1", "6"): "c88cee3375c7ae6457372692095732fe5d93a7a129c0400d810638fae96ba213",
+    ("A1", "-6"): "2bdde4efbb78c5abccc6f7f39d07b92d2542e11fab1729aa4fc9008cfe965a11",
+    ("A2", "-1,-1"): "2f95386c8bc92eb8a9d4aac4c28727f1be1c52739ce731636006f4f160cc455e",
+    ("G2", "-1,0"): "fa1f63e154b5f02644d9828d5f9cef80ab102fd33335204650db8b18ae506ddd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EMAC), ids=":".join)
+def test_emac_bytes_are_pinned(capsys, case):
+    type_name, gamma = case
+    assert main(["emac", "--type", type_name, f"--gamma={gamma}", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EMAC[(type_name, gamma)]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -10,20 +11,25 @@ import pytest
 import siflag
 
 from siflag.charpoly import CharPoly
+from siflag import macdonald
 from siflag.macdonald import (
+    _EXTRA_ORDERS,
     EPoly,
     _DensityExpansion,
     _integer_kernel,
+    _pairing_table,
+    _tp_to_qtrat,
     _weight_to_root_int,
     bar_conjugate,
     density_ct_pair,
+    default_truncation,
     density_table,
     gram_schmidt_E,
     hull_weights,
     specialize,
     triangular_order_ideal,
 )
-from siflag.qt import QTRat
+from siflag.qt import Poly, QTRat, gauss_nullspace, gauss_solve
 from siflag.rootdata import Weight, build_root_system
 
 A1 = build_root_system("A", 1)
@@ -366,3 +372,244 @@ def test_root_lattice_check_survives_python_O():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "AssertionError: weight (1,) is not in the root lattice" in proc.stderr
+
+
+# -- reference: the Q(t) route of the packed solve, Pade step and re-verification --
+
+
+def _solve_orthogonality(gram, rhs_series, big):
+    """Per-q-order solve of sum_mu c_mu <e^mu, e^nu> = -<e^gamma, e^nu> over Q(t)."""
+    m = len(rhs_series)
+    zero = QTRat.zero()
+    g0 = [[_tp_to_qtrat(gram[row][col][0]) for col in range(m)] for row in range(m)]
+    out: list[list[QTRat]] = []
+    for n in range(big + 1):
+        rhs = []
+        for row in range(m):
+            acc = -_tp_to_qtrat(rhs_series[row][n])
+            for k in range(1, n + 1):
+                for col in range(m):
+                    gk = gram[row][col][k]
+                    if gk:
+                        acc = acc - _tp_to_qtrat(gk) * out[n - k][col]
+            rhs.append(acc)
+        x = gauss_solve([list(r) for r in g0], rhs, zero)
+        if x is None:
+            raise ValueError(
+                "pairing matrix singular at order 0: truncation too small or order ideal wrong")
+        out.append(x)
+    return out
+
+
+def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
+    """Exact rational reconstruction of a Q(t)-coefficient q-series.
+
+    Fits numerator/denominator degrees about order/2 on the first orders, then
+    demands the reconstruction reproduce every available order.
+    """
+    if all(c.is_zero() for c in series):
+        return QTRat.zero()
+    dq = order // 2
+    dp = order - dq
+
+    zero = QTRat.zero()
+    one = QTRat.one()
+    rows = []
+    for n in range(dp + 1, dp + dq + 1):
+        rows.append([series[n - j] if 0 <= n - j <= order else zero for j in range(dq + 1)])
+    candidates = gauss_nullspace(rows, dq + 1, zero, one) if rows else [[one]]
+    q_var = QTRat.q()
+    for vec in candidates:
+        if all(c.is_zero() for c in vec):
+            continue
+        den = zero
+        for j, c in enumerate(vec):
+            if not c.is_zero():
+                den = den + c * QTRat.q(j)
+        if den.is_zero():
+            continue
+        # numerator = truncation of series * den to q-degree dp
+        num = zero
+        for n in range(dp + 1):
+            acc = zero
+            for j in range(min(n, dq) + 1):
+                acc = acc + vec[j] * series[n - j]
+            num = num + acc * QTRat.q(n)
+        cand = num / den
+        try:
+            expanded = cand.series_q(len(series) - 1)
+        except ValueError:
+            continue
+        if all(expanded[n] == series[n] for n in range(len(series))):
+            return cand
+    raise ValueError("rational reconstruction failed: raise the truncation order")
+
+
+def _verify_orthogonality(rs, epoly: EPoly, lower, table: PairingTable):
+    """<E, e^nu> must vanish identically through every computed q-order."""
+    big = table.order
+    coeff_series = {}
+    for mu, c in epoly.coeffs.items():
+        coeff_series[mu] = c.series_q(big)
+    for nu in lower:
+        pair_series = {mu: table.series(mu, nu) for mu in coeff_series}
+        for n in range(big + 1):
+            acc = QTRat.zero()
+            for mu, cs in coeff_series.items():
+                ps = pair_series[mu]
+                for k in range(n + 1):
+                    tp = ps[n - k]
+                    if tp and not cs[k].is_zero():
+                        acc = acc + cs[k] * _tp_to_qtrat(tp)
+            if not acc.is_zero():
+                raise AssertionError(f"orthogonality fails against {nu} at q^{n}")
+
+
+def _reference_coeffs(rs, gamma):
+    """The coefficients of E_gamma by the Q(t) route, on the oracle's own pairing table."""
+    order = default_truncation(rs, gamma)
+    lower = triangular_order_ideal(rs, gamma)[:-1]
+    if not lower:
+        return {gamma: ONE}
+    gamma_plus, _ = rs.dominant_representative(gamma)
+    big = order + _EXTRA_ORDERS
+    table = _pairing_table(rs, gamma_plus, big)
+    gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
+    rhs_series = [table.series(gamma, nu) for nu in lower]
+    series = _solve_orthogonality(gram, rhs_series, big)
+    coeffs = {gamma: ONE}
+    for idx, nu in enumerate(lower):
+        coeffs[nu] = _pade_reconstruct([series[n][idx] for n in range(big + 1)], order)
+    _verify_orthogonality(rs, EPoly(gamma, coeffs), lower, table)
+    return coeffs
+
+
+REFERENCE_CASES = (
+    [("A1", (g,)) for g in range(-4, 5)]
+    + [("A2", g) for g in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1), (-1, -1))]
+    + [(name, g) for name in ("B2", "C2") for g in ((-1, 0), (0, -1), (1, -1), (-1, 1))]
+)
+
+
+@pytest.mark.parametrize("name, gamma", REFERENCE_CASES, ids=_id)
+def test_gram_schmidt_matches_qt_reference(name, gamma):
+    rs = RANK2[name]
+    gamma = Weight(gamma)
+    assert gram_schmidt_E(rs, gamma).coeffs == _reference_coeffs(rs, gamma)
+
+
+def _random_tpoly(rng):
+    return Poly({d: c for d in range(rng.randrange(3)) if (c := rng.randint(-3, 3))})
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(3, 4, 1), (4, 5, 2), (5, 6, 3), (6, 7, 6)])
+def test_null_vector_spans_the_first_free_column(rows, cols, rank):
+    # low-rank matrices over Z[t] with zero entries, so pivots need row swaps;
+    # the null vector must be the field kernel's first basis vector up to scale
+    rng = random.Random(f"{rows}x{cols}/{rank}")
+    for _ in range(20):
+        left = [[_random_tpoly(rng) for _ in range(rank)] for _ in range(rows)]
+        right = [[_random_tpoly(rng) for _ in range(cols)] for _ in range(rank)]
+        matrix = [[sum((left[i][k] * right[k][j] for k in range(rank)), Poly())
+                   for j in range(cols)] for i in range(rows)]
+        vec = macdonald._null_vector(matrix, cols)
+        assert any(vec)
+        for row in matrix:
+            assert not sum((a * v for a, v in zip(row, vec)), Poly())
+        basis = gauss_nullspace([[_tp_to_qtrat(a) for a in row] for row in matrix],
+                                cols, QTRat.zero(), ONE)
+        first = [_tp_to_qtrat(v) for v in vec]
+        j = next(j for j, v in enumerate(first) if v)
+        assert all(x * basis[0][j] == u * first[j] for x, u in zip(first, basis[0]))
+
+
+# -- every check of the packed route still fires --------------------------------
+
+
+def _fresh_series(rs, gamma):
+    """The coefficient q-series of the packed solve for E_gamma, with the Pade order and table."""
+    order = default_truncation(rs, gamma)
+    lower = triangular_order_ideal(rs, gamma)[:-1]
+    gamma_plus, _ = rs.dominant_representative(gamma)
+    table = _pairing_table(rs, gamma_plus, order + _EXTRA_ORDERS)
+    gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
+    rhs_series = [table.series(gamma, nu) for nu in lower]
+    return macdonald._solve_orthogonality(gram, rhs_series), order, lower, table
+
+
+def test_pade_rejects_a_series_outside_the_box():
+    series, order, _, _ = _fresh_series(A1, Weight((-2,)))
+    assert macdonald._pade_reconstruct(series[0], order)
+    # the box fit sees orders up to `order`; the extra orders must still agree
+    bent = list(series[0])
+    bent[-1] = bent[-1] + Poly({3: 1})
+    with pytest.raises(ValueError, match="rational reconstruction failed"):
+        macdonald._pade_reconstruct(bent, order)
+    # factorials: no fraction of degree <= 2 over 2 fits ten orders
+    facts = [Poly({0: 1})]
+    for n in range(1, 10):
+        facts.append(Poly({0: facts[-1][0] * n}))
+    with pytest.raises(ValueError, match="rational reconstruction failed"):
+        macdonald._pade_reconstruct(facts, 4)
+
+
+def test_order0_block_must_be_unimodular():
+    one = [Poly({0: 1})]
+    with pytest.raises(ValueError, match="not unimodular over Z\\[t\\]"):
+        macdonald._solve_orthogonality([[[Poly({0: 2})]]], [one])
+    with pytest.raises(ValueError, match="not unimodular over Z\\[t\\]"):
+        macdonald._solve_orthogonality([[[Poly({0: 1, 1: 1})]]], [one])
+    with pytest.raises(ValueError, match="pairing matrix singular at order 0"):
+        macdonald._solve_orthogonality([[[Poly()]]], [one])
+
+
+def test_perturbed_coefficient_fails_reverification():
+    gamma = Weight((-3,))
+    E = gram_schmidt_E(A1, gamma)
+    _, _, lower, table = _fresh_series(A1, gamma)
+    macdonald._verify_orthogonality(E, lower, table)
+    nu = lower[0]
+    for bump in (QTRat.q(table.order), T * QTRat.q(2) / (ONE - Q)):
+        coeffs = dict(E.coeffs)
+        coeffs[nu] = coeffs[nu] + bump
+        with pytest.raises(AssertionError, match="orthogonality fails against"):
+            macdonald._verify_orthogonality(EPoly(gamma, coeffs), lower, table)
+    # a common denominator divisible by q is no unit in Q(t)[[q]]: no verdict
+    coeffs = dict(E.coeffs)
+    coeffs[nu] = coeffs[nu] / Q
+    with pytest.raises(AssertionError, match="coefficients are not power series in q"):
+        macdonald._verify_orthogonality(EPoly(gamma, coeffs), lower, table)
+
+
+def _halve_width(bound):
+    return (bound.bit_length() + 1) // 2
+
+
+def test_halved_packing_width_raises(monkeypatch):
+    # the pairing table stays warm, so only the stages after the density pack
+    # with too few bits; the run must raise, not return a wrong E
+    gamma = Weight((-2,))
+    gram_schmidt_E(A1, gamma)
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_width", _halve_width)
+    with pytest.raises(ValueError, match="rational reconstruction failed"):
+        gram_schmidt_E(A1, gamma)
+
+
+def test_halved_packing_width_raises_under_python_O():
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "from siflag import macdonald\n"
+        "from siflag.rootdata import Weight, build_root_system\n"
+        "a1, gamma = build_root_system('A', 1), Weight((-2,))\n"
+        "macdonald.gram_schmidt_E(a1, gamma)\n"
+        "macdonald._E_CACHE.clear()\n"
+        "macdonald._width = lambda bound: (bound.bit_length() + 1) // 2\n"
+        "macdonald.gram_schmidt_E(a1, gamma)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "ValueError: rational reconstruction failed" in proc.stderr
