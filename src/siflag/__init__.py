@@ -43,7 +43,6 @@ from .qt import QTRat
 from .macdonald import (
     EPoly,
     bar_conjugate,
-    density_ct_pair,
     gram_schmidt_E,
     specialize,
     triangular_order_ideal,

@@ -1,10 +1,13 @@
 """The character ring: exact sums of q^n e^lam, Demazure operators, q-series truncations.
 
 A CharPoly is a finite sum sum c * q^n e^lam with exact rational coefficients,
-stored sparsely as {(weight coords, n): Fraction} with no zero entries.  The
-Demazure operator for every affine node acts monomialwise through the closed
-finite-sum rule (never by series division); q is e^delta and is inert under all
-reflections, so q-powers pass through every operator.
+stored sparsely as {(weight coords, n): coefficient} with no zero entries.  A
+coefficient is an int when it is integral and a Fraction otherwise, never a
+float: every character the engine produces is a Z[q]-combination of e^lam, so
+its arithmetic stays on ints.  The Demazure operator for every affine node
+acts monomialwise through the closed finite-sum rule (never by series
+division); q is e^delta and is inert under all reflections, so q-powers pass
+through every operator.
 
 A CharSeries is a CharPoly truncated at q-order N together with a validity
 watermark V <= N: coefficients in degrees <= V are certified exact, degrees
@@ -14,12 +17,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul, neg
 from typing import Iterable, Mapping
 
 from .rootdata import Coords, RootSystem, Weight
 
 Key = tuple[Coords, int]
-_ZERO = Fraction(0)
+Coeff = int | Fraction
+_ZERO = 0
+
+
+def _exact(c: Coeff) -> Coeff:
+    """The coefficient c as an int when it is integral, else as a Fraction.
+
+    Anything else, a float included, is refused: a float is not exact.
+    """
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"character coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _settle(terms: dict) -> dict:
+    """Turn the integral Fractions that Fraction arithmetic left in terms into ints."""
+    for key, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[key] = c.numerator
+    return terms
+
+
+def _divide(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    if a.__class__ is int and b.__class__ is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _exact(Fraction(a) / b)
 
 
 class CharPoly:
@@ -27,12 +60,13 @@ class CharPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
+    def __init__(self, terms: Mapping[Key, Coeff] | None = None):
+        clean: dict[Key, Coeff] = {}
         if terms:
             for key, c in terms.items():
+                c = _exact(c)
                 if c:
-                    clean[key] = Fraction(c)
+                    clean[key] = c
         self.terms = clean
 
     @staticmethod
@@ -40,18 +74,18 @@ class CharPoly:
         return CharPoly()
 
     @staticmethod
-    def monomial(lam: Weight | Coords, n: int = 0, coeff: Fraction | int = 1) -> "CharPoly":
+    def monomial(lam: Weight | Coords, n: int = 0, coeff: Coeff = 1) -> "CharPoly":
         wt = lam.coords if isinstance(lam, Weight) else tuple(lam)
-        return CharPoly({(wt, n): Fraction(coeff)})
+        return CharPoly({(wt, n): coeff})
 
     @staticmethod
     def one(rank: int) -> "CharPoly":
-        return CharPoly({((0,) * rank, 0): Fraction(1)})
+        return CharPoly({((0,) * rank, 0): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, lam: Weight | Coords, n: int) -> Fraction:
+    def coeff(self, lam: Weight | Coords, n: int) -> Coeff:
         wt = lam.coords if isinstance(lam, Weight) else tuple(lam)
         return self.terms.get((wt, n), _ZERO)
 
@@ -70,7 +104,7 @@ class CharPoly:
             else:
                 out.pop(key, None)
         res = CharPoly()
-        res.terms = out
+        res.terms = _settle(out)
         return res
 
     def __sub__(self, other: "CharPoly") -> "CharPoly":
@@ -82,24 +116,24 @@ class CharPoly:
         return res
 
     def __mul__(self, other: "CharPoly") -> "CharPoly":
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Coeff] = {}
         for (w1, n1), c1 in self.terms.items():
             for (w2, n2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(w1, w2)), n1 + n2)
+                key = (tuple(map(add, w1, w2)), n1 + n2)
                 s = out.get(key, _ZERO) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
         res = CharPoly()
-        res.terms = out
+        res.terms = _settle(out)
         return res
 
-    def scale(self, c: Fraction | int) -> "CharPoly":
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> "CharPoly":
+        c = _exact(c)
         res = CharPoly()
         if c:
-            res.terms = {key: c * v for key, v in self.terms.items()}
+            res.terms = _settle({key: c * v for key, v in self.terms.items()})
         return res
 
     def shift_q(self, m: int) -> "CharPoly":
@@ -122,11 +156,11 @@ class CharPoly:
     def weights(self) -> set[Coords]:
         return {wt for (wt, _) in self.terms}
 
-    def total_at_one(self) -> Fraction:
+    def total_at_one(self) -> Coeff:
         """Evaluation q = 1, e^lam = 1 (the graded dimension at q = 1)."""
         return sum(self.terms.values(), _ZERO)
 
-    def sorted_terms(self) -> list[tuple[Key, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Key, Coeff]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
     def truncate(self, n_max: int) -> "CharPoly":
@@ -152,24 +186,21 @@ class CharPoly:
         return " + ".join(bits)
 
 
-def demazure_monomial(rs: RootSystem, i: int, wt: Coords, n: int) -> list[tuple[Key, int]]:
-    """Image keys of D_i(q^n e^wt) with sign, by the closed finite-sum rule."""
+def _letter(rs: RootSystem, i: int):
+    """What D_i reads of the root system: (pairing, step, back, q step).
+
+    pairing(wt) is k = <alpha_i^vee, wt>, or <-theta^vee, wt> at i = 0, and
+    back = -step.  By the closed finite-sum rule D_i(q^n e^wt) is the sum of
+    q^{n + j qstep} e^{wt + j step} over 0 <= j <= k when k >= 0, minus the
+    sum of q^{n - j qstep} e^{wt + j back} over 1 <= j <= -k - 1 when k <= -2,
+    and zero at k = -1.
+    """
     if i == 0:
-        k = -sum(t * a for t, a in zip(rs.theta_coroot.coords, wt))
-        step = rs.theta_weight.coords
-        qstep = -1
-    else:
-        k = wt[i - 1]
-        step = tuple(-c for c in rs.simple_root(i).coords)
-        qstep = 0
-    out: list[tuple[Key, int]] = []
-    if k >= 0:
-        for j in range(k + 1):
-            out.append(((tuple(w + j * s for w, s in zip(wt, step)), n + j * qstep), 1))
-    elif k <= -2:
-        for j in range(1, -k):
-            out.append(((tuple(w - j * s for w, s in zip(wt, step)), n - j * qstep), -1))
-    return out
+        coroot = tuple(map(neg, rs.theta_coroot.coords))
+        theta = rs.theta_weight.coords
+        return (lambda wt: sum(map(mul, coroot, wt))), theta, tuple(map(neg, theta)), -1
+    root = rs.simple_root(i).coords
+    return itemgetter(i - 1), tuple(map(neg, root)), root, 0
 
 
 def demazure_op(rs: RootSystem, i: int, f):
@@ -178,16 +209,32 @@ def demazure_op(rs: RootSystem, i: int, f):
         return f._apply_demazure(rs, i)
     if not 0 <= i <= rs.rank:
         raise ValueError(f"affine index {i} out of range")
-    out: dict[Key, Fraction] = {}
+    pairing, step, back, qstep = _letter(rs, i)
+    out: dict[Key, Coeff] = {}
+    get = out.get
     for (wt, n), c in f.terms.items():
-        for key, sign in demazure_monomial(rs, i, wt, n):
-            s = out.get(key, _ZERO) + (c if sign > 0 else -c)
+        k = pairing(wt)
+        # the run of image keys: its first key, direction, sign and remaining length
+        if k >= 0:
+            cur, m, d, dq, v, left = wt, n, step, qstep, c, k
+        elif k <= -2:
+            cur, m, d, dq, v, left = tuple(map(add, wt, back)), n - qstep, back, -qstep, -c, -k - 2
+        else:
+            continue
+        while True:
+            key = (cur, m)
+            s = get(key, _ZERO) + v
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
+            if not left:
+                break
+            left -= 1
+            cur = tuple(map(add, cur, d))
+            m += dq
     res = CharPoly()
-    res.terms = out
+    res.terms = _settle(out)
     return res
 
 
@@ -259,7 +306,7 @@ def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:
     zero_wt = (0,) * rank
     for i in range(rank):
         for k in range(1, lam.coords[i] + 1):
-            geom = CharPoly({(zero_wt, m): Fraction(1) for m in range(0, trunc + 1, k)})
+            geom = CharPoly({(zero_wt, m): 1 for m in range(0, trunc + 1, k)})
             series = (series * geom).truncate(trunc)
     return CharSeries(series, trunc, trunc)
 
@@ -281,6 +328,8 @@ def exact_divide(f: CharPoly, d: CharPoly) -> CharPoly:
 
     The divisor's minimal term under (q-degree, weight lex) is a unit monomial,
     so greedy elimination discovers the quotient terms in increasing order.
+    Each quotient coefficient is an exact division by that term's coefficient:
+    an int when it divides, else a Fraction.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero character")
@@ -291,18 +340,18 @@ def exact_divide(f: CharPoly, d: CharPoly) -> CharPoly:
     d_min_coeff = d.terms[d_min]
     q_bound = f.q_max() - d.q_max()
     rem = dict(f.terms)
-    quo: dict[Key, Fraction] = {}
+    quo: dict[Key, Coeff] = {}
     max_steps = 4 * (len(f.terms) + 4) * (len(d.terms) + 4) + 4 * (f.q_max() - f.q_min() + 2)
     for _ in range(max_steps):
         if not rem:
             res = CharPoly()
-            res.terms = quo
+            res.terms = _settle(quo)
             return res
         m = min(rem, key=lambda k: (k[1], k[0]))
         t = (tuple(a - b for a, b in zip(m[0], d_min[0])), m[1] - d_min[1])
         if t[1] > q_bound:
             raise ValueError("nonzero remainder: divisor does not divide")
-        c = rem[m] / d_min_coeff
+        c = _divide(rem[m], d_min_coeff)
         quo[t] = quo.get(t, _ZERO) + c
         for key, dc in d.terms.items():
             kk = (tuple(a + b for a, b in zip(t[0], key[0])), t[1] + key[1])

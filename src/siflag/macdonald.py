@@ -97,8 +97,11 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     is a ring homomorphism, so only the final coefficients must fit) and only
     the final entries are decoded.  B comes from a first run of the same
     expansion on L1 majorants (t -> 1, every minus sign made plus), which bound
-    the absolute coefficient sum of every final entry.  A packed column entry
-    at e^{k alpha} is about t^k times a short band, so products are taken with
+    the absolute coefficient sum of every final entry; exactness rests on that
+    width alone.  The decoded entries are checked against their majorants, but
+    that check bounds the code path only: a width too narrow wraps into small
+    coefficients that stay under the majorant.  A packed column entry at
+    e^{k alpha} is about t^k times a short band, so products are taken with
     the trailing zero bits stripped and shifted back.
     """
     if not targets:
@@ -109,6 +112,7 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     table = {}
     for key, packed in expansion.run(1 << bits, -1).items():
         tp = _unpack(packed, bits)
+        # guards the two runs against each other, not the width (see above)
         if _l1(tp) > bound.get(key, 0):
             raise AssertionError(f"density entry {key} exceeds its L1 majorant")
         table[key] = tp
@@ -337,41 +341,6 @@ def _pairing_table(rs: RootSystem, lam_plus: Weight, order: int) -> PairingTable
     return got
 
 
-def density_ct_pair(rs: RootSystem, f: dict, g: dict, order: int) -> QTRat:
-    """Constant term of f g* Delta, per q-order up to the given order, as one QTRat.
-
-    f and g map weights to coefficients (ints, Fractions, or QTRats); g* sends
-    e^mu to e^{-mu}.  The result is the exact pairing against the q-truncated
-    density, a polynomial in q of degree <= order with Q(t) coefficients.
-    """
-    fw = {(w if isinstance(w, Weight) else Weight(tuple(w))): QTRat._coerce(c) for w, c in f.items()}
-    gw = {(w if isinstance(w, Weight) else Weight(tuple(w))): QTRat._coerce(c) for w, c in g.items()}
-    targets = set()
-    for mu in fw:
-        for nu in gw:
-            targets.add(_weight_to_root_int(rs, nu - mu))
-    table = density_table(rs, frozenset(targets), order)
-    # accumulate strictly per q-order: orders beyond the truncation are unknown
-    per_order = [QTRat.zero() for _ in range(order + 1)]
-    for mu, cf in fw.items():
-        for nu, cg in gw.items():
-            key = _weight_to_root_int(rs, nu - mu)
-            coeff_series = (cf * cg).series_q(order)
-            for n in range(order + 1):
-                acc = QTRat.zero()
-                for k in range(n + 1):
-                    tp = table.get((key, n - k))
-                    if tp and not coeff_series[k].is_zero():
-                        acc = acc + coeff_series[k] * _tp_to_qtrat(tp)
-                if not acc.is_zero():
-                    per_order[n] = per_order[n] + acc
-    total = QTRat.zero()
-    for n, c in enumerate(per_order):
-        if not c.is_zero():
-            total = total + c * QTRat.q(n)
-    return total
-
-
 # -- Gram-Schmidt ------------------------------------------------------------------
 
 
@@ -455,8 +424,11 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
         x_n = g0^-1 (-rhs_n - sum_{k >= 1} g_k x_{n-k}).
 
     The recurrence runs on integers packed at t = 2^B, with B from a first run
-    on L1 majorants (t -> 1, every minus sign made plus).  Returns each
-    coefficient's q-series through the last order.
+    on L1 majorants (t -> 1, every minus sign made plus); exactness rests on
+    that width.  Each decoded entry is checked against its majorant, which
+    bounds the code path only: a width too narrow wraps into small
+    coefficients that pass it, and is caught later by the Pade acceptance.
+    Returns each coefficient's q-series through the last order.
     """
     inverse = _order0_inverse(gram)
     bound = _gram_recurrence(gram, rhs_series, inverse, _l1, 1)
@@ -466,6 +438,7 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
     for n, (xs, majorants) in enumerate(zip(packed, bound)):
         for col, (x, majorant) in enumerate(zip(xs, majorants)):
             tp = _unpack(x, bits)
+            # guards the two recurrence runs against each other, not the width
             if _l1(tp) > majorant:
                 raise AssertionError(f"Gram solution at q^{n} exceeds its L1 majorant")
             out[col].append(tp)

@@ -9,13 +9,15 @@ down to the integers.  A QTRat is a reduced fraction of two elements of
 (Z[t])[q] with integer content divided out and a positive leading denominator
 coefficient, so equal values always have equal representations.
 
-The package has one exact field elimination kernel, ``_rref``: a row-sparse
-reduced row echelon form that takes pivot columns in increasing order, so its
-output is the canonical RREF.  ``gauss_solve`` and ``gauss_nullspace`` are built
-on it and serve ``Fraction`` systems (the eigen base solve, the density's kernel
-functionals) and ``QTRat`` ones (the inverse of the oracle's order-0 Gram
-block).  The oracle's Pade step alone eliminates fraction-free over Z[t]
-(``macdonald._null_vector``); ``_rref`` remains the one field kernel.
+The package has one exact field elimination kernel, ``_rref``: a reduced row
+echelon form of sparse rows {col: value} that takes pivot columns in increasing
+order, so its output is the canonical RREF.  ``sparse_solve`` hands it sparse
+rows directly (the eigen base solve); ``gauss_solve`` and ``gauss_nullspace``
+take dense rows, convert them at their boundary and serve ``Fraction`` systems
+(the density's kernel functionals) and ``QTRat`` ones (the inverse of the
+oracle's order-0 Gram block).  The oracle's Pade step alone eliminates
+fraction-free over Z[t] (``macdonald._null_vector``); ``_rref`` remains the one
+field kernel.
 """
 from __future__ import annotations
 
@@ -384,45 +386,27 @@ class QTRat:
         (k, c), = self.den.items()
         return {dq - k: Fraction(tp[0], c[0]) for dq, tp in self.num.items()}
 
-    def series_q(self, order: int) -> list["QTRat"]:
-        """Power-series expansion in q to the given order; coefficients are t-only."""
-        if not self.num:
-            return [QTRat.zero()] * (order + 1)
-        vd = min(self.den)
-        if min(self.num) < vd:
-            raise ValueError("negative q-valuation: not a power series")
-        d0 = QTRat(Poly({0: self.den[vd]}))
-        out: list[QTRat] = []
-        for n in range(order + 1):
-            c = self.num.get(n + vd)
-            acc = QTRat(Poly({0: c})) if c else QTRat.zero()
-            for k in range(1, n + 1):
-                dk = self.den.get(k + vd)
-                if dk:
-                    acc = acc - QTRat(Poly({0: dk})) * out[n - k]
-            out.append(acc / d0)
-        return out
-
 
 # -- generic exact linear algebra (works over Fraction or QTRat) -----------------
 
 
 def _rref(rows, ncols):
-    """Row-sparse reduced row echelon form of a dense matrix over an exact field.
+    """Reduced row echelon form of sparse rows {col: value} over an exact field.
 
     Columns at or beyond ncols (an augmented right-hand side) are carried along
     but never pivoted on.  Pivot columns are taken in increasing order, so the
     result is the unique RREF whichever rows are chosen as pivots; the pivot row
     for a column is the candidate with the fewest nonzeros (lowest index on
-    ties), which keeps fill-in low.  Rows are {col: value} dicts with a
-    column -> rows index, so each elimination touches only the rows that hold
-    the pivot column and never multiplies a zero.
+    ties), which keeps fill-in low.  A column -> rows index means each
+    elimination touches only the rows that hold the pivot column and never
+    multiplies a zero.  The rows given are copied without their zero entries
+    and are not changed.
 
     Returns (pivots, rest): pivots lists (col, row) in increasing col, each row
     scaled to 1 at its own column and free of every other pivot column; rest
     holds the rows left without a pivot, which are zero on columns below ncols.
     """
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    sparse = [{c: x for c, x in row.items() if x} for row in rows]
     holders: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(sparse):
         for c in row:
@@ -466,23 +450,31 @@ def _rref(rows, ncols):
     return pivots, rest
 
 
+def sparse_solve(rows, ncols, zero):
+    """Solve over an exact field from sparse rows {col: value}, right-hand side at col ncols.
+
+    Returns x as a list of ncols values, or None if the system is inconsistent
+    or underdetermined.
+    """
+    pivots, rest = _rref(rows, ncols)
+    if any(rest) or len(pivots) < ncols:
+        return None
+    return [row.get(ncols, zero) for _, row in pivots]
+
+
 def gauss_solve(rows, rhs, zero):
-    """Solve M x = rhs over an exact field; returns x, or None if singular.
+    """Solve M x = rhs over an exact field from dense rows; returns x, or None if singular.
 
     None covers both an inconsistent and an underdetermined system.
     """
     if not rows:
         return []
-    m = len(rows[0])
-    pivots, rest = _rref([[*r, v] for r, v in zip(rows, rhs)], m)
-    if any(rest) or len(pivots) < m:
-        return None
-    return [row.get(m, zero) for _, row in pivots]
+    return sparse_solve([dict(enumerate([*r, v])) for r, v in zip(rows, rhs)], len(rows[0]), zero)
 
 
 def gauss_nullspace(rows, ncols, zero, one):
-    """Basis of the right nullspace of M over an exact field, one vector per free column."""
-    pivots, _ = _rref(rows, ncols)
+    """Basis of the right nullspace of dense M over an exact field, one vector per free column."""
+    pivots, _ = _rref([dict(enumerate(r)) for r in rows], ncols)
     pivot_cols = {c for c, _ in pivots}
     basis = []
     for fc in range(ncols):

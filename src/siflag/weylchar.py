@@ -31,7 +31,7 @@ from .charpoly import (
     freeness_ratio,
     t_op,
 )
-from .qt import gauss_solve
+from .qt import sparse_solve
 from .rootdata import (
     Coweight,
     RootSystem,
@@ -345,33 +345,30 @@ def eigen_solve_base(rs: RootSystem, lam: Weight, trunc: int) -> GenWeylChar:
             images[(loop, nu.coords)] = demazure_word(
                 rs, loop, CharPoly.monomial(nu.coords, 0))
 
-    zero, one = Fraction(0), Fraction(1)
+    exponents = {loop: loop_exponent(rs, loop, rs.identity, lam) for loop in loops}
     rows: dict = {}
-    for loop in loops:
-        m_eig = loop_exponent(rs, loop, rs.identity, lam)
+    for loop, m_eig in exponents.items():
         for (wt, n), pos in index.items():
             img = images[(loop, wt)]
             for (wt2, n2), c in img.terms.items():
                 row = rows.setdefault((loop, wt2, n2 + n), {})
-                row[pos] = row.get(pos, zero) + c
+                row[pos] = row.get(pos, 0) + c
             row = rows.setdefault((loop, wt, n + m_eig), {})
-            row[pos] = row.get(pos, zero) - 1
-    width = range(len(unknowns))
-    matrix = [[entries.get(pos, zero) for pos in width] for _, entries in sorted(rows.items())]
-    rhs = [zero] * len(matrix)
-    # normalization: extremal coefficient is exactly q^0
-    for n in range(trunc + 1):
-        row = [zero] * len(unknowns)
-        row[index[(lam.coords, n)]] = one
-        matrix.append(row)
-        rhs.append(one if n == 0 else zero)
+            row[pos] = row.get(pos, 0) - 1
+    # the kernel divides, so each nonzero enters it as a Fraction
+    ncols = len(unknowns)
+    system = [{pos: Fraction(c) for pos, c in entries.items() if c}
+              for _, entries in sorted(rows.items())]
+    # normalization: extremal coefficient is exactly q^0 (the right-hand side sits at ncols)
+    system.append({index[(lam.coords, 0)]: Fraction(1), ncols: Fraction(1)})
+    for n in range(1, trunc + 1):
+        system.append({index[(lam.coords, n)]: Fraction(1)})
 
-    sol = gauss_solve(matrix, rhs, zero)
+    sol = sparse_solve(system, ncols, 0)
     if sol is None:
         raise ValueError("loop eigen-system is not uniquely solvable on this window")
     value = CharPoly({key: c for key, c in zip(unknowns, sol) if c})
-    for loop in loops:
-        m_eig = loop_exponent(rs, loop, rs.identity, lam)
+    for loop, m_eig in exponents.items():
         if demazure_word(rs, loop, value) != value.shift_q(m_eig):
             raise ValueError("eigen candidate fails the exact loop identity")
     return GenWeylChar(lam, rs.identity, value)

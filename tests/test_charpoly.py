@@ -17,6 +17,8 @@ from siflag.charpoly import (
     freeness_ratio,
     t_op,
 )
+from siflag.macdonald import EPoly, gram_schmidt_E, specialize
+from siflag.qt import QTRat
 from siflag.rootdata import Weight, build_root_system
 
 A1 = build_root_system("A", 1)
@@ -229,3 +231,68 @@ def test_series_equality_and_discrepancy():
     a = CharSeries.from_poly(mono(1) + mono(-1, n=1), 8)
     b = CharSeries.from_poly(mono(1) + mono(-1, n=1).scale(2), 8)
     assert not a.equal_upto_watermark(b)
+
+
+def assert_exact(p):
+    """Every coefficient is an int, or a Fraction that is not integral; never a float."""
+    for key, c in p.terms.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (key, c)
+
+
+def test_coefficients_are_int_or_fraction_never_float():
+    rng = random.Random(5)
+    half = Fraction(1, 2)
+    for rs in (A1, A2, C2, G2):
+        for _ in range(6):
+            f = random_charpoly(rs, rng, 5)
+            # halves that sum to whole numbers under the operators and the ring operations
+            g = f + random_charpoly(rs, rng, 3).scale(half) + random_charpoly(rs, rng, 3).scale(half)
+            for p in (f, g):
+                assert_exact(p)
+                assert_exact(p + p)
+                assert_exact(p * p)
+                assert_exact(p.scale(2))
+                for i in range(rs.rank + 1):
+                    assert_exact(demazure_op(rs, i, p))
+                    assert_exact(t_op(rs, i, p))
+    assert type(CharPoly.monomial((1,), 0, Fraction(4, 2)).coeff((1,), 0)) is int
+    assert_exact(mono(1).scale(half) + mono(1).scale(half))
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            CharPoly.monomial((1,), 0, bad)
+        with pytest.raises(TypeError):
+            mono(1).scale(bad)
+    assert_exact(freeness_ratio(A2, Weight((0, 1)), Weight((3, 2))))
+    assert_exact(freeness_factor(G2, Weight((2, 1)), 12).poly)
+
+
+def test_exact_divide_divides_exactly():
+    two = mono(0, c=2)
+    # minimal divisor coefficient 2: halves come out as Fractions, whole quotients as ints
+    q = exact_divide(mono(0) + mono(1, n=1), two)
+    assert_exact(q)
+    assert q == mono(0, c=Fraction(1, 2)) + mono(1, n=1, c=Fraction(1, 2))
+    q = exact_divide(mono(0, c=4) - mono(2, n=1, c=6), two)
+    assert_exact(q)
+    assert q == mono(0, c=2) - mono(2, n=1, c=3)
+    d = two + mono(2, n=1) - mono(-2, n=2, c=3)
+    rng = random.Random(11)
+    for _ in range(10):
+        q = random_charpoly(A1, rng, 4) + random_charpoly(A1, rng, 2).scale(Fraction(1, 3))
+        got = exact_divide(q * d, d)
+        assert got == q
+        assert_exact(got)
+
+
+def test_specialized_coefficients_are_exact():
+    w = Weight((1,))
+    q, t = QTRat.q(), QTRat.t()
+    third = QTRat.from_fraction(Fraction(1, 3))
+    rational = EPoly(w, {w: QTRat.one(), -w: third + q * t + QTRat.from_int(2) / (QTRat.one() + t)})
+    got = specialize(rational, "t0")
+    assert_exact(got)
+    assert got.coeff((-1,), 0) == Fraction(7, 3)
+    assert type(got.coeff((1,), 0)) is int
+    for gamma in ((2,), (-2,)):
+        for modes in ("t0", "tinf", "tinf,qinv"):
+            assert_exact(specialize(gram_schmidt_E(A1, Weight(gamma)), modes))

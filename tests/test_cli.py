@@ -279,3 +279,30 @@ def test_emac_bytes_are_pinned(capsys, case):
     assert main(["emac", "--type", type_name, f"--gamma={gamma}", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EMAC[(type_name, gamma)]
+
+
+# sha256 of `weylchar --w e --format json`: the eigen bases of the weights in the
+# eigen-rank2 and eigen-rank3 pools of perfbench (the digests of reference.json)
+PINNED_BASES = {
+    ("B2", "1,0"): "3b88acb20b43730db11b414765d419e675f6e2955d2cf7b700e06628a49bcb8a",
+    ("B2", "0,1"): "23f8df2b8455d3f1b38c77701e9b5f3458ca5596b1971ce2f9816b4d9ad3b0ac",
+    ("B2", "1,1"): "1ec972994b4f66eec1e987fb84a29d8ea4e7e6bcd254c4acb2bc3f2a6a339471",
+    ("C2", "1,0"): "63a66b59ecb29b1ea952235bd2ef656d22ca312bcb38ca730ea329076fa134d1",
+    ("C2", "0,1"): "c9f59af545537e737633f6cc53b3bd9ab3459e3d0f17ce75967b47fbdabcf274",
+    ("C2", "1,1"): "8fb56157c5cb39b10a77ed6ff0be760206000107f61cb4a1d193b221ac33c108",
+    ("G2", "1,0"): "314fbb523e78c2e72c4ee09bf97a06d9fc625eefaad7c4652c7edcb487895551",
+    ("G2", "0,1"): "45b9aa0eb5834404f245aa8a6d06e34b905708cb3b461ed16beb8eedb001defd",
+    ("G2", "2,0"): "a297e1866a4bde5ca58d29a3483a9c9bea4e381bb3e9f5349bf598bef5b98203",
+    ("A3", "1,0,0"): "20ffc5eb6625e9e97b52c71cceebb009f44ae73d4df2161b2618a551c8ba6af2",
+    ("A3", "0,1,0"): "b054001376b3b449edd1102bbd0b7d1181a899e175aa641c23f13b149dcd3d71",
+    ("A3", "0,0,1"): "0233d48c2e12a1ba9e6d3f25191253a7b86cd2c71f3754aff9957f9f2e8696f5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BASES), ids=":".join)
+def test_eigen_base_bytes_are_pinned(capsys, case):
+    type_name, lam = case
+    argv = ["weylchar", "--type", type_name, "--lambda", lam, "--w", "e", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BASES[(type_name, lam)]

@@ -21,7 +21,6 @@ from siflag.macdonald import (
     _tp_to_qtrat,
     _weight_to_root_int,
     bar_conjugate,
-    density_ct_pair,
     default_truncation,
     density_table,
     gram_schmidt_E,
@@ -62,6 +61,70 @@ def test_hull_weights():
     hull = hull_weights(A2, rho)
     assert len(hull) == 7  # six-point orbit plus the origin
     assert Weight((0, 0)) in hull
+
+
+# -- reference: pairings and q-expansions in Q(t), coefficient by coefficient -----
+
+
+def series_q(f: QTRat, order: int) -> list[QTRat]:
+    """Power-series expansion of f in q to the given order; coefficients are t-only."""
+    if not f.num:
+        return [QTRat.zero()] * (order + 1)
+    vd = min(f.den)
+    if min(f.num) < vd:
+        raise ValueError("negative q-valuation: not a power series")
+    d0 = QTRat(Poly({0: f.den[vd]}))
+    out: list[QTRat] = []
+    for n in range(order + 1):
+        c = f.num.get(n + vd)
+        acc = QTRat(Poly({0: c})) if c else QTRat.zero()
+        for k in range(1, n + 1):
+            dk = f.den.get(k + vd)
+            if dk:
+                acc = acc - QTRat(Poly({0: dk})) * out[n - k]
+        out.append(acc / d0)
+    return out
+
+
+def density_ct_pair(rs, f: dict, g: dict, order: int) -> QTRat:
+    """Constant term of f g* Delta, per q-order up to the given order, as one QTRat.
+
+    f and g map Weights to QTRat coefficients; g* sends e^mu to e^{-mu}.  The
+    result is the exact pairing against the q-truncated density, a polynomial
+    in q of degree <= order with Q(t) coefficients.
+    """
+    targets = {_weight_to_root_int(rs, nu - mu) for mu in f for nu in g}
+    table = density_table(rs, frozenset(targets), order)
+    # accumulate strictly per q-order: orders beyond the truncation are unknown
+    per_order = [QTRat.zero() for _ in range(order + 1)]
+    for mu, cf in f.items():
+        for nu, cg in g.items():
+            key = _weight_to_root_int(rs, nu - mu)
+            coeff_series = series_q(cf * cg, order)
+            for n in range(order + 1):
+                acc = QTRat.zero()
+                for k in range(n + 1):
+                    tp = table.get((key, n - k))
+                    if tp and not coeff_series[k].is_zero():
+                        acc = acc + coeff_series[k] * _tp_to_qtrat(tp)
+                if not acc.is_zero():
+                    per_order[n] = per_order[n] + acc
+    total = QTRat.zero()
+    for n, c in enumerate(per_order):
+        if not c.is_zero():
+            total = total + c * QTRat.q(n)
+    return total
+
+
+def test_series_q():
+    f = ONE / (ONE - Q * T)
+    coeffs = series_q(f, 4)
+    assert coeffs[0] == ONE
+    assert coeffs[3] == T * T * T
+    g = (ONE - T) / (ONE - Q * T)
+    s = series_q(g, 3)
+    assert s[0] == ONE - T
+    assert s[2] == T * T - T * T * T
 
 
 def test_density_ct_pair_trivials():
@@ -437,7 +500,7 @@ def _pade_reconstruct(series: list[QTRat], order: int) -> QTRat:
             num = num + acc * QTRat.q(n)
         cand = num / den
         try:
-            expanded = cand.series_q(len(series) - 1)
+            expanded = series_q(cand, len(series) - 1)
         except ValueError:
             continue
         if all(expanded[n] == series[n] for n in range(len(series))):
@@ -450,7 +513,7 @@ def _verify_orthogonality(rs, epoly: EPoly, lower, table: PairingTable):
     big = table.order
     coeff_series = {}
     for mu, c in epoly.coeffs.items():
-        coeff_series[mu] = c.series_q(big)
+        coeff_series[mu] = series_q(c, big)
     for nu in lower:
         pair_series = {mu: table.series(mu, nu) for mu in coeff_series}
         for n in range(big + 1):
@@ -594,6 +657,17 @@ def test_halved_packing_width_raises(monkeypatch):
     monkeypatch.setattr(macdonald, "_width", _halve_width)
     with pytest.raises(ValueError, match="rational reconstruction failed"):
         gram_schmidt_E(A1, gamma)
+
+
+def test_halved_packing_width_with_a_cold_density_raises(monkeypatch):
+    # the density packs with too few bits as well: its decoded entries wrap into
+    # small coefficients that pass their majorant check, so only a later stage
+    # can stop the run, and it must, rather than return a wrong E
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
+    monkeypatch.setattr(macdonald, "_width", _halve_width)
+    with pytest.raises(ValueError, match="rational reconstruction failed"):
+        gram_schmidt_E(A1, Weight((-2,)))
 
 
 def test_halved_packing_width_raises_under_python_O():

@@ -14,6 +14,7 @@ from siflag.qt import (
     gauss_nullspace,
     gauss_solve,
     p_str,
+    sparse_solve,
 )
 
 Q = QTRat.q()
@@ -110,17 +111,6 @@ def test_as_q_laurent():
         (ONE / (ONE - Q)).as_q_laurent()
     with pytest.raises(ValueError):
         ((ONE - T) / (ONE - Q * T)).as_q_laurent()
-
-
-def test_series_q():
-    f = ONE / (ONE - Q * T)
-    coeffs = f.series_q(4)
-    assert coeffs[0] == ONE
-    assert coeffs[3] == T * T * T
-    g = (ONE - T) / (ONE - Q * T)
-    s = g.series_q(3)
-    assert s[0] == ONE - T
-    assert s[2] == T * T - T * T * T
 
 
 def test_p_str_formats():
@@ -571,37 +561,47 @@ def _matvec(rows, x):
     return [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
 
 
-@pytest.mark.parametrize("shape", [
-    "square", "singular", "inconsistent", "underdetermined", "tall", "zero_rows"])
+SHAPES = ["square", "singular", "inconsistent", "underdetermined", "tall", "zero_rows"]
+
+
+def _shaped_system(rng, shape):
+    """A seeded Fraction system (rows, rhs) of the named shape."""
+    zero = Fraction(0)
+    if shape == "square":
+        n = m = rng.randint(1, 7)
+        rows = _random_system(rng, n, m, m, fill=0.7)
+    elif shape == "singular":
+        n = m = rng.randint(2, 7)
+        rows = _random_system(rng, n, m, m - 1)
+    elif shape == "inconsistent":
+        n, m = rng.randint(3, 8), rng.randint(1, 4)
+        rows = _random_system(rng, n, m, m)
+    elif shape == "underdetermined":
+        n, m = rng.randint(1, 5), rng.randint(6, 9)
+        rows = _random_system(rng, n, m, n, fill=0.7)
+    elif shape == "tall":
+        n, m = rng.randint(6, 10), rng.randint(1, 5)
+        rows = _random_system(rng, n, m, m, fill=0.7)
+    else:
+        n = m = rng.randint(2, 7)
+        rows = _random_system(rng, n, m, m, fill=0.7)
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            rows[i] = [zero] * m
+    if shape == "inconsistent":
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+    else:
+        rhs = _matvec(rows, [Fraction(rng.randint(-5, 5)) for _ in range(m)])
+    return rows, rhs
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_gauss_kernel_matches_dense_reference(shape):
     rng = random.Random(sum(map(ord, shape)))
     zero, one = Fraction(0), Fraction(1)
     checked = 0
     for _ in range(25):
-        if shape == "square":
-            n = m = rng.randint(1, 7)
-            rows = _random_system(rng, n, m, m, fill=0.7)
-        elif shape == "singular":
-            n = m = rng.randint(2, 7)
-            rows = _random_system(rng, n, m, m - 1)
-        elif shape == "inconsistent":
-            n, m = rng.randint(3, 8), rng.randint(1, 4)
-            rows = _random_system(rng, n, m, m)
-        elif shape == "underdetermined":
-            n, m = rng.randint(1, 5), rng.randint(6, 9)
-            rows = _random_system(rng, n, m, n, fill=0.7)
-        elif shape == "tall":
-            n, m = rng.randint(6, 10), rng.randint(1, 5)
-            rows = _random_system(rng, n, m, m, fill=0.7)
-        else:
-            n = m = rng.randint(2, 7)
-            rows = _random_system(rng, n, m, m, fill=0.7)
-            for i in rng.sample(range(n), rng.randint(1, n - 1)):
-                rows[i] = [zero] * m
-        if shape == "inconsistent":
-            rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        else:
-            rhs = _matvec(rows, [Fraction(rng.randint(-5, 5)) for _ in range(m)])
+        rows, rhs = _shaped_system(rng, shape)
+        m = len(rows[0])
         want = _dense_solve(rows, rhs, zero)
         assert gauss_solve(rows, rhs, zero) == want
         if want is not None:
@@ -615,6 +615,46 @@ def test_gauss_kernel_matches_dense_reference(shape):
         else:
             checked += want is None
     assert checked >= 5, "the seeded systems never reach the shape under test"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sparse_solve_matches_dense_reference(shape):
+    """sparse_solve on {col: value} rows, some with explicit zeros, against the dense route."""
+    rng = random.Random("sparse:" + shape)
+    zero = Fraction(0)
+    checked = 0
+    for _ in range(25):
+        rows, rhs = _shaped_system(rng, shape)
+        m = len(rows[0])
+        sparse = []
+        for row, v in zip(rows, rhs):
+            entry = {c: x for c, x in enumerate([*row, v]) if x}
+            for c in rng.sample(range(m + 1), rng.randint(0, 2)):
+                entry.setdefault(c, zero)
+            sparse.append(entry)
+        given = [dict(entry) for entry in sparse]
+        want = _dense_solve(rows, rhs, zero)
+        got = sparse_solve(sparse, m, zero)
+        assert got == want == gauss_solve(rows, rhs, zero)
+        assert sparse == given, "the kernel changed the rows it was given"
+        if shape in ("singular", "underdetermined", "zero_rows"):
+            assert got is None
+        checked += (got is None) != (shape in ("square", "tall"))
+    assert checked >= 5, "the seeded systems never reach the shape under test"
+
+
+def test_sparse_solve_skips_an_explicit_zero_pivot():
+    # column 0's shortest holder is the explicit zero of row 0: it must not become the pivot
+    zero, one = Fraction(0), Fraction(1)
+    rows = [{0: zero, 1: one, 3: Fraction(2)},
+            {0: Fraction(2), 1: one, 2: Fraction(3), 3: Fraction(7)},
+            {1: one, 2: Fraction(2), 3: Fraction(4)}]
+    x = sparse_solve(rows, 3, zero)
+    assert x == gauss_solve([[zero, one, zero], [Fraction(2), one, Fraction(3)],
+                             [zero, one, Fraction(2)]], [Fraction(2), Fraction(7), Fraction(4)], zero)
+    assert x == [one, Fraction(2), one]
+    assert sparse_solve(rows[:2], 3, zero) is None
+    assert sparse_solve([{0: one, 1: zero}], 1, zero) == [zero]
 
 
 def test_gauss_kernel_matches_dense_reference_over_qtrat():
