@@ -28,12 +28,13 @@ in t).  Every root's density factor has the same closed-form column of
 coefficients of its powers e^{k alpha} (the q-binomial theorem), and the product
 over the roots keeps only states that a per-suffix reachability budget lets
 still land on a wanted weight.  The orthogonality system is solved order by
-order over Z[t] (the order-0 block is unimodular, so every order of every
-coefficient is an integer t-polynomial), the rational function behind each
-coefficient series is recovered by a fraction-free Pade step, and the result is
-re-verified against five extra q-orders.  The density and all three later
-stages compute on t-polynomials packed into integers at t = 2^B, with B from an
-L1 majorant of what they compute, and decode only their results.
+order over Z[t] by forward substitution, with no inverse and no field (listed
+by root-lattice height, the order-0 block is unit lower triangular), the
+rational function behind each coefficient series is recovered by a
+fraction-free Pade step, and the result is re-verified against five extra
+q-orders.  The density and all three later stages compute on t-polynomials
+packed into integers at t = 2^B, with B from an L1 majorant of what they
+compute, and decode only their results.
 """
 from __future__ import annotations
 
@@ -41,14 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .qt import Poly, QTRat, gauss_nullspace, gauss_solve, p_gcd
+from .qt import Poly, QTRat, gauss_nullspace, p_gcd
 from .rootdata import RootSystem, Weight, hull_weights
 
 
 # -- the triangular order -------------------------------------------------------
 
 
-def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list[Weight]:
+def triangular_order_ideal(rs: RootSystem, gamma: Weight) -> list[Weight]:
     """The order ideal below gamma, listed in a linear extension (gamma last).
 
     nu precedes mu when nu+ < mu+ in dominance, or they share an orbit and the
@@ -67,8 +68,7 @@ def triangular_order_ideal(rs: RootSystem, gamma: Weight, reverse_ties: bool = F
     def level(nu: Weight) -> tuple:
         nu_plus, v_nu = rs.dominant_representative(nu)
         ht = sum(rs.weight_to_root(nu_plus))
-        tie = tuple(-c for c in nu.coords) if reverse_ties else nu.coords
-        return (ht, v_nu.length(), tie)
+        return (ht, v_nu.length(), nu.coords)
 
     members.sort(key=level)
     if members[-1] != gamma:
@@ -375,7 +375,7 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     Solved order by order in q over Z[t] up to default_truncation, reconstructed
     to exact rational coefficients, and re-verified on five extra q-orders;
     raises when that truncation is too small to pin the answer.  reverse_ties
-    reverses the linear extension of the triangular order (the result must not
+    reverses the order of the unknowns of equal height (the result must not
     change).
     """
     if rs.rank > 2:
@@ -386,8 +386,7 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     if got is not None:
         return got
 
-    ideal = triangular_order_ideal(rs, gamma, reverse_ties=reverse_ties)
-    lower = ideal[:-1]
+    lower = _unknowns(rs, gamma, reverse_ties)
     if not lower:
         result = EPoly(gamma, {gamma: QTRat.one()})
         _E_CACHE[cache_key] = result
@@ -410,18 +409,27 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     return result
 
 
-def _tp_to_qtrat(tp: Poly) -> QTRat:
-    return QTRat(Poly({0: tp}) if tp else Poly())
+def _unknowns(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list[Weight]:
+    """gamma's strict order ideal by root-lattice height, ties in (reversed) triangular order.
+
+    The q^0 density lives on Q_+ with constant term 1, so the q^0 term of
+    <e^mu, e^nu> vanishes unless nu = mu or ht nu > ht mu: in this listing the
+    order-0 Gram block is unit lower triangular.
+    """
+    lower = triangular_order_ideal(rs, gamma)[:-1]
+    if reverse_ties:
+        lower.reverse()
+    return sorted(lower, key=lambda nu: sum(rs.weight_to_root(nu)))
 
 
 def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
     """Per-q-order solve of sum_mu c_mu <e^mu, e^nu> = -<e^gamma, e^nu> over Z[t].
 
-    The density at q^0 is supported on Q_+ with constant term 1, so the order-0
-    block g0 is unitriangular once the weights are listed along dominance.  Its
-    inverse, computed once, lies in Z[t], and so does every order of
+    The unknowns come listed by height (see _unknowns), so the order-0 block g0
+    must be unit lower triangular; that is checked once here.  Then every order
+    of every coefficient lies in Z[t], found by forward substitution in
 
-        x_n = g0^-1 (-rhs_n - sum_{k >= 1} g_k x_{n-k}).
+        g0 x_n = -rhs_n - sum_{k >= 1} g_k x_{n-k}.
 
     The recurrence runs on integers packed at t = 2^B, with B from a first run
     on L1 majorants (t -> 1, every minus sign made plus); exactness rests on
@@ -430,10 +438,15 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
     coefficients that pass it, and is caught later by the Pade acceptance.
     Returns each coefficient's q-series through the last order.
     """
-    inverse = _order0_inverse(gram)
-    bound = _gram_recurrence(gram, rhs_series, inverse, _l1, 1)
+    for i, row in enumerate(gram):
+        if not row[i][0]:
+            raise ValueError(
+                "pairing matrix singular at order 0: truncation too small or order ideal wrong")
+        if row[i][0] != {0: 1} or any(entry[0] for entry in row[i + 1:]):
+            raise ValueError("order-0 pairing block is not unimodular over Z[t]")
+    bound = _gram_recurrence(gram, rhs_series, _l1, 1)
     bits = _width(max(max(xs) for xs in bound))
-    packed = _gram_recurrence(gram, rhs_series, inverse, lambda tp: _pack(tp, bits), -1)
+    packed = _gram_recurrence(gram, rhs_series, lambda tp: _pack(tp, bits), -1)
     out: list[list[Poly]] = [[] for _ in rhs_series]
     for n, (xs, majorants) in enumerate(zip(packed, bound)):
         for col, (x, majorant) in enumerate(zip(xs, majorants)):
@@ -445,41 +458,24 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
     return out
 
 
-def _order0_inverse(gram) -> list[list[Poly]]:
-    """The inverse of the order-0 pairing block, which must lie in Z[t]."""
-    m = len(gram)
-    zero, one = QTRat.zero(), QTRat.one()
-    g0 = [[_tp_to_qtrat(entry[0]) for entry in row] for row in gram]
-    inverse = [[None] * m for _ in range(m)]
-    for j in range(m):
-        x = gauss_solve(g0, [one if i == j else zero for i in range(m)], zero)
-        if x is None:
-            raise ValueError(
-                "pairing matrix singular at order 0: truncation too small or order ideal wrong")
-        for i, c in enumerate(x):
-            if c.den != one.den or any(c.num.keys() - {0}):
-                raise ValueError("order-0 pairing block is not unimodular over Z[t]")
-            inverse[i][j] = c.num.get(0, Poly())
-    return inverse
+def _gram_recurrence(gram, rhs_series, value, sign) -> list[list[int]]:
+    """x_n[i] = sign (rhs_n[i] + sum_{k >= 0} (g_k x_{n-k})[i]), t-polynomials mapped by value.
 
-
-def _gram_recurrence(gram, rhs_series, inverse, value, sign) -> list[list[int]]:
-    """x_n = inverse (sign (rhs_n + sum_{k >= 1} g_k x_{n-k})), t-polynomials mapped by value."""
+    At k = 0 it reads only the x_n[j], j < i, already found: forward substitution.
+    """
     big = len(rhs_series[0]) - 1
-    inv = [[value(tp) for tp in row] for row in inverse]
     # the Gram entries are the pairing table's own polynomials, many shared
     vals = {id(tp): value(tp) for row in gram for entry in row for tp in entry if tp}
     xs: list[list[int]] = []
     for n in range(big + 1):
-        r = []
+        xs.append([])
         for g_row, rhs in zip(gram, rhs_series):
             acc = value(rhs[n])
-            for k in range(1, n + 1):
+            for k in range(n + 1):
                 for g, x in zip(g_row, xs[n - k]):
                     if x and g[k]:
                         acc += vals[id(g[k])] * x
-            r.append(sign * acc)
-        xs.append([sum(a * b for a, b in zip(row, r)) for row in inv])
+            xs[n].append(sign * acc)
     return xs
 
 

@@ -12,12 +12,12 @@ coefficient, so equal values always have equal representations.
 The package has one exact field elimination kernel, ``_rref``: a reduced row
 echelon form of sparse rows {col: value} that takes pivot columns in increasing
 order, so its output is the canonical RREF.  ``sparse_solve`` hands it sparse
-rows directly (the eigen base solve); ``gauss_solve`` and ``gauss_nullspace``
-take dense rows, convert them at their boundary and serve ``Fraction`` systems
-(the density's kernel functionals) and ``QTRat`` ones (the inverse of the
-oracle's order-0 Gram block).  The oracle's Pade step alone eliminates
-fraction-free over Z[t] (``macdonald._null_vector``); ``_rref`` remains the one
-field kernel.
+rows directly (the eigen base solve), as does ``rootdata._invert`` (integer
+matrices beside the identity); ``gauss_solve`` and ``gauss_nullspace`` take
+dense rows.  The package feeds it
+only ``Fraction`` systems (``QTRat`` ones serve the tests as a Q(t) reference).
+The only other elimination is the oracle's fraction-free Pade step over Z[t]
+(``macdonald._null_vector``).
 """
 from __future__ import annotations
 

@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
+from .qt import _rref
+
 Coords = tuple[int, ...]
 
 SUPPORTED = (
@@ -374,6 +376,8 @@ class RootSystem:
             # transpose of the action matrix; inverting it returns rows that are exactly
             # the coordinate vectors of w^{-1}(w_j).  Weyl matrices are unimodular.
             inv = _invert(w.cols)
+            if inv is None:
+                raise ValueError(f"{w.cols} is not a Weyl group element: it is singular")
             if any(x.denominator != 1 for row in inv for x in row):
                 raise ValueError(f"{w.cols} is not a Weyl group element: inverse is not integral")
             got = WeylElement(self, tuple(tuple(int(x) for x in row) for row in inv))
@@ -468,21 +472,15 @@ def _apply(cols: Sequence[Coords], vec: Coords) -> Coords:
     return tuple(out)
 
 
-def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small integer matrix."""
+def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Exact inverse of a small integer matrix, or None if it is singular."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows = [{**{j: Fraction(x) for j, x in enumerate(row)}, n + i: Fraction(1)}
+            for i, row in enumerate(mat)]
+    pivots, _ = _rref(rows, n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in pivots)
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:

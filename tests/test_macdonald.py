@@ -18,7 +18,6 @@ from siflag.macdonald import (
     _DensityExpansion,
     _integer_kernel,
     _pairing_table,
-    _tp_to_qtrat,
     _weight_to_root_int,
     bar_conjugate,
     default_truncation,
@@ -64,6 +63,10 @@ def test_hull_weights():
 
 
 # -- reference: pairings and q-expansions in Q(t), coefficient by coefficient -----
+
+
+def _tp_to_qtrat(tp: Poly) -> QTRat:
+    return QTRat(Poly({0: tp}) if tp else Poly())
 
 
 def series_q(f: QTRat, order: int) -> list[QTRat]:
@@ -337,15 +340,15 @@ def test_a1_calibration_anchor_exact():
 
 
 def test_gram_schmidt_independent_of_linear_extension():
-    gamma = Weight((0, -1))
-    fwd = triangular_order_ideal(A2, gamma)
-    rev = triangular_order_ideal(A2, gamma, reverse_ties=True)
-    assert set(fwd) == set(rev)
-    assert fwd[-1] == rev[-1] == gamma
-
-    a = gram_schmidt_E(A2, gamma)
-    b = gram_schmidt_E(A2, gamma, reverse_ties=True)
-    assert a.coeffs == b.coeffs
+    # weights whose unknowns include ties in height, so the two listings differ
+    for rs, coords in ((A2, (-2, 0)), (B2, (0, -2)), (C2, (-2, 0)), (G2, (0, -1))):
+        gamma = Weight(coords)
+        fwd = macdonald._unknowns(rs, gamma)
+        rev = macdonald._unknowns(rs, gamma, reverse_ties=True)
+        assert fwd != rev and set(fwd) == set(rev)
+        a = gram_schmidt_E(rs, gamma)
+        b = gram_schmidt_E(rs, gamma, reverse_ties=True)
+        assert a.coeffs == b.coeffs
 
 
 def test_orthogonality_postcheck():
@@ -592,7 +595,7 @@ def test_null_vector_spans_the_first_free_column(rows, cols, rank):
 def _fresh_series(rs, gamma):
     """The coefficient q-series of the packed solve for E_gamma, with the Pade order and table."""
     order = default_truncation(rs, gamma)
-    lower = triangular_order_ideal(rs, gamma)[:-1]
+    lower = macdonald._unknowns(rs, gamma)
     gamma_plus, _ = rs.dominant_representative(gamma)
     table = _pairing_table(rs, gamma_plus, order + _EXTRA_ORDERS)
     gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
@@ -616,6 +619,18 @@ def test_pade_rejects_a_series_outside_the_box():
         macdonald._pade_reconstruct(facts, 4)
 
 
+def _tps(*coeff_lists):
+    return [Poly({d: c for d, c in enumerate(cs) if c}) for cs in coeff_lists]
+
+
+# a 2x2 Gram system over Z[t] through q^3, order-0 block [[1, 0], [1 - t, 1]]
+_LOWER_BLOCK = (
+    [[_tps([1], [0, 1], [], [2]), _tps([], [1], [0, 1], [])],
+     [_tps([1, -1], [], [3], [0, 1]), _tps([1], [], [0, 0, 1], [1])]],
+    [_tps([1], [0, 2], [-1], []), _tps([0, 1], [1], [], [1, 1])],
+)
+
+
 def test_order0_block_must_be_unimodular():
     one = [Poly({0: 1})]
     with pytest.raises(ValueError, match="not unimodular over Z\\[t\\]"):
@@ -624,6 +639,31 @@ def test_order0_block_must_be_unimodular():
         macdonald._solve_orthogonality([[[Poly({0: 1, 1: 1})]]], [one])
     with pytest.raises(ValueError, match="pairing matrix singular at order 0"):
         macdonald._solve_orthogonality([[[Poly()]]], [one])
+
+    # a unit lower triangular block is solved by substitution, as over Q(t)
+    gram, rhs_series = _LOWER_BLOCK
+    got = macdonald._solve_orthogonality(gram, rhs_series)
+    want = _solve_orthogonality(gram, rhs_series, len(rhs_series[0]) - 1)
+    assert [[_tp_to_qtrat(tp) for tp in xs] for xs in got] == [list(col) for col in zip(*want)]
+    # its transpose is unimodular too, but not listed by height
+    with pytest.raises(ValueError, match="not unimodular over Z\\[t\\]"):
+        macdonald._solve_orthogonality([list(col) for col in zip(*gram)], rhs_series)
+
+
+def test_order0_block_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "from siflag.macdonald import _solve_orthogonality\n"
+        "from siflag.qt import Poly\n"
+        "one, tp = Poly({0: 1}), Poly({0: 1, 1: -1})\n"
+        "_solve_orthogonality([[[one], [tp]], [[Poly()], [one]]], [[one], [one]])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "ValueError: order-0 pairing block is not unimodular over Z[t]" in proc.stderr
 
 
 def test_perturbed_coefficient_fails_reverification():

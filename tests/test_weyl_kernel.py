@@ -1,7 +1,8 @@
-"""The integer Weyl-group kernel against the Fraction reference it replaced.
+"""The integer Weyl-group kernel against references that use no elimination.
 
 Inverses are memoised on the root system and the affine product needs no
-inverse at all; both must agree with Gauss-Jordan inversion over Fraction.
+inverse at all; both must agree with the group inverse read off a reduced
+word, and the Cartan inverse must multiply the Cartan matrix to the identity.
 """
 from __future__ import annotations
 
@@ -10,14 +11,14 @@ import random
 import pytest
 
 from siflag.affine import AffineElement
-from siflag.rootdata import Coweight, WeylElement, _invert, build_root_system
+from siflag.rootdata import SUPPORTED, Coweight, WeylElement, build_root_system
 
 KERNEL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2))
 
 
 def _reference_inverse(w: WeylElement) -> WeylElement:
-    inv = _invert(w.cols)
-    return WeylElement(w.rs, tuple(tuple(int(x) for x in row) for row in inv))
+    # (s_i1 ... s_ik)^-1 = s_ik ... s_i1
+    return w.rs.element_from_word(reversed(w.word()))
 
 
 def _reference_mul(x: AffineElement, y: AffineElement) -> AffineElement:
@@ -27,7 +28,7 @@ def _reference_mul(x: AffineElement, y: AffineElement) -> AffineElement:
     return AffineElement(x.finite * y.finite, trans)
 
 
-@pytest.mark.parametrize("key", KERNEL_TYPES)
+@pytest.mark.parametrize("key", SUPPORTED)
 def test_memoised_inverse_matches_fraction_reference(key):
     rs = build_root_system(*key)
     for w in rs.weyl_elements():
@@ -36,6 +37,16 @@ def test_memoised_inverse_matches_fraction_reference(key):
         assert inv.inverse() == w
         assert (w * inv).is_identity()
     assert rs.theta_reflection() is rs.theta_reflection()
+
+
+@pytest.mark.parametrize("key", SUPPORTED)
+def test_cartan_inverse(key):
+    rs = build_root_system(*key)
+    n = rs.rank
+    assert all(
+        sum(rs.cartan[i][k] * rs.cartan_inv[k][j] for k in range(n)) == (i == j)
+        for i in range(n) for j in range(n)
+    )
 
 
 @pytest.mark.parametrize("key", KERNEL_TYPES)
@@ -53,3 +64,9 @@ def test_non_integral_inverse_raises():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError, match="not integral"):
         WeylElement(rs, ((2, 0), (0, 1))).inverse()
+
+
+def test_singular_inverse_raises():
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="is not a Weyl group element: it is singular"):
+        WeylElement(rs, ((0, 0), (0, 1))).inverse()
