@@ -98,9 +98,12 @@ def _build_rs(args) -> RootSystem:
     try:
         if name.isalpha():
             return build_root_system(name.upper(), args.rank)
-        return from_name(name)
+        rs = from_name(name)
     except ValueError as err:
         raise SystemExit(str(err))
+    if args.rank is not None and args.rank != rs.rank:
+        raise SystemExit(f"--rank {args.rank} does not match --type {name}")
+    return rs
 
 
 # -- emission -------------------------------------------------------------------
@@ -168,6 +171,9 @@ def run_suite(config: RunConfig) -> Report:
         if unreferenced:
             print(f"note: {unreferenced} cor case(s) passed with no independent reference; "
                   "only their exact (1 - q^a) divisions were checked", file=sys.stderr)
+    elif config.suite in ("cor", "all") and config.max_weight > verify.COR_MAX_WEIGHT:
+        print(f"note: cor cases capped at --max-weight {verify.COR_MAX_WEIGHT} on "
+              f"{rs.type_label}{rs.rank}, where the oracle is their reference", file=sys.stderr)
     return Report(config.suite, f"{rs.type_label}{rs.rank}", results)
 
 
@@ -181,14 +187,17 @@ def parse_args(argv) -> RunConfig:
                     "and nonsymmetric Macdonald specializations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lambda=False):
+    def common(p, need_lambda=False, trunc=False, fmt=False):
         p.add_argument("--type", help="root system, e.g. A2, C2, G2")
-        p.add_argument("--rank", type=int, help="rank when --type is a bare letter")
-        p.add_argument("--trunc", type=int, default=20,
-                       help="q-series truncation order of weylchar --global and twisted; "
-                            "verify accepts it but its verdicts do not depend on it")
-        p.add_argument("--format", dest="fmt", choices=("json", "latex", "plain"),
-                       default="plain")
+        p.add_argument("--rank", type=int,
+                       help="rank when --type is a bare letter (must match a full name)")
+        if trunc:
+            p.add_argument("--trunc", type=int, default=20,
+                           help="q-series truncation order of weylchar --global and twisted; "
+                                "verify accepts it but its verdicts do not depend on it")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("json", "latex", "plain"),
+                           default="plain")
         p.add_argument("--out", help="write output to this file")
         if need_lambda:
             p.add_argument("--lambda", dest="lam", required=True,
@@ -205,7 +214,7 @@ def parse_args(argv) -> RunConfig:
     p_qb.add_argument("--to", dest="qb_to", default=None)
 
     p_emac = sub.add_parser("emac", help="nonsymmetric Macdonald polynomial oracle")
-    common(p_emac)
+    common(p_emac, fmt=True)
     p_emac.add_argument("--gamma", required=True, help="index weight, e.g. -1,0")
     p_emac.add_argument("--spec", default=None,
                         help="comma list of specializations: t-0, t-inf, q-inv")
@@ -213,15 +222,15 @@ def parse_args(argv) -> RunConfig:
                         help="bar-conjugate (invert weight exponentials) first")
 
     p_wc = sub.add_parser("weylchar", help="generalized / global Weyl module characters")
-    common(p_wc, need_lambda=True)
+    common(p_wc, need_lambda=True, trunc=True, fmt=True)
     p_wc.add_argument("--global", dest="global_series", action="store_true",
                       help="emit the global Demazure series instead of the finite character")
 
     p_tw = sub.add_parser("twisted", help="twisted Euler characteristics")
-    common(p_tw, need_lambda=True)
+    common(p_tw, need_lambda=True, trunc=True, fmt=True)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    common(p_ver)
+    common(p_ver, trunc=True)
     p_ver.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p_ver.add_argument("--max-weight", type=int, default=2)
     p_ver.add_argument("--beta", default=None,
@@ -230,11 +239,12 @@ def parse_args(argv) -> RunConfig:
 
     args = parser.parse_args(argv)
     rs = _build_rs(args)
-    if args.trunc < 1:
-        raise SystemExit("--trunc must be >= 1")
-
-    config = RunConfig(command=args.command, rs=rs, trunc=args.trunc,
-                       fmt=getattr(args, "fmt", "plain"), out=args.out)
+    config = RunConfig(command=args.command, rs=rs, fmt=getattr(args, "fmt", "plain"),
+                       out=args.out)
+    if hasattr(args, "trunc"):
+        if args.trunc < 1:
+            raise SystemExit("--trunc must be >= 1")
+        config.trunc = args.trunc
     if hasattr(args, "lam"):
         config.lam = parse_weight(rs, args.lam, "lambda")
         if not config.lam.is_dominant():

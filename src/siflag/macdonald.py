@@ -33,8 +33,9 @@ by root-lattice height, the order-0 block is unit lower triangular), the
 rational function behind each coefficient series is recovered by a
 fraction-free Pade step, and the result is re-verified against five extra
 q-orders.  The density and all three later stages compute on t-polynomials
-packed into integers at t = 2^B, with B from an L1 majorant of what they
-compute, and decode only their results.
+packed into integers at t = 2^B and decode only their results: _on_packed
+sizes B from L1 majorants (and says why that width carries exactness), except
+for the Pade nullspace, which bounds its own minors.
 """
 from __future__ import annotations
 
@@ -93,30 +94,40 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     root by root; a state survives only while its q-budget covers the least
     budget with which the remaining roots can still land it on a target.
 
-    t-polynomials travel packed into one integer at t = 2^B (evaluation there
-    is a ring homomorphism, so only the final coefficients must fit) and only
-    the final entries are decoded.  B comes from a first run of the same
-    expansion on L1 majorants (t -> 1, every minus sign made plus), which bound
-    the absolute coefficient sum of every final entry; exactness rests on that
-    width alone.  The decoded entries are checked against their majorants, but
-    that check bounds the code path only: a width too narrow wraps into small
-    coefficients that stay under the majorant.  A packed column entry at
-    e^{k alpha} is about t^k times a short band, so products are taken with
-    the trailing zero bits stripped and shifted back.
+    The expansion runs on packed t-polynomials (see _on_packed).  A packed
+    column entry at e^{k alpha} is about t^k times a short band, so products
+    are taken with the trailing zero bits stripped and shifted back.
     """
     if not targets:
         return {}
-    expansion = _DensityExpansion(rs, targets, order)
-    bound = expansion.run(1, 1)
+    return _on_packed(_DensityExpansion(rs, targets, order).run)
+
+
+def _on_packed(run) -> dict:
+    """{key: t-polynomial} from run(value) -> {key: int}, computed on packed integers.
+
+    run must read every t-polynomial it uses, t and -1 included, through value.
+    It is called twice.  First value = _l1 (t -> 1, every minus sign made
+    plus): every entry is then an L1 majorant, a bound on the absolute
+    coefficient sum of the entry it stands for.  Then value packs at
+    t = 2^B, B = _width(largest majorant), and each entry is decoded.
+
+    Evaluation at 2^B is a ring homomorphism, so only the final coefficients
+    must fit in B bits, and they do: exactness rests on that width alone.
+    Each decoded entry is checked against its majorant, but that check guards
+    only the code path (the two runs against each other): a width too narrow
+    wraps into small coefficients that stay under their majorants, and only a
+    later stage (the Pade acceptance) can catch it.
+    """
+    bound = run(_l1)
     bits = _width(max(bound.values(), default=0))
-    table = {}
-    for key, packed in expansion.run(1 << bits, -1).items():
+    out = {}
+    for key, packed in run(lambda tp: _pack(tp, bits)).items():
         tp = _unpack(packed, bits)
-        # guards the two runs against each other, not the width (see above)
         if _l1(tp) > bound.get(key, 0):
-            raise AssertionError(f"density entry {key} exceeds its L1 majorant")
-        table[key] = tp
-    return table
+            raise AssertionError(f"packed entry {key} exceeds its L1 majorant")
+        out[key] = tp
+    return out
 
 
 def _unpack(packed: int, bits: int) -> Poly:
@@ -151,12 +162,17 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+# t and -1, for a run(value) to read through value (see _on_packed)
+_T = Poly({1: 1})
+_MINUS_ONE = Poly({0: -1})
+
+
 class _DensityExpansion:
     """The root-by-root expansion of Delta onto one target set, up to q^order.
 
-    run(t, sign) evaluates it with C_a built from the factors (t + sign q^i):
-    (2^B, -1) gives packed t-polynomials, (1, +1) their L1 majorants.  Both
-    runs share the reachability budgets.
+    run(value) evaluates it with C_a built from the factors (t - q^i), each
+    read through value (see _on_packed).  Both runs share the reachability
+    budgets.
     """
 
     def __init__(self, rs: RootSystem, targets: frozenset, order: int):
@@ -200,9 +216,9 @@ class _DensityExpansion:
         memo[coords] = best
         return best
 
-    def run(self, t: int, sign: int) -> dict:
+    def run(self, value) -> dict:
         order = self.order
-        column = _FactorColumn(t, sign, order)
+        column = _FactorColumn(value(_T), value(_MINUS_ONE), order)
         states: dict = {(0,) * len(self.tmax): {0: 1}}
         for pos, alpha in enumerate(self.roots):
             neg_cap = self.suffix[pos + 1][0]
@@ -429,14 +445,10 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
     must be unit lower triangular; that is checked once here.  Then every order
     of every coefficient lies in Z[t], found by forward substitution in
 
-        g0 x_n = -rhs_n - sum_{k >= 1} g_k x_{n-k}.
+        g0 x_n = -rhs_n - sum_{k >= 1} g_k x_{n-k},
 
-    The recurrence runs on integers packed at t = 2^B, with B from a first run
-    on L1 majorants (t -> 1, every minus sign made plus); exactness rests on
-    that width.  Each decoded entry is checked against its majorant, which
-    bounds the code path only: a width too narrow wraps into small
-    coefficients that pass it, and is caught later by the Pade acceptance.
-    Returns each coefficient's q-series through the last order.
+    on packed t-polynomials (see _on_packed).  Returns each coefficient's
+    q-series through the last order.
     """
     for i, row in enumerate(gram):
         if not row[i][0]:
@@ -444,26 +456,17 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
                 "pairing matrix singular at order 0: truncation too small or order ideal wrong")
         if row[i][0] != {0: 1} or any(entry[0] for entry in row[i + 1:]):
             raise ValueError("order-0 pairing block is not unimodular over Z[t]")
-    bound = _gram_recurrence(gram, rhs_series, _l1, 1)
-    bits = _width(max(max(xs) for xs in bound))
-    packed = _gram_recurrence(gram, rhs_series, lambda tp: _pack(tp, bits), -1)
-    out: list[list[Poly]] = [[] for _ in rhs_series]
-    for n, (xs, majorants) in enumerate(zip(packed, bound)):
-        for col, (x, majorant) in enumerate(zip(xs, majorants)):
-            tp = _unpack(x, bits)
-            # guards the two recurrence runs against each other, not the width
-            if _l1(tp) > majorant:
-                raise AssertionError(f"Gram solution at q^{n} exceeds its L1 majorant")
-            out[col].append(tp)
-    return out
+    got = _on_packed(lambda value: _gram_recurrence(gram, rhs_series, value))
+    return [[got[n, col] for n in range(len(rhs_series[0]))] for col in range(len(rhs_series))]
 
 
-def _gram_recurrence(gram, rhs_series, value, sign) -> list[list[int]]:
-    """x_n[i] = sign (rhs_n[i] + sum_{k >= 0} (g_k x_{n-k})[i]), t-polynomials mapped by value.
+def _gram_recurrence(gram, rhs_series, value) -> dict:
+    """{(n, i): x_n[i]}, x_n[i] = -(rhs_n[i] + sum_{k >= 0} (g_k x_{n-k})[i]), read through value.
 
     At k = 0 it reads only the x_n[j], j < i, already found: forward substitution.
     """
     big = len(rhs_series[0]) - 1
+    sign = value(_MINUS_ONE)
     # the Gram entries are the pairing table's own polynomials, many shared
     vals = {id(tp): value(tp) for row in gram for entry in row for tp in entry if tp}
     xs: list[list[int]] = []
@@ -476,7 +479,7 @@ def _gram_recurrence(gram, rhs_series, value, sign) -> list[list[int]]:
                     if x and g[k]:
                         acc += vals[id(g[k])] * x
             xs[n].append(sign * acc)
-    return xs
+    return {(n, i): x for n, row in enumerate(xs) for i, x in enumerate(row)}
 
 
 def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
@@ -554,8 +557,7 @@ def _convolve(pairs, top: int) -> list[Poly]:
     """The q-orders 0..top of sum_i a_i b_i, exactly, for q-series with Z[t] coefficients.
 
     Each a_i maps q-degrees to t-polynomials; each b_i lists them by q-degree
-    up to top.  The sums run on integers packed at t = 2^B, with B from the
-    same sums on L1 majorants.
+    up to top.  The sums run on packed t-polynomials (see _on_packed).
     """
     def run(value):
         out = [0] * (top + 1)
@@ -566,10 +568,10 @@ def _convolve(pairs, top: int) -> list[Poly]:
                 for n in range(k, top + 1):
                     if vb[n - k]:
                         out[n] += x * vb[n - k]
-        return out
+        return dict(enumerate(out))
 
-    bits = _width(max(run(_l1)))
-    return [_unpack(x, bits) for x in run(lambda tp: _pack(tp, bits))]
+    got = _on_packed(run)
+    return [got[n] for n in range(top + 1)]
 
 
 def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):

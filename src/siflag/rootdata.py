@@ -500,18 +500,15 @@ def minimal_coset_reps(rs: RootSystem, lam: Weight) -> list[WeylElement]:
     """Minimal-length representatives of W / W_lam for a dominant weight."""
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
-    stab = [i for i in range(1, rs.rank + 1) if lam.coords[i - 1] == 0]
-    reps = []
-    for w in rs.weyl_elements():
-        ok = True
-        for j in stab:
-            if rs.root_is_negative(w.act(rs.simple_root(j))):
-                ok = False
-                break
-        if ok:
-            reps.append(w)
+    reps = [w for w in rs.weyl_elements() if is_minimal_coset_rep(rs, w, lam)]
     reps.sort(key=lambda w: (w.length(), w.word()))
     return reps
+
+
+def is_minimal_coset_rep(rs: RootSystem, w: WeylElement, lam: Weight) -> bool:
+    """Whether w is minimal in w W_lam: w(alpha_j) > 0 for every simple alpha_j fixing lam."""
+    return not any(lam.coords[j - 1] == 0 and rs.root_is_negative(w.act(rs.simple_root(j)))
+                   for j in range(1, rs.rank + 1))
 
 
 def minimal_coset_representative(rs: RootSystem, w: WeylElement, lam: Weight) -> WeylElement:

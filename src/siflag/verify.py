@@ -36,6 +36,9 @@ SUITES = ("nmconn", "dmain", "fdif", "cor", "gnsmac")
 
 # the types where the cor suite has the Gram-Schmidt oracle as its reference
 ORACLE_TYPES = (("A", 1), ("A", 2))
+# the largest weight sum of the cor cases there: the oracle's cost grows fast
+# with the weight
+COR_MAX_WEIGHT = 2
 
 
 class Case(NamedTuple):
@@ -79,7 +82,7 @@ def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "cor" and rs.key in ORACLE_TYPES:
-        max_weight = min(max_weight, 2)  # the oracle's cost grows fast with the weight
+        max_weight = min(max_weight, COR_MAX_WEIGHT)
     out = []
     for lam in dominant_weights(rs, max_weight):
         head = f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"

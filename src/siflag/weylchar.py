@@ -1,10 +1,12 @@
 """Characters of generalized and global Weyl module Demazure submodules.
 
 The cyclic-module character ch W_{w lam} is grown from the antidominant-free
-base ch W_lam by plain Demazure steps D_i along Bruhat covers inside the
-minimal-coset set W^lam.  The companion family E^dagger_{-w lam}(q^{-1}, inf)
-is grown from the same base by the twisted steps T_i = D_i - 1, dividing out
-(1 - q^{<alpha_j^vee, lam>}) whenever the step pulls back to a simple root.
+base ch W_lam by plain Demazure steps D_i along a reduced word of the minimal
+coset representative w in W^lam.  The companion family
+E^dagger_{-w lam}(q^{-1}, inf) is grown from the same base by the twisted steps
+T_i = D_i - 1 along coset_chain, the suffixes of that word (each again in
+W^lam), dividing out (1 - q^{<alpha_j^vee, lam>}) whenever the step pulls back
+to a simple root.
 The two families agree at w = e and split immediately afterwards; both are
 cross-checked against the Gram-Schmidt oracle at rank <= 2.
 
@@ -38,8 +40,8 @@ from .rootdata import (
     Weight,
     WeylElement,
     hull_weights,
+    is_minimal_coset_rep,
     minimal_coset_representative,
-    minimal_coset_reps,
 )
 
 
@@ -109,54 +111,29 @@ def _window_cap(rs: RootSystem, lam: Weight) -> int:
     return cap
 
 
-_COSET_TREES: dict = {}
-
-
 def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, WeylElement]]:
-    """Cover steps (i, u) with s_i u > u from e up to w, staying inside W^lam."""
-    parent = _coset_tree(rs, lam)
-    if w not in parent:
+    """Cover steps (i, u) with s_i u > u from e up to w, staying inside W^lam.
+
+    They read a reduced word of w from the right.  Each suffix u of it lies in
+    W^lam again: if u s_j < u for some s_j fixing lam, w s_j would be shorter
+    than w.
+    """
+    if not is_minimal_coset_rep(rs, w, lam):
         raise ValueError("w is not a minimal coset representative")
     steps = []
-    cur = w
-    while cur != rs.identity:
-        i, u = parent[cur]
+    u = rs.identity
+    for i in reversed(w.word()):
         steps.append((i, u))
-        cur = u
-    steps.reverse()
+        u = rs.simple_reflection(i) * u
     return steps
 
 
-def _coset_tree(rs: RootSystem, lam: Weight) -> dict:
-    """Breadth-first cover tree of W^lam: {v: (i, u)} with v = s_i u, and e -> None."""
-    key = (rs.key, lam.coords)
-    got = _COSET_TREES.get(key)
-    if got is not None:
-        return got
-    reps = set(minimal_coset_reps(rs, lam))
-    parent: dict = {rs.identity: None}
-    frontier = [rs.identity]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier, key=lambda x: x.word()):
-            for i in range(1, rs.rank + 1):
-                v = rs.simple_reflection(i) * u
-                if v in reps and v not in parent and v.length() == u.length() + 1:
-                    parent[v] = (i, u)
-                    nxt.append(v)
-        frontier = nxt
-    _COSET_TREES[key] = parent
-    return parent
-
-
 def genweyl_char(rs: RootSystem, w: WeylElement, lam: Weight) -> GenWeylChar:
-    """ch W_{w lam}, via D_i steps along any cover chain in W^lam (order-free)."""
+    """ch W_{w lam} = D_w ch W_lam, for the minimal representative w of w W_lam."""
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
     w = minimal_coset_representative(rs, w, lam)
-    value = base_char(rs, lam)
-    for i, _ in coset_chain(rs, lam, w):
-        value = demazure_op(rs, i, value)
+    value = demazure_word(rs, w.word(), base_char(rs, lam))
     if value.coeff(w.act(lam), 0) != 1:
         raise AssertionError("cyclic-vector coefficient is not 1")
     return GenWeylChar(lam, w, value)

@@ -219,6 +219,41 @@ def test_bare_letter_type_outside_support_is_a_clean_error():
         assert exc.value.code == f"unsupported root system {argv[1]}{argv[3]}"
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (["roots", "--format", "json"], ["qbruhat", "--format", "json"],
+                 ["verify", "--format", "json"], ["roots", "--trunc", "5"],
+                 ["qbruhat", "--trunc", "5"], ["emac", "--gamma=-1", "--trunc", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*argv, "--type", "A1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert parse_args(["emac", "--type", "A1", "--gamma=-1", "--format", "json"]).fmt == "json"
+    assert parse_args(["verify", "--type", "A1", "--trunc", "5"]).trunc == 5
+    cfg = parse_args(["twisted", "--type", "A1", "--lambda", "1", "--trunc", "5",
+                      "--format", "latex"])
+    assert (cfg.trunc, cfg.fmt) == (5, "latex")
+
+
+def test_rank_beside_a_full_type_name_must_match():
+    for argv in (["--type", "A2", "--rank", "5"], ["--type", "g2", "--rank", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", *argv])
+        assert exc.value.code == f"--rank {argv[3]} does not match --type {argv[1]}"
+    assert parse_args(["roots", "--type", "A2", "--rank", "2"]).rs.key == ("A", 2)
+
+
+def test_verify_states_the_cor_cap(capsys, tmp_path):
+    capped, plain = tmp_path / "capped.json", tmp_path / "plain.json"
+    assert main(["verify", "--type", "A1", "--suite", "cor", "--max-weight", "3",
+                 "--out", str(capped)]) == 0
+    assert capsys.readouterr().err == (
+        "note: cor cases capped at --max-weight 2 on A1, where the oracle is their reference\n")
+    assert main(["verify", "--type", "A1", "--suite", "cor", "--max-weight", "2",
+                 "--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert capped.read_bytes() == plain.read_bytes()
+
+
 def test_verify_notes_cor_cases_without_reference(capsys, tmp_path):
     out = tmp_path / "report.json"
     for type_name, noted in (("B2", True), ("A1", False)):

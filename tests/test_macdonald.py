@@ -305,7 +305,7 @@ def test_density_coefficients_within_majorant(name, lam, order):
     # the packing width comes from the L1 majorants; every decoded coefficient
     # must sit below it, and each entry's coefficient sum below its majorant
     targets = _hull_targets(rs, lam)
-    bound = _DensityExpansion(rs, targets, order).run(1, 1)
+    bound = _DensityExpansion(rs, targets, order).run(macdonald._l1)
     half = 1 << max(bound.values()).bit_length()
     table = density_table(rs, targets, order)
     assert table
@@ -319,13 +319,24 @@ def test_density_majorant_violation_raises(monkeypatch):
     # constant term has coefficient sum 1 = its majorant, so halving trips it
     run = _DensityExpansion.run
 
-    def shrunk(self, t, sign):
-        got = run(self, t, sign)
-        return {key: v // 2 for key, v in got.items()} if sign > 0 else got
+    def shrunk(self, value):
+        got = run(self, value)
+        return {key: v // 2 for key, v in got.items()} if value is macdonald._l1 else got
 
     monkeypatch.setattr(_DensityExpansion, "run", shrunk)
     with pytest.raises(AssertionError, match="exceeds its L1 majorant"):
         density_table(A1, _hull_targets(A1, (2,)), 4)
+
+
+def test_convolve_majorant_violation_raises(monkeypatch):
+    # _convolve checks its decoded sums against their majorants as well: a
+    # packed run that doubles every value puts each sum over its majorant
+    pairs = [({0: Poly({0: 1, 1: 1})}, [Poly({0: 1})])]
+    assert macdonald._convolve(pairs, 0) == [Poly({0: 1, 1: 1})]
+    pack = macdonald._pack
+    monkeypatch.setattr(macdonald, "_pack", lambda tp, bits: 2 * pack(tp, bits))
+    with pytest.raises(AssertionError, match="exceeds its L1 majorant"):
+        macdonald._convolve(pairs, 0)
 
 
 def test_a1_calibration_anchor_exact():
