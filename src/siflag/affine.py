@@ -3,17 +3,19 @@
 An affine element is stored canonically as a pair (w, beta) meaning w * t_beta,
 so equality is never a word problem.  The normalization tying the affine node to
 the finite data is t_{-theta^vee} = s_theta * s_0, equivalently
-s_0 = s_theta * t_{-theta^vee}.  Lengths are inversion counts (Iwahori-Matsumoto),
-and reduced words come from left descents: i is a left descent of x exactly when
-l(s_i x) = l(x) - 1 (exchange property).  The test suite cross-checks both the
-length and the greedy-descent word against a breadth-first search of the group.
+s_0 = s_theta * t_{-theta^vee}.  Lengths are inversion counts (Iwahori-Matsumoto).
+Reduced words come from left descents: i is a left descent of x exactly when
+x^{-1}(alpha_i) is a negative affine root, a sign test on the finite group's
+index tables (``RootSystem.weyl_tables``), and the length formula checks each
+word once.  The test suite cross-checks both the length and the greedy-descent
+word against a breadth-first search of the group.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .rootdata import Coweight, RootSystem, Weight, WeylElement
+from .rootdata import Coweight, RootSystem, Weight, WeylElement, WeylTables
 
 Word = tuple[int, ...]
 
@@ -91,31 +93,46 @@ def affine_length(x: AffineElement) -> int:
     return total
 
 
-def _left_descents(x: AffineElement, n: int):
-    """Yield (i, s_i x) for each left descent i of x, in increasing i; n is l(x)."""
-    rs = x.finite.rs
-    for i in range(rs.rank + 1):
-        y = affine_simple(rs, i) * x
-        if affine_length(y) == n - 1:
-            yield i, y
+def _left_descents(tables: WeylTables, k: int, beta: tuple[int, ...]):
+    """Yield (i, finite index, trans) of s_i x for each left descent i of x = w t_beta, in
+    increasing i, where w has index k.
+
+    i is a left descent exactly when x^{-1}(alpha_i) is a negative affine root, and
+    gamma + m delta is negative when m < 0, or m = 0 and gamma < 0.  With
+    a = w^{-1} alpha_i that root is a + <beta, a> delta for i >= 1; with
+    a = w^{-1} theta it is -a + (1 - <beta, a>) delta for i = 0, and there
+    s_0 w t_beta = s_theta w t_{beta - w^{-1} theta^vee}.
+    """
+    for i, (a, negative) in enumerate(zip(tables.inv_roots[k], tables.inv_negative[k])):
+        m = sum(b * c for b, c in zip(beta, a))
+        if i == 0:
+            m, negative = 1 - m, not negative
+        if m < 0 or (m == 0 and negative):
+            if i == 0:
+                yield 0, tables.left[k][0], tuple(
+                    b - c for b, c in zip(beta, tables.inv_theta_coroot[k]))
+            else:
+                yield i, tables.left[k][i], beta
 
 
 def shortest_word(x: AffineElement) -> Word:
     """The lexicographically smallest reduced word of x, by greedy left descent.
 
     Each step strips the smallest left descent; the walk must reach the identity
-    after exactly l(x) steps, or the length formula is inconsistent.
+    after exactly l(x) steps, or the descent test and the length formula disagree.
     """
     n = affine_length(x)
+    tables = x.finite.rs.weyl_tables()
+    k, beta = tables.index[x.finite], x.trans
     word = []
     while n > 0:
-        step = next(_left_descents(x, n), None)
+        step = next(_left_descents(tables, k, beta), None)
         if step is None:
             raise AssertionError(f"no left descent lowers length {n} by one")
-        i, x = step
+        i, k, beta = step
         word.append(i)
         n -= 1
-    if not x.is_identity():
+    if k != 0 or any(beta):
         raise AssertionError("left descent reached length 0 away from the identity")
     return tuple(word)
 
@@ -127,21 +144,22 @@ def translation_word(rs: RootSystem, beta: Coweight) -> Word:
 
 def all_reduced_words(x: AffineElement) -> tuple[Word, ...]:
     """Every reduced word of x in lexicographic order, by left-descent recursion."""
-    memo: dict[AffineElement, tuple[Word, ...]] = {}
+    tables = x.finite.rs.weyl_tables()
+    memo: dict[tuple[int, tuple[int, ...]], tuple[Word, ...]] = {}
 
-    def words(y: AffineElement, n: int) -> tuple[Word, ...]:
-        got = memo.get(y)
+    def words(k: int, beta: tuple[int, ...], n: int) -> tuple[Word, ...]:
+        got = memo.get((k, beta))
         if got is None:
             if n == 0:
                 got = ((),)
             else:
                 # ascending i over sorted suffixes: already in lexicographic order
-                got = tuple((i,) + rest for i, z in _left_descents(y, n)
-                            for rest in words(z, n - 1))
-            memo[y] = got
+                got = tuple((i,) + rest for i, k2, beta2 in _left_descents(tables, k, beta)
+                            for rest in words(k2, beta2, n - 1))
+            memo[(k, beta)] = got
         return got
 
-    return words(x, affine_length(x))
+    return words(tables.index[x.finite], x.trans, affine_length(x))
 
 
 # -- quantum Bruhat graph ----------------------------------------------------
@@ -156,27 +174,30 @@ class QuantumCover:
     letter: int
 
 
+def _is_cover(tables: WeylTables, i: int, k: int) -> bool:
+    """Whether letter i is a quantum cover at the element of index k.
+
+    For i >= 1 that is s_i w > w, i.e. w^{-1} alpha_i > 0; for i = 0 it is
+    w^{-1} theta < 0.
+    """
+    return tables.inv_negative[k][i] == (i == 0)
+
+
 def quantum_covers(rs: RootSystem, w: WeylElement) -> list[QuantumCover]:
     """Outgoing covers: s_i w > w for i in I, or the s_theta step when w^{-1} theta < 0."""
-    out = []
-    if rs.root_is_negative(w.inverse().act(rs.theta_weight)):
-        out.append(QuantumCover(w, rs.theta_reflection() * w, 0))
-    lw = w.length()
-    for i in range(1, rs.rank + 1):
-        sw = rs.simple_reflection(i) * w
-        if sw.length() > lw:
-            out.append(QuantumCover(w, sw, i))
-    return out
+    tables = rs.weyl_tables()
+    k = tables.index[w]
+    return [QuantumCover(w, tables.elements[tables.left[k][i]], i)
+            for i in range(rs.rank + 1) if _is_cover(tables, i, k)]
 
 
 def quantum_step(rs: RootSystem, i: int, w: WeylElement) -> WeylElement | None:
     """Target of the letter-i cover at w, or None when (i, w) is not a cover."""
-    if i == 0:
-        if rs.root_is_negative(w.inverse().act(rs.theta_weight)):
-            return rs.theta_reflection() * w
-        return None
-    sw = rs.simple_reflection(i) * w
-    return sw if sw.length() > w.length() else None
+    if not 0 <= i <= rs.rank:
+        raise ValueError(f"affine letter {i} out of range")
+    tables = rs.weyl_tables()
+    k = tables.index[w]
+    return tables.elements[tables.left[k][i]] if _is_cover(tables, i, k) else None
 
 
 def adapted_sequence(rs: RootSystem, v: WeylElement, w: WeylElement) -> Word:
@@ -213,30 +234,34 @@ def walk_quantum(rs: RootSystem, word: Word, start: WeylElement) -> list[WeylEle
 
 def minimal_loops(rs: RootSystem, w: WeylElement) -> list[Word]:
     """All shortest nonempty quantum-Bruhat loops based at w, as operator words."""
-    # distance from every element to w: one BFS from w over reversed cover edges
-    dist = {w: 0}
-    queue = deque([w])
+    tables = rs.weyl_tables()
+    letters = range(rs.rank + 1)
+    base = tables.index[w]
+    # distance from every element to w: one BFS from w over reversed cover edges;
+    # each letter acts as an involution, so the only source of an i-edge into u is s_i u
+    dist = {base: 0}
+    queue = deque([base])
     while queue:
         u = queue.popleft()
-        for i in range(rs.rank + 1):
-            source = (rs.theta_reflection() if i == 0 else rs.simple_reflection(i)) * u
-            if source not in dist and quantum_step(rs, i, source) == u:
+        for i in letters:
+            source = tables.left[u][i]
+            if source not in dist and _is_cover(tables, i, source):
                 dist[source] = dist[u] + 1
                 queue.append(source)
 
-    best = min(1 + dist[cov.target] for cov in quantum_covers(rs, w))
+    best = min(1 + dist[tables.left[base][i]] for i in letters if _is_cover(tables, i, base))
     loops: list[Word] = []
 
-    def extend(u: WeylElement, path: tuple[int, ...]) -> None:
+    def extend(u: int, path: tuple[int, ...]) -> None:
         if len(path) == best:
-            if u == w:
+            if u == base:
                 loops.append(tuple(reversed(path)))
             return
-        for cov in quantum_covers(rs, u):
-            if dist[cov.target] <= best - len(path) - 1:
-                extend(cov.target, path + (cov.letter,))
+        for i in letters:
+            if _is_cover(tables, i, u) and dist[tables.left[u][i]] <= best - len(path) - 1:
+                extend(tables.left[u][i], path + (i,))
 
-    extend(w, ())
+    extend(base, ())
     return sorted(loops)
 
 

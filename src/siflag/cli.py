@@ -192,9 +192,10 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--rank", type=int,
                        help="rank when --type is a bare letter (must match a full name)")
         if trunc:
-            p.add_argument("--trunc", type=int, default=20,
-                           help="q-series truncation order of weylchar --global and twisted; "
-                                "verify accepts it but its verdicts do not depend on it")
+            p.add_argument("--trunc", type=int,
+                           help="q-series truncation order of weylchar --global and twisted "
+                                "(default 20); verify accepts it but its verdicts do not "
+                                "depend on it")
         if fmt:
             p.add_argument("--format", dest="fmt", choices=("json", "latex", "plain"),
                            default="plain")
@@ -238,10 +239,12 @@ def parse_args(argv) -> RunConfig:
     p_ver.add_argument("--jobs", type=int, default=1)
 
     args = parser.parse_args(argv)
+    if args.command == "weylchar" and args.trunc is not None and not args.global_series:
+        p_wc.error("--trunc is read only with --global")
     rs = _build_rs(args)
     config = RunConfig(command=args.command, rs=rs, fmt=getattr(args, "fmt", "plain"),
                        out=args.out)
-    if hasattr(args, "trunc"):
+    if getattr(args, "trunc", None) is not None:
         if args.trunc < 1:
             raise SystemExit("--trunc must be >= 1")
         config.trunc = args.trunc

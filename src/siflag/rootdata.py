@@ -152,6 +152,30 @@ class WeylElement:
         return "e" if not w else "*".join(f"s{i}" for i in w)
 
 
+@dataclass(frozen=True)
+class WeylTables:
+    """The finite Weyl group as index tables; element k is ``elements[k]``, the identity 0.
+
+    Letter i is s_i for i in 1..rank and s_theta for i = 0, the images of the
+    affine simple reflections.  For the element w of index k:
+
+    * ``left[k][i]`` is the index of s_i w (of s_theta w for i = 0);
+    * ``inv_roots[k][i]`` is w^{-1} alpha_i (w^{-1} theta for i = 0) in
+      fundamental-weight coordinates, and ``inv_negative[k][i]`` whether that
+      root is negative;
+    * ``inv_theta_coroot[k]`` is w^{-1} theta^vee in simple-coroot coordinates;
+    * ``words[k]`` is a shortest word.
+    """
+
+    elements: tuple[WeylElement, ...]
+    index: dict[WeylElement, int]
+    words: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    inv_roots: tuple[tuple[Coords, ...], ...]
+    inv_negative: tuple[tuple[bool, ...], ...]
+    inv_theta_coroot: tuple[Coords, ...]
+
+
 class RootSystem:
     """Root-system data for one of the supported finite types."""
 
@@ -186,7 +210,7 @@ class RootSystem:
         )
         self._simple = tuple(self._make_simple(i) for i in range(1, rank + 1))
         # memo tables, filled on first use so that construction stays cheap
-        self._group: tuple[list[WeylElement], dict[WeylElement, tuple[int, ...]]] | None = None
+        self._tables: WeylTables | None = None
         self._lengths: dict[WeylElement, int] = {}
         self._inverses: dict[WeylElement, WeylElement] = {}
         self._s_theta: WeylElement | None = None
@@ -324,43 +348,70 @@ class RootSystem:
 
     # -- group structure -------------------------------------------------------
 
-    def _group_tables(self) -> tuple[list[WeylElement], dict[WeylElement, tuple[int, ...]]]:
-        """(the whole group in BFS order, a shortest word for each element).
+    def weyl_tables(self) -> WeylTables:
+        """Index tables of the whole Weyl group (see ``WeylTables``), built on first use.
 
         Built in locals and published by one assignment, so a concurrent caller
         sees either no tables or complete ones.
         """
-        got = self._group
+        got = self._tables
         if got is None:
-            words = {self.identity: ()}
-            lengths = {self.identity: 0}
-            order = [self.identity]
-            frontier = [self.identity]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for w in frontier:
-                    for i in range(1, self.rank + 1):
-                        v = self._simple[i - 1] * w
-                        if v not in words:
-                            # prepending the letter: v = s_i * w, word built right-to-left
-                            words[v] = (i,) + words[w]
-                            lengths[v] = depth
-                            nxt.append(v)
-                nxt.sort(key=lambda u: u.cols)
-                order.extend(nxt)
-                frontier = nxt
-            self._lengths.update(lengths)
-            got = self._group = (order, words)
+            got = self._tables = self._build_tables()
         return got
 
-    def weyl_elements(self) -> list[WeylElement]:
+    def _build_tables(self) -> WeylTables:
+        # breadth-first from the identity, each level sorted by cols; a word is
+        # built right-to-left, so its first letter i leads back to the parent s_i v
+        words = {self.identity: ()}
+        products = {}
+        order = [self.identity]
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                products[w] = tuple(s * w for s in self._simple)
+                for i, v in enumerate(products[w], 1):
+                    if v not in words:
+                        words[v] = (i,) + words[w]
+                        nxt.append(v)
+            nxt.sort(key=lambda u: u.cols)
+            order.extend(nxt)
+            frontier = nxt
+        index = {w: k for k, w in enumerate(order)}
+        s_theta = self.theta_reflection()
+        left = tuple((index[s_theta * w],) + tuple(index[v] for v in products[w]) for w in order)
+        # (s_i u)^{-1} alpha_j = u^{-1} alpha_j - <alpha_i^vee, alpha_j> u^{-1} alpha_i, and
+        # likewise for theta, so each row follows from its parent's without an inverse
+        inv_roots = [(self.theta_weight.coords,) + tuple(a.coords for a in self._simple_roots)]
+        for k in range(1, len(order)):
+            i = words[order[k]][0]
+            row = inv_roots[left[k][i]]
+            pairs = (self.theta_weight.coords[i - 1],) + self.cartan[i - 1]
+            inv_roots.append(tuple(tuple(b - c * a for b, a in zip(root, row[i]))
+                                   for root, c in zip(row, pairs)))
+        coroots = {}
+        for root in self.positive_roots:
+            wt, co = self.root_to_weight(root).coords, self.coroot(root).coords
+            coroots[wt] = co
+            coroots[tuple(-c for c in wt)] = tuple(-c for c in co)
+        self._lengths.update((w, len(word)) for w, word in words.items())
+        return WeylTables(
+            elements=tuple(order),
+            index=index,
+            words=tuple(words[w] for w in order),
+            left=left,
+            inv_roots=tuple(inv_roots),
+            inv_negative=tuple(tuple(a in self._neg_root_wts for a in row) for row in inv_roots),
+            inv_theta_coroot=tuple(coroots[row[0]] for row in inv_roots),
+        )
+
+    def weyl_elements(self) -> tuple[WeylElement, ...]:
         """The whole Weyl group, BFS order from the identity (deterministic)."""
-        return self._group_tables()[0]
+        return self.weyl_tables().elements
 
     def _word(self, w: WeylElement) -> tuple[int, ...]:
-        return self._group_tables()[1][w]
+        tables = self.weyl_tables()
+        return tables.words[tables.index[w]]
 
     def _length(self, w: WeylElement) -> int:
         got = self._lengths.get(w)

@@ -120,6 +120,55 @@ def test_length_formula_matches_bfs():
             assert shortest_word(x) == word
 
 
+def _length_recount_descents(x, n):
+    """Yield (i, s_i x) for each left descent i of x, in increasing i; n is l(x).
+
+    The descent test the sign test replaced: recount the length of s_i x.
+    """
+    rs = x.finite.rs
+    for i in range(rs.rank + 1):
+        y = affine_simple(rs, i) * x
+        if affine_length(y) == n - 1:
+            yield i, y
+
+
+def _length_recount_reduced_words(x):
+    memo = {}
+
+    def words(y, n):
+        got = memo.get(y)
+        if got is None:
+            if n == 0:
+                got = ((),)
+            else:
+                got = tuple((i,) + rest for i, z in _length_recount_descents(y, n)
+                            for rest in words(z, n - 1))
+            memo[y] = got
+        return got
+
+    return words(x, affine_length(x))
+
+
+def test_descent_sign_test_matches_length_drop():
+    for rs in SMALL:
+        tables = rs.weyl_tables()
+        for x in _bfs_words(rs, 6):
+            n = affine_length(x)
+            got = {i: (tables.elements[k], beta)
+                   for i, k, beta in affine._left_descents(tables, tables.index[x.finite], x.trans)}
+            for i in range(rs.rank + 1):
+                y = affine_simple(rs, i) * x
+                assert (i in got) == (affine_length(y) == n - 1), (rs.key, x, i)
+                if i in got:
+                    assert got[i] == (y.finite, y.trans)
+
+
+def test_all_reduced_words_match_length_recount():
+    for rs in SMALL:
+        for x in _bfs_words(rs, 6):
+            assert all_reduced_words(x) == _length_recount_reduced_words(x)
+
+
 def test_shortest_word_is_reduced():
     x = element_from_word(A2, (0, 1, 2, 0, 1))
     word = shortest_word(x)
@@ -199,6 +248,12 @@ def test_adapted_sequence_exists_rank3():
         for w in elems:
             word = adapted_sequence(a3, v, w)
             assert walk_quantum(a3, word, v)[-1] == w
+
+
+def test_walk_rejects_letters_out_of_range():
+    for letter in (-1, 3):
+        with pytest.raises(ValueError, match=f"affine letter {letter} out of range"):
+            walk_quantum(A2, (letter,), A2.identity)
 
 
 def test_loop_translation_weight_examples():

@@ -234,6 +234,17 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
     assert (cfg.trunc, cfg.fmt) == (5, "latex")
 
 
+def test_weylchar_reads_trunc_only_with_global(capsys):
+    argv = ["weylchar", "--type", "A1", "--lambda", "1"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, "--trunc", "3"])
+    assert exc.value.code == 2
+    assert "--trunc is read only with --global" in capsys.readouterr().err
+    assert parse_args([*argv, "--trunc", "3", "--global"]).trunc == 3
+    assert parse_args([*argv, "--global"]).trunc == 20
+    assert parse_args(argv).trunc == 20
+
+
 def test_rank_beside_a_full_type_name_must_match():
     for argv in (["--type", "A2", "--rank", "5"], ["--type", "g2", "--rank", "3"]):
         with pytest.raises(SystemExit) as exc:

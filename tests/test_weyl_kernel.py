@@ -3,15 +3,20 @@
 Inverses are memoised on the root system and the affine product needs no
 inverse at all; both must agree with the group inverse read off a reduced
 word, and the Cartan inverse must multiply the Cartan matrix to the identity.
+The index tables, built without any inverse, must agree with it too; they are
+built on first use only, and concurrent first uses must see the same group.
 """
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from itertools import product
 
 import pytest
 
-from siflag.affine import AffineElement
-from siflag.rootdata import SUPPORTED, Coweight, WeylElement, build_root_system
+from siflag.affine import AffineElement, translation_word
+from siflag.rootdata import SUPPORTED, Coweight, WeylElement, build_root_system, from_name
 
 KERNEL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2))
 
@@ -70,3 +75,51 @@ def test_singular_inverse_raises():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError, match="is not a Weyl group element: it is singular"):
         WeylElement(rs, ((0, 0), (0, 1))).inverse()
+
+
+@pytest.mark.parametrize("key", SUPPORTED)
+def test_index_tables_match_the_group_inverse(key):
+    rs = build_root_system(*key)
+    tables = rs.weyl_tables()
+    assert tables.elements[0] == rs.identity
+    letters = (rs.theta_reflection(),) + tuple(rs.simple_reflection(i) for i in range(1, rs.rank + 1))
+    roots = (rs.theta_weight,) + tuple(rs.simple_root(i) for i in range(1, rs.rank + 1))
+    for k, w in enumerate(tables.elements):
+        inv = _reference_inverse(w)
+        assert tables.index[w] == k and tables.words[k] == w.word()
+        assert tables.left[k] == tuple(tables.index[s * w] for s in letters)
+        assert tables.inv_roots[k] == tuple(inv.act(a).coords for a in roots)
+        assert tables.inv_negative[k] == tuple(rs.root_is_negative(inv.act(a)) for a in roots)
+        assert tables.inv_theta_coroot[k] == inv.act_coweight(rs.theta_coroot).coords
+
+
+@pytest.mark.parametrize("key", SUPPORTED)
+def test_fresh_root_system_builds_no_group_table(key):
+    rs = from_name(f"{key[0]}{key[1]}")
+    assert rs._tables is None
+
+
+def test_concurrent_first_use_gives_the_same_words():
+    box = [Coweight(c) for c in product(range(3), repeat=4)]
+    serial = from_name("F4")
+    expected = [translation_word(serial, beta) for beta in box]
+    rs = from_name("F4")
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(slot):
+        start.wait()
+        results[slot] = [translation_word(rs, beta) for beta in box]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(words == expected for words in results)

@@ -1,6 +1,7 @@
 """Module characters, recursion steps, loop eigen-structure, specialization identities."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from siflag import macdonald, weylchar
 from siflag.charpoly import CharPoly, demazure_op, demazure_word, freeness_factor
 from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
 from siflag.rootdata import (SUPPORTED, Coweight, RootSystem, Weight, build_root_system,
-                             minimal_coset_reps)
+                             from_name, minimal_coset_reps)
 from siflag.weylchar import (
     base_char,
     cns_step,
@@ -350,3 +351,31 @@ def test_chain_values_match_the_tree_reference(monkeypatch, name, lam):
             patch.setattr(weylchar, "coset_chain", _tree_chain)
             want = cor_family(rs, w, lam), twisted_family(rs, w, lam)
         assert got == want, (name, lam, w)
+
+
+# sha256 of repr(_base_loops(rs)) and the number of loops, per type: the loops
+# fix every eigen base, so a change in how reduced words are found must keep them
+PINNED_LOOPS = {
+    "A1": (3, "3ef93cbc5ec060df4f2637e4117749c477171fbb02a9239f77ee76197b06e415"),
+    "A2": (8, "43331873ddf8edd4a1030d87a55f94a8ff4e800e7bda69cbb22e3b632f5886c9"),
+    "A3": (16, "2d2d07276bbb08ec76b434a27d54fc6cf87d3028badc9edd03d470f0b96ce69e"),
+    "A4": (32, "02203feec736f2f4c75458b8b3d81ee2427dfc14f36d38c482d0889c9e70f7af"),
+    "B2": (5, "3497a1627c37ed13073c85b93f5e22b235be20625d297d43ee019be2cbc03f85"),
+    "B3": (7, "dec487c5fd6b102ab1bb9b3f9ced4be84aa5de5b5ed7349e93e4055d682c5b62"),
+    "B4": (44, "e909062846b45c49893493b4805272c9dcc5f2265cdde8ca896b4a73969d629a"),
+    "C2": (5, "a805d652ee3d4d732e72a059fbd2be18b3297482ae630a6c2d03a61d11cd592b"),
+    "C3": (6, "ab378cb10b2e0bee4962d79aec6a7bb8fce8c2dc4de59db04cc6cd7149301c48"),
+    "C4": (6, "1b5e9265e9271b6402d40dfebd6dbb46d7dff18fa1fd70fefa5a82b3a299ab3e"),
+    "D4": (52, "aa329915be561613eaf5f167301c878446677fbe0b83bc40a47f7530c496e3ac"),
+    "G2": (2, "9d3f5d2225e6d47d4c5ee45f170651814cd53ca683b45d527bf409828e2a9e8c"),
+    "F4": (29, "e7b198bce1ca9e88fd08557c08f4f5cc819bf8eebc90362f41eeeec5a964ee0d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOOPS))
+def test_base_loops_are_pinned(monkeypatch, name):
+    monkeypatch.setattr(weylchar, "_BASE_LOOPS", {})
+    loops = weylchar._base_loops(from_name(name))
+    count, digest = PINNED_LOOPS[name]
+    assert len(loops) == count
+    assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
