@@ -11,12 +11,14 @@ coefficient, so equal values always have equal representations.
 
 The package has one exact field elimination kernel, ``_rref``: a reduced row
 echelon form of sparse rows {col: value} that takes pivot columns in increasing
-order, so its output is the canonical RREF.  ``sparse_solve`` hands it sparse
-rows directly (the eigen base solve), as does ``rootdata._invert`` (integer
-matrices beside the identity); ``gauss_solve`` and ``gauss_nullspace`` take
-dense rows.  The package feeds it
-only ``Fraction`` systems (``QTRat`` ones serve the tests as a Q(t) reference).
-The only other elimination is the oracle's fraction-free Pade step over Z[t]
+order, so its output is the canonical RREF.  ``rootdata._invert`` hands it
+``Fraction`` rows (integer matrices beside the identity), and the eigen base
+solve (``weylchar.eigen_solve_base``) hands it rows of ``ModP``, the integers
+modulo the prime P = 2^61 - 1, evaluated at one point q each.  ``sparse_solve``,
+``gauss_solve`` and ``gauss_nullspace`` wrap it for any exact field (the
+oracle's density finds root functionals with ``gauss_nullspace`` over
+``Fraction``; ``QTRat`` serves the tests as a Q(t) reference).  The only other
+elimination is the oracle's fraction-free Pade step over Z[t]
 (``macdonald._null_vector``).
 """
 from __future__ import annotations
@@ -387,7 +389,39 @@ class QTRat:
         return {dq - k: Fraction(tp[0], c[0]) for dq, tp in self.num.items()}
 
 
-# -- generic exact linear algebra (works over Fraction or QTRat) -----------------
+# -- generic exact linear algebra (over Fraction, ModP or QTRat) ------------------
+
+P = (1 << 61) - 1  # a Mersenne prime
+
+
+class ModP:
+    """An element of the prime field Z/PZ, with the operations _rref uses."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    def __bool__(self) -> bool:
+        return self.v != 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ModP) and self.v == other.v
+
+    def __neg__(self) -> "ModP":
+        return ModP(-self.v)
+
+    def __sub__(self, other: "ModP") -> "ModP":
+        return ModP(self.v - other.v)
+
+    def __mul__(self, other: "ModP") -> "ModP":
+        return ModP(self.v * other.v)
+
+    def __truediv__(self, other: "ModP") -> "ModP":
+        return ModP(self.v * pow(other.v, -1, P))
+
+    def __repr__(self) -> str:
+        return f"ModP({self.v})"
 
 
 def _rref(rows, ncols):

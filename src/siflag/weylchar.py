@@ -10,10 +10,12 @@ to a simple root.
 The two families agree at w = e and split immediately afterwards; both are
 cross-checked against the Gram-Schmidt oracle at rank <= 2.
 
-The base itself comes, in every type, from an exact eigen-solve of the
-quantum-Bruhat loop difference operators, verified as an exact polynomial
-identity after the fact.  This module never calls the oracle, so that
-cross-check compares two independent routes.
+The base itself comes, in every type, from one eigen solve of the
+quantum-Bruhat loop difference operators with no bound on its q-degree: the
+joint eigenvector is interpolated from its values modulo a prime at points q_k,
+and the lifted result is verified as an exact polynomial identity, which with
+the rank found at a check point makes it the unique solution.  This module
+never calls the oracle, so that cross-check compares two independent routes.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .charpoly import (
     freeness_ratio,
     t_op,
 )
-from .qt import sparse_solve
+from .qt import P, ModP, _rref
 from .rootdata import (
     Coweight,
     RootSystem,
@@ -69,46 +71,18 @@ _BASE_CACHE: dict = {}
 
 
 def base_char(rs: RootSystem, lam: Weight) -> CharPoly:
-    """ch W_lam, by the eigen-solve on windows 8, 14, 20, ... up to _window_cap."""
+    """ch W_lam, by one eigen solve of the loop difference equations (eigen_solve_base)."""
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
     key = (rs.key, lam.coords)
     got = _BASE_CACHE.get(key)
     if got is None:
-        cap = _window_cap(rs, lam)
-        window = 8
-        while got is None:
-            try:
-                got = eigen_solve_base(rs, lam, window).value
-            except ValueError as err:
-                if window >= cap:
-                    raise ValueError(f"eigen base solve failed for {lam.coords}: {err}")
-                window += 6
-        if got.coeff(lam, 0) != 1:
-            raise AssertionError("base character is not monic at (lam, q^0)")
+        try:
+            got = eigen_solve_base(rs, lam).value
+        except ValueError as err:
+            raise ValueError(f"eigen base solve failed for {lam.coords}: {err}")
         _BASE_CACHE[key] = got
     return got
-
-
-def _window_cap(rs: RootSystem, lam: Weight) -> int:
-    """The last window of base_char: 26, or the first window >= (lam+rho, lam+rho)/2.
-
-    With (theta, theta) = 2, the top q-degree of ch W_lam stayed within that
-    bound on every weight measured (A1 up to 14 omega, where odd multiples
-    reach it, and small A2, B2 and G2 weights), and the cap is the first window
-    that solves for A1 9 omega to 13 omega.  It is not proved, so it only
-    decides when to give up: a window too small fails to solve, and every
-    solution is re-verified exactly.
-    """
-    mu = lam + rs.rho()
-    r = rs.weight_to_root(mu)
-    # (alpha_j, alpha_j)/2 = theta^vee_j / theta_j, as theta^vee = 2 theta / (theta, theta)
-    half = sum(r[j] * mu.coords[j] * Fraction(rs.theta_coroot.coords[j], 2 * rs.theta[j])
-               for j in range(rs.rank))
-    cap = 26
-    while cap < half:
-        cap += 6
-    return cap
 
 
 def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, WeylElement]]:
@@ -299,56 +273,158 @@ def _base_loops(rs: RootSystem) -> list:
     return loops
 
 
-def eigen_solve_base(rs: RootSystem, lam: Weight, trunc: int) -> GenWeylChar:
-    """Solve the loop difference equations for ch W_lam on a finite window.
+def eigen_solve_base(rs: RootSystem, lam: Weight) -> GenWeylChar:
+    """Solve the loop difference equations for ch W_lam, with no window on its q-degree.
 
-    Unknowns are coefficients on hull(lam) x q-degrees [0, trunc]; every minimal
-    quantum-Bruhat loop at e contributes its eigen-equation, the extremal
-    coefficient is pinned to q^0, and the result must satisfy the eigen identity
-    exactly as polynomials (no truncation caveat survives).
+    Each loop L says A_L(q) X = q^{m_L} X for the vector X of q-polynomials X_nu,
+    nu in hull(lam); stacked, that is M(q) X = 0 (_loop_rows).  h - 1 rows of M
+    independent at the check point prove rank M >= h - 1 over Q(q), with
+    h = |hull|.  At points q_k the kernel of those rows with X_lam = 1 is found
+    over Z/PZ, and each X_nu is Newton-interpolated until the interpolant stops
+    changing, with the sum D of the rows' q-degrees as a proven cap (the entries
+    are ratios of their maximal minors, so a polynomial X has degree <= D).
+    The balanced lift must satisfy every loop identity exactly as polynomials,
+    which makes it a kernel vector of M: the kernel is then exactly the line
+    through it, so it is the unique base, whatever the points.
     """
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
     if lam.is_zero():
         return GenWeylChar(lam, rs.identity, CharPoly.one(rs.rank))
-    hull = hull_weights(rs, lam)
-    unknowns = [(nu.coords, n) for nu in hull for n in range(trunc + 1)]
-    index = {key: pos for pos, key in enumerate(unknowns)}
+    exponents = {loop: loop_exponent(rs, loop, rs.identity, lam) for loop in _base_loops(rs)}
+    # lam's column is last, as the right-hand side of X_lam = 1
+    order = [nu.coords for nu in hull_weights(rs, lam) if nu.coords != lam.coords] + [lam.coords]
+    rows = _independent_rows(_loop_rows(rs, order, exponents), len(order))
+    cap = sum(max(n for poly in row.values() for n in poly) for row in rows) + 1
+    xs: list[int] = []
+    newton: list[list[int]] = [[] for _ in order[:-1]]
+    early = True
+    # the rows lose rank on the unknowns only at roots of a minor that is nonzero
+    # at the check point and of degree < cap, so fewer than cap points are skipped
+    for x in range(2, 2 * cap + 2):
+        values = _kernel_at(rows, len(order) - 1, x)
+        if values is None:
+            continue
+        stable = _newton_add(newton, xs, x, values)
+        xs.append(x)
+        if len(xs) == cap or early and stable:
+            value = _candidate(lam, order, newton, xs)
+            if _is_base(rs, lam, value, exponents):
+                return GenWeylChar(lam, rs.identity, value)
+            if len(xs) == cap:
+                break
+            early = False  # a premature stop: go on to the cap
+    raise ValueError("eigen candidate fails the exact loop identity")
 
-    loops = _base_loops(rs)
-    images = {}
-    for loop in loops:
-        for nu in hull:
-            images[(loop, nu.coords)] = demazure_word(
-                rs, loop, CharPoly.monomial(nu.coords, 0))
 
-    exponents = {loop: loop_exponent(rs, loop, rs.identity, lam) for loop in loops}
+# a fixed point mod P: an unlucky one could only understate the rank, never pass a wrong base
+_CHECK_POINT = 0x2545F4914F6CDD1D % P
+
+
+def _loop_rows(rs: RootSystem, order: list, exponents: dict) -> list[dict]:
+    """The nonzero rows of M(q) as {column: {q-degree: int}}, lowest degree 0, by q-degree.
+
+    Row (L, omega) is the e^omega part of A_L X - q^{m_L} X, and A_L[omega][nu]
+    is read off the image of e^nu under L's Demazure word.  Each row is shifted
+    by q^{-low}, which moves none of its zeros at q != 0.
+    """
     rows: dict = {}
     for loop, m_eig in exponents.items():
-        for (wt, n), pos in index.items():
-            img = images[(loop, wt)]
-            for (wt2, n2), c in img.terms.items():
-                row = rows.setdefault((loop, wt2, n2 + n), {})
-                row[pos] = row.get(pos, 0) + c
-            row = rows.setdefault((loop, wt, n + m_eig), {})
-            row[pos] = row.get(pos, 0) - 1
-    # the kernel divides, so each nonzero enters it as a Fraction
-    ncols = len(unknowns)
-    system = [{pos: Fraction(c) for pos, c in entries.items() if c}
-              for _, entries in sorted(rows.items())]
-    # normalization: extremal coefficient is exactly q^0 (the right-hand side sits at ncols)
-    system.append({index[(lam.coords, 0)]: Fraction(1), ncols: Fraction(1)})
-    for n in range(1, trunc + 1):
-        system.append({index[(lam.coords, n)]: Fraction(1)})
+        for j, nu in enumerate(order):
+            image = demazure_word(rs, loop, CharPoly.monomial(nu, 0)).terms.items()
+            for (wt, n), c in [*image, ((nu, m_eig), -1)]:
+                poly = rows.setdefault((loop, wt), {}).setdefault(j, {})
+                poly[n] = poly.get(n, 0) + c
+    out = []
+    for key, row in rows.items():
+        row = {j: {n: c for n, c in poly.items() if c} for j, poly in row.items()}
+        degrees = [n for poly in row.values() for n in poly]
+        if degrees:
+            low = min(degrees)
+            out.append((max(degrees) - low, key, {j: {n - low: c for n, c in poly.items()}
+                                                  for j, poly in row.items() if poly}))
+    out.sort(key=lambda item: item[:2])
+    return [row for _, _, row in out]
 
-    sol = sparse_solve(system, ncols, 0)
-    if sol is None:
-        raise ValueError("loop eigen-system is not uniquely solvable on this window")
-    value = CharPoly({key: c for key, c in zip(unknowns, sol) if c})
-    for loop, m_eig in exponents.items():
-        if demazure_word(rs, loop, value) != value.shift_q(m_eig):
-            raise ValueError("eigen candidate fails the exact loop identity")
-    return GenWeylChar(lam, rs.identity, value)
+
+def _independent_rows(rows: list[dict], h: int) -> list[dict]:
+    """h - 1 rows independent on the unknown columns at the check point, least degrees first.
+
+    The pivot columns of the transposed system are the first rows, in the given
+    order, independent of those before them.  A nonzero minor mod P proves
+    rank M >= h - 1 over Q(q); a kernel of dimension one needs that many rows,
+    so a lower rank stops the solve (it bounds dim ker M from above only).
+    """
+    cols: list[dict] = [{} for _ in range(h)]
+    for i, values in enumerate(_at(rows, _CHECK_POINT)):
+        for j, value in values.items():
+            cols[j][i] = value
+    pivots, _ = _rref(cols[:-1], len(rows))
+    if len(pivots) < h - 1:
+        rank = len(_rref(cols, len(rows))[0])
+        raise ValueError(f"loop eigen-system is not uniquely solvable: rank {rank} at the "
+                         f"check point, a unique base needs {h - 1}")
+    return [rows[c] for c, _ in pivots]
+
+
+def _at(rows: list[dict], x: int) -> list[dict]:
+    """The polynomial rows evaluated at q = x, as {column: ModP}."""
+    powers = [1]
+    for _ in range(max((n for row in rows for poly in row.values() for n in poly), default=0)):
+        powers.append(powers[-1] * x % P)
+    return [{j: ModP(sum(c * powers[n] for n, c in poly.items())) for j, poly in row.items()}
+            for row in rows]
+
+
+def _kernel_at(rows: list[dict], h1: int, x: int):
+    """X_nu(x) mod P for the h1 unknowns when X_lam = 1, or None where the rows lose rank.
+
+    X_lam's column h1 is the right-hand side: the pivots solve M' Y = M_lam, and X' = -Y.
+    """
+    pivots, _ = _rref(_at(rows, x), h1)
+    if len(pivots) < h1:
+        return None
+    return [-row[h1].v % P if h1 in row else 0 for _, row in pivots]
+
+
+def _newton_add(newton: list[list[int]], xs: list[int], x: int, values: list[int]) -> bool:
+    """Extend each Newton interpolant mod P through (x, value); True if none of them changed."""
+    scale = 1
+    for a in xs:
+        scale = scale * (x - a) % P
+    inv = pow(scale, -1, P)
+    stable = bool(xs)
+    for coeffs, y in zip(newton, values):
+        at = 0
+        for c, a in zip(reversed(coeffs), reversed(xs)):
+            at = (at * (x - a) + c) % P
+        top = (y - at) * inv % P
+        coeffs.append(top)
+        stable = stable and not top
+    return stable
+
+
+def _candidate(lam: Weight, order: list, newton: list, xs: list) -> CharPoly:
+    """The interpolants in the monomial basis, each coefficient lifted to (-P/2, P/2], and X_lam = 1."""
+    terms = {(lam.coords, 0): 1}
+    for nu, coeffs in zip(order, newton):
+        poly: list[int] = []
+        for c, a in zip(reversed(coeffs), reversed(xs)):
+            # poly <- poly * (q - a) + c
+            poly = [(lo - a * hi) % P for lo, hi in zip([0, *poly], [*poly, 0])]
+            poly[0] = (poly[0] + c) % P
+        for n, c in enumerate(poly):
+            if c:
+                terms[(nu, n)] = c - P if c > P // 2 else c
+    return CharPoly(dict(sorted(terms.items())))
+
+
+def _is_base(rs: RootSystem, lam: Weight, value: CharPoly, exponents: dict) -> bool:
+    """Whether X_lam = 1 and every loop identity holds exactly, as polynomials."""
+    if {n: c for (wt, n), c in value.terms.items() if wt == lam.coords} != {0: 1}:
+        return False
+    return all(demazure_word(rs, loop, value) == value.shift_q(m_eig)
+               for loop, m_eig in exponents.items())
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> CharPoly:

@@ -89,17 +89,14 @@ def test_out_to_missing_directory_is_a_clean_error(tmp_path):
 
 
 def test_failed_base_solve_is_a_clean_error(monkeypatch):
-    # F4 omega4 fails this way after seconds of real solving; a stub fails at once
-    def unsolvable(rs, lam, window):
-        raise ValueError("loop eigen-system is not uniquely solvable on this window")
-
-    monkeypatch.setattr(weylchar, "eigen_solve_base", unsolvable)
+    # F4 omega4 is rank-deficient at the check point: 19 of the 24 a unique base needs
     monkeypatch.setattr(weylchar, "_BASE_CACHE", {})
     for command in ("weylchar", "twisted"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--type", "F4", "--lambda", "0,0,0,1"])
         assert exc.value.code == (f"{command}: eigen base solve failed for (0, 0, 0, 1): "
-                                  "loop eigen-system is not uniquely solvable on this window")
+                                  "loop eigen-system is not uniquely solvable: rank 19 at the "
+                                  "check point, a unique base needs 24")
 
 
 def test_cli_weylchar_and_emac(capsys):

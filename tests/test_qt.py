@@ -9,8 +9,11 @@ import pytest
 
 from siflag import qt
 from siflag.qt import (
+    P,
+    ModP,
     Poly,
     QTRat,
+    _rref,
     gauss_nullspace,
     gauss_solve,
     p_str,
@@ -617,9 +620,27 @@ def test_gauss_kernel_matches_dense_reference(shape):
     assert checked >= 5, "the seeded systems never reach the shape under test"
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_sparse_solve_matches_dense_reference(shape):
-    """sparse_solve on {col: value} rows, some with explicit zeros, against the dense route."""
+def _mod_p(x: Fraction) -> ModP:
+    """The rational x reduced into Z/PZ (P divides none of the test denominators)."""
+    return ModP(x.numerator * pow(x.denominator, -1, P))
+
+
+def _rows_mod_p(rows):
+    return [{c: _mod_p(x) for c, x in row.items()} for row in rows]
+
+
+# the Fraction cases keep their bare shape ids; the ModP cases add "-modp"
+FIELD_SHAPES = ([pytest.param(s, Fraction, id=s) for s in SHAPES]
+                + [pytest.param(s, ModP, id=f"{s}-modp") for s in SHAPES])
+
+
+@pytest.mark.parametrize("shape, field", FIELD_SHAPES)
+def test_sparse_solve_matches_dense_reference(shape, field):
+    """sparse_solve on {col: value} rows, some with explicit zeros, against the dense route.
+
+    Over ModP the rows are the same systems reduced mod P: the RREF and the
+    solution must be the Fraction ones reduced mod P.
+    """
     rng = random.Random("sparse:" + shape)
     zero = Fraction(0)
     checked = 0
@@ -632,15 +653,36 @@ def test_sparse_solve_matches_dense_reference(shape):
             for c in rng.sample(range(m + 1), rng.randint(0, 2)):
                 entry.setdefault(c, zero)
             sparse.append(entry)
-        given = [dict(entry) for entry in sparse]
         want = _dense_solve(rows, rhs, zero)
-        got = sparse_solve(sparse, m, zero)
-        assert got == want == gauss_solve(rows, rhs, zero)
-        assert sparse == given, "the kernel changed the rows it was given"
+        if field is ModP:
+            pivots, rest = _rref(sparse, m)
+            reduced = _rows_mod_p(sparse)
+            given = [dict(entry) for entry in reduced]
+            got_pivots, got_rest = _rref(reduced, m)
+            assert got_pivots == [(c, _rows_mod_p([row])[0]) for c, row in pivots]
+            assert got_rest == _rows_mod_p(rest)
+            got = sparse_solve(reduced, m, ModP(0))
+            assert got == (None if want is None else [_mod_p(x) for x in want])
+            assert reduced == given, "the kernel changed the rows it was given"
+        else:
+            given = [dict(entry) for entry in sparse]
+            got = sparse_solve(sparse, m, zero)
+            assert got == want == gauss_solve(rows, rhs, zero)
+            assert sparse == given, "the kernel changed the rows it was given"
         if shape in ("singular", "underdetermined", "zero_rows"):
             assert got is None
         checked += (got is None) != (shape in ("square", "tall"))
     assert checked >= 5, "the seeded systems never reach the shape under test"
+
+
+def test_mod_p_field_operations():
+    a, b = ModP(3), ModP(-5)
+    assert b == ModP(P - 5) and b.v == P - 5
+    assert a - b == ModP(8) and -a == ModP(P - 3) and a * b == ModP(-15)
+    assert (a / b) * b == a
+    assert not ModP(P) and ModP(1)
+    with pytest.raises(ValueError):
+        a / ModP(0)  # 0 has no inverse
 
 
 def test_sparse_solve_skips_an_explicit_zero_pivot():

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,7 @@ A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 C2 = build_root_system("C", 2)
 G2 = build_root_system("G", 2)
+C4 = build_root_system("C", 4)
 
 
 def mono(*coords, n=0, c=1):
@@ -109,22 +113,96 @@ def test_difference_loop_examples():
 
 def test_eigen_solve_examples():
     w = A1.fundamental_weight(1)
-    got = eigen_solve_base(A1, w, 8)
+    got = eigen_solve_base(A1, w)
     assert got.value == mono(1) + mono(-1, n=1)
-    assert eigen_solve_base(A1, Weight((0,)), 6).value == CharPoly.one(1)
+    assert eigen_solve_base(A1, Weight((0,))).value == CharPoly.one(1)
     w1 = A2.fundamental_weight(1)
     oracle = specialize(bar_conjugate(gram_schmidt_E(A2, -w1)), ("t-inf", "q-inv"))
-    assert eigen_solve_base(A2, w1, 8).value == oracle
+    assert eigen_solve_base(A2, w1).value == oracle
 
 
-def test_eigen_solve_window_ladder():
-    # too small a window must fail as "not uniquely solvable" (not give a wrong
-    # answer), so that base_char climbs to the next window
-    for rs, lam, too_small, first_ok in ((B2, (1, 0), 1, 2), (C2, (1, 1), 2, 3)):
-        lam = Weight(lam)
-        with pytest.raises(ValueError, match="not uniquely solvable"):
-            eigen_solve_base(rs, lam, too_small)
-        assert eigen_solve_base(rs, lam, first_ok).value == eigen_solve_base(rs, lam, 8).value
+def test_rank_deficient_eigen_solve_raises():
+    # C4 omega4 has rank 39 at the check point, where a unique base needs 40:
+    # the solve must stop with that rank, not give an answer
+    with pytest.raises(ValueError, match="not uniquely solvable: rank 39 at the check point, "
+                                         "a unique base needs 40"):
+        eigen_solve_base(C4, Weight((0, 0, 0, 1)))
+
+
+def _wrong_candidates(monkeypatch, mutate):
+    """Route every candidate of the solve through mutate; count the exact rejections."""
+    candidate, is_base = weylchar._candidate, weylchar._is_base
+    rejected = []
+
+    def check(*args):
+        ok = is_base(*args)
+        rejected.append(not ok)
+        return ok
+
+    monkeypatch.setattr(weylchar, "_candidate", lambda *args: mutate(candidate, *args))
+    monkeypatch.setattr(weylchar, "_is_base", check)
+    return rejected
+
+
+@pytest.mark.parametrize("rs, lam", [(A1, (5,)), (B2, (1, 1)), (G2, (0, 1))])
+def test_perturbed_lift_is_rejected(monkeypatch, rs, lam):
+    # one lifted coefficient off by one: the exact loop identities must refuse it
+    lam = Weight(lam)
+
+    def perturb(candidate, lam, order, newton, xs):
+        value = candidate(lam, order, newton, xs)
+        return value + CharPoly.monomial(order[0], 0)
+
+    rejected = _wrong_candidates(monkeypatch, perturb)
+    with pytest.raises(ValueError, match="fails the exact loop identity"):
+        eigen_solve_base(rs, lam)
+    assert rejected and all(rejected)
+
+
+@pytest.mark.parametrize("rs, lam", [(A1, (5,)), (B2, (1, 1)), (G2, (0, 1))])
+def test_interpolation_one_point_short_is_rejected(monkeypatch, rs, lam):
+    # each interpolant without its top Newton term, i.e. through one point fewer
+    # than its degree needs: the exact loop identities must refuse it
+    lam = Weight(lam)
+
+    def short(candidate, lam, order, newton, xs):
+        cut = [coeffs[:max((i for i, c in enumerate(coeffs) if c), default=0)]
+               for coeffs in newton]
+        return candidate(lam, order, cut, xs)
+
+    rejected = _wrong_candidates(monkeypatch, short)
+    with pytest.raises(ValueError, match="fails the exact loop identity"):
+        eigen_solve_base(rs, lam)
+    assert rejected and all(rejected)
+
+
+def test_premature_stop_falls_back_to_the_cap(monkeypatch):
+    # an early stop at every point only costs time: its candidates fail the
+    # exact check and the solve goes on to the proven cap
+    lam = Weight((2, 1))
+    want = eigen_solve_base(B2, lam).value
+    rejected = _wrong_candidates(monkeypatch, lambda candidate, *args: candidate(*args))
+    newton_add = weylchar._newton_add
+    monkeypatch.setattr(weylchar, "_newton_add", lambda *args: newton_add(*args) or True)
+    assert eigen_solve_base(B2, lam).value == want
+    assert rejected[0] and rejected[-1] is False
+
+
+def test_rank_deficient_solve_raises_under_python_O():
+    # the stop is an explicit raise, so -O (which strips assert) keeps it
+    src = os.path.dirname(os.path.dirname(weylchar.__file__))
+    script = ("from siflag.rootdata import build_root_system, Weight\n"
+              "from siflag.weylchar import eigen_solve_base\n"
+              "try:\n"
+              "    eigen_solve_base(build_root_system('C', 4), Weight((0, 0, 0, 1)))\n"
+              "except ValueError as err:\n"
+              "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("loop eigen-system is not uniquely solvable: rank 39")
 
 
 def test_base_methods_agree_rank2():
@@ -148,14 +226,13 @@ def test_engine_computes_no_oracle_polynomial(monkeypatch):
     assert weylchar._BASE_CACHE
 
 
-def test_base_window_ladder_climbs_past_26():
-    # ch W_{10 omega} needs window 32; its dimension is 2^10 (Chari-Loktev)
-    lam = Weight((10,))
-    with pytest.raises(ValueError, match="not uniquely solvable"):
-        eigen_solve_base(A1, lam, 26)
-    got = base_char(A1, lam)
-    assert got.coeff(lam, 0) == 1
-    assert got.total_at_one() == 2 ** 10
+def test_base_char_a1_dimension_is_2_to_the_n():
+    # dim W_{n omega} = 2^n for sl2 (Chari-Loktev, Adv. Math. 2006)
+    for n in (10, 11, 12):
+        lam = Weight((n,))
+        got = base_char(A1, lam)
+        assert got.coeff(lam, 0) == 1
+        assert got.total_at_one() == 2 ** n
 
 
 def test_base_methods_agree_c2():
