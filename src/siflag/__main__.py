@@ -1,0 +1,7 @@
+"""``python -m siflag``: the ``siflag`` command line, also from an uninstalled checkout."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

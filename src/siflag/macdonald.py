@@ -24,18 +24,20 @@ independent reference of the ``cor`` suite, the acceptance gate and the
 route-agreement tests.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
-in t).  Every root's density factor has the same closed-form column of
-coefficients of its powers e^{k alpha} (the q-binomial theorem), and the product
-over the roots keeps only states that a per-suffix reachability budget lets
-still land on a wanted weight.  The orthogonality system is solved order by
-order over Z[t] by forward substitution, with no inverse and no field (listed
-by root-lattice height, the order-0 block is unit lower triangular), the
-rational function behind each coefficient series is recovered by a
-fraction-free Pade step, and the result is re-verified against five extra
-q-orders.  The density and all three later stages compute on t-polynomials
-packed into integers at t = 2^B and decode only their results: _on_packed
-sizes B from L1 majorants (and says why that width carries exactness), except
-for the Pade nullspace, which bounds its own minors.
+in t).  Every root's density factor has the same column of coefficients of its
+powers e^{k alpha}, in closed form by Ramanujan's 1psi1 sum (Gasper-Rahman
+(5.2.1)), and the product over the roots keeps only states that a per-suffix
+reachability budget lets still land on a wanted weight.  The orthogonality
+system is solved order by order over Z[t] by forward substitution, with no
+inverse and no field (listed by root-lattice height, the order-0 block is unit
+lower triangular), the rational function behind each coefficient series is
+recovered by a fraction-free Pade step, and the result is re-verified against
+five extra q-orders.  The density and all three later stages compute on
+t-polynomials packed into integers at t = 2^B and decode only their results:
+_on_packed sizes B from L1 majorants (and says why that width carries
+exactness), except for the Pade nullspace, which bounds its own minors, and
+the Gram solve, which first tries the width of its inputs and is certified by
+the re-verification (see gram_schmidt_E).
 """
 from __future__ import annotations
 
@@ -57,21 +59,13 @@ def triangular_order_ideal(rs: RootSystem, gamma: Weight) -> list[Weight]:
     minimal v with nu = v(nu+) is Bruhat-smaller.
     """
     gamma_plus, v_gamma = rs.dominant_representative(gamma)
-    members: list[Weight] = []
+    levels = []
     for nu in hull_weights(rs, gamma_plus):
         nu_plus, v_nu = rs.dominant_representative(nu)
-        if nu_plus == gamma_plus:
-            if rs.bruhat_leq(v_nu, v_gamma):
-                members.append(nu)
-        else:
-            members.append(nu)
-
-    def level(nu: Weight) -> tuple:
-        nu_plus, v_nu = rs.dominant_representative(nu)
-        ht = sum(rs.weight_to_root(nu_plus))
-        return (ht, v_nu.length(), nu.coords)
-
-    members.sort(key=level)
+        if nu_plus != gamma_plus or rs.bruhat_leq(v_nu, v_gamma):
+            levels.append((sum(rs.weight_to_root(nu_plus)), v_nu.length(), nu.coords, nu))
+    levels.sort(key=lambda level: level[:3])
+    members = [level[3] for level in levels]
     if members[-1] != gamma:
         raise AssertionError("triangular order does not end at gamma")
     return members
@@ -90,9 +84,17 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
         col(k) = sum_{b >= 0} q^b C_b C_{k+b},   col(-k) = q^k col(k)   (k >= 0),
         C_a = prod_{i < a} (t - q^i) / (1 - q^{i+1}),
 
-    one column shared by every root.  The product over the roots is expanded
-    root by root; a state survives only while its q-budget covers the least
-    budget with which the remaining roots can still land it on a target.
+    one column shared by every root.  Ramanujan's 1psi1 sum (Gasper-Rahman
+    (5.2.1)) puts that bilateral sum in closed form,
+
+        col(0) = (tq;q)^2_inf / ((q;q)_inf (t^2 q;q)_inf),
+        col(k+1) = col(k) (t - q^k) / (1 - t q^{k+1}),
+
+    which _FactorColumn evaluates as one product per k.
+
+    The product over the roots is expanded root by root; a state survives only
+    while its q-budget covers the least budget with which the remaining roots
+    can still land it on a target.
 
     The expansion runs on packed t-polynomials (see _on_packed).  A packed
     column entry at e^{k alpha} is about t^k times a short band, so products
@@ -103,28 +105,37 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     return _on_packed(_DensityExpansion(rs, targets, order).run)
 
 
-def _on_packed(run) -> dict:
+def _on_packed(run, bits: int | None = None) -> dict:
     """{key: t-polynomial} from run(value) -> {key: int}, computed on packed integers.
 
     run must read every t-polynomial it uses, t and -1 included, through value.
-    It is called twice.  First value = _l1 (t -> 1, every minus sign made
-    plus): every entry is then an L1 majorant, a bound on the absolute
-    coefficient sum of the entry it stands for.  Then value packs at
+    Without bits it is called twice.  First value = _l1 (t -> 1, every minus
+    sign made plus): every entry is then an L1 majorant, a bound on the
+    absolute coefficient sum of the entry it stands for.  Then value packs at
     t = 2^B, B = _width(largest majorant), and each entry is decoded.
 
     Evaluation at 2^B is a ring homomorphism, so only the final coefficients
-    must fit in B bits, and they do: exactness rests on that width alone.
-    Each decoded entry is checked against its majorant, but that check guards
-    only the code path (the two runs against each other): a width too narrow
-    wraps into small coefficients that stay under their majorants, and only a
-    later stage (the Pade acceptance) can catch it.
+    must fit in B bits, and with B from the majorants they do: the density and
+    the q-series products of the Pade step and the re-verification (_convolve)
+    are exact by that width alone.  Each decoded entry is checked against its
+    majorant, but that check guards only the code path (the two runs against
+    each other): a width too narrow wraps into small coefficients that stay
+    under their majorants, and only a later stage (the Pade acceptance) can
+    catch it.
+
+    With bits given, run is called once, packed at that width, and nothing
+    bounds the decoded entries.  The Gram solve runs so at a trial width (see
+    gram_schmidt_E): the exact re-verification of the coefficients that Pade
+    recovers from its result, not the width, certifies it.
     """
-    bound = run(_l1)
-    bits = _width(max(bound.values(), default=0))
+    bound = None
+    if bits is None:
+        bound = run(_l1)
+        bits = _width(max(bound.values(), default=0))
     out = {}
     for key, packed in run(lambda tp: _pack(tp, bits)).items():
         tp = _unpack(packed, bits)
-        if _l1(tp) > bound.get(key, 0):
+        if bound is not None and _l1(tp) > bound.get(key, 0):
             raise AssertionError(f"packed entry {key} exceeds its L1 majorant")
         out[key] = tp
     return out
@@ -259,49 +270,68 @@ def _image(kernel, coords) -> tuple:
 
 
 class _FactorColumn:
-    """col(k) of one root's density factor, as sorted sparse [(qdeg, value)] up to q^order."""
+    """col(k) of one root's density factor, as sorted sparse [(qdeg, value, zeros)] up to q^order.
+
+    By Ramanujan's 1psi1 sum (Gasper-Rahman (5.2.1)), for k >= 0,
+
+        col(k) = prod_{j < k} (t - q^j) (tq;q)_inf (tq^{k+1};q)_inf / ((q;q)_inf (t^2 q;q)_inf)
+
+    (see density_table).  The head, all but the factor (tq^{k+1};q)_inf, is
+    one series at k = 0 and one linear factor more per further k; that last
+    factor is one linear factor per i in k < i <= order.  t and -1 come read
+    through value (see _on_packed); in the L1 run every factor becomes
+    1 + q^i or 1/(1 - q^i), and as the L1 norm is submultiplicative the same
+    code then yields valid majorants.  Each of those is its factor at t = -1
+    up to sign, so the L1 run yields col(k) at t = -1 up to sign, as the
+    q-binomial convolution's L1 run did: the majorants are unchanged.  The
+    recurrence col(k+1) = col(k) (t - q^k) / (1 - t q^{k+1}) would not: its
+    divisor becomes 1 - q^{k+1}, not 1 + q^{k+1}, and widens the density's
+    packing by up to five bits.
+    """
 
     def __init__(self, t: int, sign: int, order: int):
         self.t = t
         self.sign = sign
+        self.minus_t = sign * t
         self.order = order
-        self.c = [[1] + [0] * order]  # C_a as dense q-series
+        tt = t * t
+        head = [1] + [0] * order
+        for i in range(1, order + 1):
+            # times (1 - t q^i), then over (1 - q^i) and (1 - t^2 q^i) as strided prefix sums
+            for n in range(order, i - 1, -1):
+                head[n] += self.minus_t * head[n - i]
+            for n in range(i, order + 1):
+                head[n] += head[n - i]
+            for n in range(i, order + 1):
+                head[n] += tt * head[n - i]
+        self.heads = [head]  # the head of col(k), k >= 0, as dense q-series
         self.memo: dict = {}
 
-    def _c(self, a: int) -> list:
+    def series(self, k: int) -> list:
+        """col(k) as a dense q-series through q^order."""
         order = self.order
-        while len(self.c) <= a:
-            i = len(self.c) - 1
-            prev = self.c[i]
-            # times (t + sign q^i), then over (1 - q^{i+1}) as a strided prefix sum
+        if k < 0:
+            return ([0] * -k + self.series(-k))[:order + 1]
+        while len(self.heads) <= k:
+            i = len(self.heads) - 1
+            prev = self.heads[i]
+            # times (t + sign q^i)
             cur = [self.t * x for x in prev]
             for n in range(i, order + 1):
                 cur[n] += self.sign * prev[n - i]
-            for n in range(i + 1, order + 1):
-                cur[n] += cur[n - i - 1]
-            self.c.append(cur)
-        return self.c[a]
+            self.heads.append(cur)
+        col = list(self.heads[k])
+        for i in range(k + 1, order + 1):
+            # times (1 - t q^i)
+            for n in range(order, i - 1, -1):
+                col[n] += self.minus_t * col[n - i]
+        return col
 
     def __call__(self, k: int) -> list:
         got = self.memo.get(k)
-        if got is not None:
-            return got
-        order = self.order
-        if k < 0:
-            got = [(n - k, x, z) for n, x, z in self(-k) if n - k <= order]
-        else:
-            out = [0] * (order + 1)
-            for b in range(order + 1):
-                cb = self._c(b)
-                ckb = self._c(k + b)
-                for i in range(order + 1 - b):
-                    x = cb[i]
-                    if x:
-                        for j in range(order + 1 - b - i):
-                            out[b + i + j] += x * ckb[j]
-            got = [(n, x >> z, z) for n, x in enumerate(out) if x
-                   for z in ((x & -x).bit_length() - 1,)]
-        self.memo[k] = got
+        if got is None:
+            got = self.memo[k] = [(n, x >> z, z) for n, x in enumerate(self.series(k)) if x
+                                  for z in ((x & -x).bit_length() - 1,)]
         return got
 
 
@@ -389,10 +419,10 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     """The unique monic element e^gamma + lower terms orthogonal to its strict ideal.
 
     Solved order by order in q over Z[t] up to default_truncation, reconstructed
-    to exact rational coefficients, and re-verified on five extra q-orders;
-    raises when that truncation is too small to pin the answer.  reverse_ties
-    reverses the order of the unknowns of equal height (the result must not
-    change).
+    to exact rational coefficients, and re-verified on five extra q-orders,
+    whatever width the solve ran at; raises when that truncation is too small
+    to pin the answer.  reverse_ties reverses the order of the unknowns of
+    equal height (the result must not change).
     """
     if rs.rank > 2:
         raise ValueError("oracle scope is rank <= 2")
@@ -414,13 +444,27 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
 
     gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
     rhs_series = [table.series(gamma, nu) for nu in lower]
-    series = _solve_orthogonality(gram, rhs_series)
-
-    coeffs = {gamma: QTRat.one()}
-    for nu, c_series in zip(lower, series):
-        coeffs[nu] = _pade_reconstruct(c_series, order)
-    result = EPoly(gamma, coeffs)
-    _verify_orthogonality(result, lower, table)
+    # The L1 majorants of the solve ignore cancellation and prove a width many
+    # times what its answer needs.  So solve first at the width of its inputs;
+    # a result that Pade or the exact re-verification rejects is solved again
+    # at the proven width, where a rejection is final.  A verified result is
+    # the true one (the order-0 block is unimodular, so the system through
+    # q^big has one solution), and so is its Pade fraction.
+    for bits in (_trial_width(gram, rhs_series), None):
+        try:
+            series = _solve_orthogonality(gram, rhs_series, bits)
+            coeffs = {gamma: QTRat.one()}
+            for nu, c_series in zip(lower, series):
+                coeffs[nu] = _pade_reconstruct(c_series, order)
+            result = EPoly(gamma, coeffs)
+            _verify_orthogonality(result, lower, table)
+            break
+        except ValueError as err:
+            if bits is None or err.args != (_NO_FRACTION,):
+                raise
+        except _NotOrthogonal:
+            if bits is None:
+                raise
     _E_CACHE[cache_key] = result
     return result
 
@@ -438,7 +482,15 @@ def _unknowns(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list
     return sorted(lower, key=lambda nu: sum(rs.weight_to_root(nu)))
 
 
-def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
+def _trial_width(gram, rhs_series) -> int:
+    """The packing width of the largest coefficient among the Gram and right-hand-side entries."""
+    # the Gram entries are the pairing table's own polynomials, many shared
+    entries = {id(tp): tp for rows in (gram, [rhs_series]) for row in rows for entry in row
+               for tp in entry if tp}
+    return _width(max((max(map(abs, tp.values())) for tp in entries.values()), default=0))
+
+
+def _solve_orthogonality(gram, rhs_series, bits: int | None = None) -> list[list[Poly]]:
     """Per-q-order solve of sum_mu c_mu <e^mu, e^nu> = -<e^gamma, e^nu> over Z[t].
 
     The unknowns come listed by height (see _unknowns), so the order-0 block g0
@@ -447,8 +499,9 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
 
         g0 x_n = -rhs_n - sum_{k >= 1} g_k x_{n-k},
 
-    on packed t-polynomials (see _on_packed).  Returns each coefficient's
-    q-series through the last order.
+    on packed t-polynomials (see _on_packed), at the width bits or, without it,
+    at the width the L1 majorants prove.  Returns each coefficient's q-series
+    through the last order.
     """
     for i, row in enumerate(gram):
         if not row[i][0]:
@@ -456,7 +509,7 @@ def _solve_orthogonality(gram, rhs_series) -> list[list[Poly]]:
                 "pairing matrix singular at order 0: truncation too small or order ideal wrong")
         if row[i][0] != {0: 1} or any(entry[0] for entry in row[i + 1:]):
             raise ValueError("order-0 pairing block is not unimodular over Z[t]")
-    got = _on_packed(lambda value: _gram_recurrence(gram, rhs_series, value))
+    got = _on_packed(lambda value: _gram_recurrence(gram, rhs_series, value), bits)
     return [[got[n, col] for n in range(len(rhs_series[0]))] for col in range(len(rhs_series))]
 
 
@@ -480,6 +533,9 @@ def _gram_recurrence(gram, rhs_series, value) -> dict:
                         acc += vals[id(g[k])] * x
             xs[n].append(sign * acc)
     return {(n, i): x for n, row in enumerate(xs) for i, x in enumerate(row)}
+
+
+_NO_FRACTION = "rational reconstruction failed: raise the truncation order"
 
 
 def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
@@ -506,7 +562,7 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     expanded = _convolve([(cand.den, series)], len(series) - 1)
     if all(c == cand.num.get(n, Poly()) for n, c in enumerate(expanded)):
         return cand
-    raise ValueError("rational reconstruction failed: raise the truncation order")
+    raise ValueError(_NO_FRACTION)
 
 
 def _null_vector(rows, ncols) -> list[Poly]:
@@ -574,6 +630,10 @@ def _convolve(pairs, top: int) -> list[Poly]:
     return [got[n] for n in range(top + 1)]
 
 
+class _NotOrthogonal(AssertionError):
+    """The re-verification's verdict against a candidate E (see _verify_orthogonality)."""
+
+
 def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
     """<E, e^nu> must vanish identically through every computed q-order.
 
@@ -592,7 +652,7 @@ def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
         sums = _convolve([(cl, table.series(mu, nu)) for mu, cl in scaled.items()], big)
         for n, c in enumerate(sums):
             if c:
-                raise AssertionError(f"orthogonality fails against {nu} at q^{n}")
+                raise _NotOrthogonal(f"orthogonality fails against {nu} at q^{n}")
 
 
 # -- bar involution and specializations ----------------------------------------------

@@ -70,6 +70,17 @@ def test_cli_roots_and_qbruhat(capsys):
     assert {"from": "s1", "to": "e", "letter": 0} in edges
 
 
+def test_python_m_siflag_runs_the_cli():
+    # an uninstalled checkout has no siflag script; python -m siflag stands in
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "siflag", "roots", "--type", "A1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["type"] == "A1"
+
+
 def test_qbruhat_words_are_checked_at_parsing():
     for argv in (["--from", "s5"], ["--from", "s5", "--to", "e"], ["--to", "x1"]):
         with pytest.raises(SystemExit, match="out of range|cannot parse|needs --to"):

@@ -287,6 +287,7 @@ def _id(value):
 
 @pytest.mark.parametrize("name, lam, order", [
     ("A1", (2,), 0), ("A1", (2,), 1), ("A1", (2,), 5), ("A1", (2,), 12), ("A1", (4,), 12),
+    ("A1", (4,), 29),
     ("A2", (1, 0), 6), ("A2", (1, 1), 4),
     ("B2", (1, 0), 5), ("B2", (0, 1), 5),
     ("C2", (1, 0), 5), ("C2", (0, 1), 6),
@@ -296,6 +297,120 @@ def test_density_table_matches_tower_expansion(name, lam, order):
     rs = RANK2[name]
     targets = _hull_targets(rs, lam)
     assert density_table(rs, targets, order) == _tower_density_table(rs, targets, order)
+
+
+# -- reference: the q-binomial convolution _FactorColumn replaced ---------------
+
+
+class _QBinomialColumn:
+    """col(k) = sum_{b >= 0} q^b C_b C_{k+b}, C_a = prod_{i < a} (t - q^i) / (1 - q^{i+1}).
+
+    The factor column as the q-binomial theorem gives it, one convolution per
+    k, as dense q-series up to q^order; col(-k) = q^k col(k).
+    """
+
+    def __init__(self, t, sign, order: int):
+        self.t = t
+        self.sign = sign
+        self.order = order
+        self.c = [[1] + [0] * order]  # C_a as dense q-series
+        self.memo: dict = {}
+
+    def _c(self, a: int) -> list:
+        order = self.order
+        while len(self.c) <= a:
+            i = len(self.c) - 1
+            prev = self.c[i]
+            # times (t + sign q^i), then over (1 - q^{i+1}) as a strided prefix sum
+            cur = [self.t * x for x in prev]
+            for n in range(i, order + 1):
+                cur[n] += self.sign * prev[n - i]
+            for n in range(i + 1, order + 1):
+                cur[n] += cur[n - i - 1]
+            self.c.append(cur)
+        return self.c[a]
+
+    def __call__(self, k: int) -> list:
+        got = self.memo.get(k)
+        if got is not None:
+            return got
+        order = self.order
+        if k < 0:
+            got = ([0] * -k + self(-k))[:order + 1]
+        else:
+            out = [0] * (order + 1)
+            for b in range(order + 1):
+                cb = self._c(b)
+                ckb = self._c(k + b)
+                for i in range(order + 1 - b):
+                    x = cb[i]
+                    if x:
+                        for j in range(order + 1 - b - i):
+                            out[b + i + j] += x * ckb[j]
+            got = out
+        self.memo[k] = got
+        return got
+
+
+class _TPoly(Poly):
+    """A t-polynomial that adds and multiplies with ints too, so a column runs on it symbolically."""
+
+    @staticmethod
+    def lift(x) -> Poly:
+        return x if isinstance(x, Poly) else Poly({0: x} if x else {})
+
+    def __add__(self, other):
+        return _TPoly(Poly.__add__(self, self.lift(other)))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return _TPoly(Poly.__mul__(self, self.lift(other)))
+
+    __rmul__ = __mul__
+
+
+_COLUMN_ORDER = 29  # the density order of the A1 orbit of 4
+
+
+@pytest.fixture(scope="module")
+def qbinomial_columns():
+    """{k: [t-polynomial per q-degree]} of the convolution, -order <= k <= order."""
+    ref = _QBinomialColumn(_TPoly({1: 1}), _TPoly({0: -1}), _COLUMN_ORDER)
+    return {k: [Poly(_TPoly.lift(x)) for x in ref(k)]
+            for k in range(-_COLUMN_ORDER, _COLUMN_ORDER + 1)}
+
+
+def test_factor_column_is_the_qbinomial_convolution(qbinomial_columns):
+    # the 1psi1 closed form, run on symbolic t-polynomials
+    column = macdonald._FactorColumn(_TPoly({1: 1}), _TPoly({0: -1}), _COLUMN_ORDER)
+    for k, want in qbinomial_columns.items():
+        assert [_TPoly.lift(x) for x in column.series(k)] == want, k
+
+
+def test_packed_factor_column_decodes_to_the_convolution(qbinomial_columns):
+    # the density's packed run, at the least width that holds the column and at a wider one
+    top = max(abs(c) for col in qbinomial_columns.values() for tp in col for c in tp.values())
+    for bits in (macdonald._width(top), macdonald._width(top) + 13):
+        column = macdonald._FactorColumn(macdonald._pack(macdonald._T, bits),
+                                         macdonald._pack(macdonald._MINUS_ONE, bits), _COLUMN_ORDER)
+        for k, want in qbinomial_columns.items():
+            got = {n: macdonald._unpack(x << z, bits) for n, x, z in column(k)}
+            assert got == {n: tp for n, tp in enumerate(want) if tp}, (bits, k)
+
+
+def test_l1_factor_column_majorizes_the_convolution(qbinomial_columns):
+    # the density's L1 run: every entry at least the coefficient sum it stands
+    # for, and equal to the convolution's own L1 run, so the density's packing
+    # width stays what it was
+    one, sign = macdonald._l1(macdonald._T), macdonald._l1(macdonald._MINUS_ONE)
+    column = macdonald._FactorColumn(one, sign, _COLUMN_ORDER)
+    convolution = _QBinomialColumn(one, sign, _COLUMN_ORDER)
+    for k, want in qbinomial_columns.items():
+        got = {n: x << z for n, x, z in column(k)}
+        for n, tp in enumerate(want):
+            assert got.get(n, 0) >= macdonald._l1(tp), (k, n)
+        assert column.series(k) == convolution(k), k
 
 
 @pytest.mark.parametrize("name, lam, order", [("A2", (1, 1), 13), ("C2", (0, 1), 17), ("G2", (1, 0), 12)],
@@ -738,3 +853,84 @@ def test_halved_packing_width_raises_under_python_O():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "ValueError: rational reconstruction failed" in proc.stderr
+
+
+# -- the Gram solve's trial width -------------------------------------------------
+
+
+FALLBACK_CASES = [("A1", (-3,)), ("A2", (-1, 1)), ("B2", (0, -1))]
+
+
+@pytest.mark.parametrize("name, gamma", FALLBACK_CASES, ids=_id)
+def test_too_narrow_trial_width_falls_back(monkeypatch, name, gamma):
+    # at 2 bits the decoded coefficients lie in [-2, 1]: an answer outside that
+    # wraps, is rejected and is solved again at the proven width; an answer
+    # inside it is exact and is accepted at the trial width
+    rs, gamma = RANK2[name], Weight(gamma)
+    want = gram_schmidt_E(rs, gamma)
+    series, _, _, _ = _fresh_series(rs, gamma)
+    fits = all(-2 <= c <= 1 for xs in series for tp in xs for c in tp.values())
+    assert fits or name == "A1"  # A1 -3 has coefficients -3 and 2
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_trial_width", lambda gram, rhs_series: 2)
+    solve, widths = macdonald._solve_orthogonality, []
+
+    def spy(gram, rhs_series, bits=None):
+        widths.append(bits)
+        return solve(gram, rhs_series, bits)
+
+    monkeypatch.setattr(macdonald, "_solve_orthogonality", spy)
+    assert gram_schmidt_E(rs, gamma).coeffs == want.coeffs
+    assert widths == ([2] if fits else [2, None])
+
+
+@pytest.mark.parametrize("name, gamma", FALLBACK_CASES, ids=_id)
+def test_trial_result_that_pade_accepts_is_still_reverified(monkeypatch, name, gamma):
+    # a wrong trial series that is itself a fraction in the Pade box (c + q^2):
+    # Pade accepts it, only the re-verification rejects it, and the proven
+    # width must then give the true E
+    rs, gamma = RANK2[name], Weight(gamma)
+    want = gram_schmidt_E(rs, gamma)
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    solve, verify, widths, verified = macdonald._solve_orthogonality, macdonald._verify_orthogonality, [], []
+
+    def bent(gram, rhs_series, bits=None):
+        widths.append(bits)
+        series = solve(gram, rhs_series, bits)
+        if bits is not None:
+            series[0][2] = series[0][2] + Poly({0: 1})
+        return series
+
+    def spy(epoly, lower, table):
+        verified.append(epoly.coeffs == want.coeffs)
+        return verify(epoly, lower, table)
+
+    monkeypatch.setattr(macdonald, "_solve_orthogonality", bent)
+    monkeypatch.setattr(macdonald, "_verify_orthogonality", spy)
+    assert gram_schmidt_E(rs, gamma).coeffs == want.coeffs
+    assert widths[1:] == [None]
+    assert verified == [False, True]
+
+
+def test_too_narrow_trial_width_falls_back_under_python_O():
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "from siflag import macdonald\n"
+        "from siflag.rootdata import Weight, build_root_system\n"
+        "a1, gamma = build_root_system('A', 1), Weight((-3,))\n"
+        "want = macdonald.gram_schmidt_E(a1, gamma)\n"
+        "macdonald._E_CACHE.clear()\n"
+        "macdonald._trial_width = lambda gram, rhs_series: 2\n"
+        "solve, widths = macdonald._solve_orthogonality, []\n"
+        "def spy(gram, rhs_series, bits=None):\n"
+        "    widths.append(bits)\n"
+        "    return solve(gram, rhs_series, bits)\n"
+        "macdonald._solve_orthogonality = spy\n"
+        "print(macdonald.gram_schmidt_E(a1, gamma).coeffs == want.coeffs, widths)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True [2, None]"
