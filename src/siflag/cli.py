@@ -1,7 +1,15 @@
-"""Command-line front end and batch verification driver."""
+"""Command-line front end and batch verification driver.
+
+``main`` may be called many times in one process (scripts, tests, the
+benchmark).  The argument parser and one ``RootSystem`` per ``(type, rank)``
+are built on first use and shared by every later call; importing this module
+builds neither.  ``rootdata.from_name`` and ``build_root_system`` still return
+fresh instances for library callers that want their own.
+"""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +18,7 @@ from dataclasses import dataclass, field
 from .affine import adapted_sequence, quantum_covers
 from .charpoly import CharPoly, CharSeries
 from .macdonald import bar_conjugate, gram_schmidt_E, specialize
-from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name
+from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, parse_name
 from . import verify
 from . import weylchar as wc
 
@@ -89,6 +97,10 @@ def parse_weyl_word(rs: RootSystem, text: str) -> WeylElement:
     return out
 
 
+# the RootSystem each (type, rank) resolves to, shared by every main() call
+_ROOT_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
+
+
 def _build_rs(args) -> RootSystem:
     name = args.type
     if name is None:
@@ -96,9 +108,11 @@ def _build_rs(args) -> RootSystem:
     if name.isalpha() and args.rank is None:
         raise SystemExit("--rank is required when --type is a bare letter")
     try:
-        if name.isalpha():
-            return build_root_system(name.upper(), args.rank)
-        rs = from_name(name)
+        key = (name.upper(), args.rank) if name.isalpha() else parse_name(name)
+        rs = _ROOT_SYSTEMS.get(key)
+        if rs is None:
+            # threads racing on a first use each build one; all get the one stored first
+            rs = _ROOT_SYSTEMS.setdefault(key, build_root_system(*key))
     except ValueError as err:
         raise SystemExit(str(err))
     if args.rank is not None and args.rank != rs.rank:
@@ -180,7 +194,9 @@ def run_suite(config: RunConfig) -> Report:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def parse_args(argv) -> RunConfig:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI's argument parser and its weylchar subparser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="siflag",
         description="Exact characters of current-algebra Weyl module Demazure submodules "
@@ -237,7 +253,11 @@ def parse_args(argv) -> RunConfig:
     p_ver.add_argument("--beta", default=None,
                        help="override the antidominant coweight for nmconn")
     p_ver.add_argument("--jobs", type=int, default=1)
+    return parser, p_wc
 
+
+def parse_args(argv) -> RunConfig:
+    parser, p_wc = _parser()
     args = parser.parse_args(argv)
     if args.command == "weylchar" and args.trunc is not None and not args.global_series:
         p_wc.error("--trunc is read only with --global")

@@ -143,6 +143,8 @@ def _on_packed(run, bits: int | None = None) -> dict:
 
 def _unpack(packed: int, bits: int) -> Poly:
     """The t-polynomial whose value at t = 2^bits is packed (|coefficients| < 2^(bits-1))."""
+    if bits < 2:
+        raise ValueError(f"cannot unpack signed coefficients at {bits} bit(s) per digit")
     out = Poly()
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)

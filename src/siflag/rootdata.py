@@ -539,12 +539,17 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     return RootSystem(type_label, rank)
 
 
-def from_name(name: str) -> RootSystem:
-    """Build a root system from a compact name such as 'A2' or 'G2'."""
+def parse_name(name: str) -> tuple[str, int]:
+    """The (type, rank) a compact name such as 'A2' or 'g2' spells; support is not checked."""
     name = name.strip()
     if len(name) < 2 or not name[1:].isdigit():
         raise ValueError(f"cannot parse root-system name {name!r}")
-    return build_root_system(name[0].upper(), int(name[1:]))
+    return name[0].upper(), int(name[1:])
+
+
+def from_name(name: str) -> RootSystem:
+    """Build a root system from a compact name such as 'A2' or 'G2'."""
+    return build_root_system(*parse_name(name))
 
 
 def minimal_coset_reps(rs: RootSystem, lam: Weight) -> list[WeylElement]:

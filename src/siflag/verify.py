@@ -24,6 +24,7 @@ list is built before any character is computed.  Every check returns
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import lcm
 from typing import NamedTuple
 
 from . import weylchar as wc
@@ -63,12 +64,19 @@ def _strictly_antidominant(rs: RootSystem, beta: Coweight) -> bool:
 
 
 def default_beta(rs: RootSystem) -> Coweight:
-    """The first strictly antidominant coweight, searching boxes of growing radius."""
+    """The first strictly antidominant coweight in boxes of radius up to 8, else -rho^vee.
+
+    The boxes are too small on B4, C4 and F4.  There the answer is -rho^vee in
+    simple-coroot coordinates, scaled to integers: rho^vee pairs to 1 with every
+    simple root.
+    """
     for radius in range(1, 9):
         for coords in sorted(iproduct(range(0, -radius - 1, -1), repeat=rs.rank)):
             if _strictly_antidominant(rs, Coweight(coords)):
                 return Coweight(coords)
-    raise AssertionError("no strictly antidominant coweight found in search box")
+    rho = [sum(row[j] for row in rs.cartan_inv) for j in range(rs.rank)]
+    scale = lcm(*(c.denominator for c in rho))
+    return Coweight(tuple(-int(c * scale) for c in rho))
 
 
 def _word(w: WeylElement) -> str:

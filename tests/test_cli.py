@@ -13,7 +13,7 @@ import siflag
 from siflag import weylchar
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
-from siflag.rootdata import Weight, build_root_system
+from siflag.rootdata import Weight, build_root_system, from_name
 
 
 def test_parse_args_examples():
@@ -360,3 +360,100 @@ def test_eigen_base_bytes_are_pinned(capsys, case):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BASES[(type_name, lam)]
+
+
+# -- one parser and one RootSystem per type, shared by every main() call ----------
+
+
+def _fresh_env():
+    src = os.path.dirname(os.path.dirname(siflag.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+                          capture_output=True, timeout=300)
+
+
+WARM_COLD_ARGVS = [
+    ["verify", "--type", "B2", "--suite", "nmconn", "--max-weight", "1"],
+    ["weylchar", "--type", "B2", "--lambda", "1,0"],
+    ["verify", "--type", "B2", "--suite", "fdif", "--max-weight", "1"],
+    ["weylchar", "--type", "G2", "--lambda", "0,1", "--format", "json"],
+    ["emac", "--type", "A2", "--gamma=-1,0", "--format", "json"],
+    ["roots", "--type", "B", "--rank", "2"],
+]
+
+
+def test_warm_cli_calls_match_cold_processes(capsysbinary):
+    cold = {}
+    for argv in WARM_COLD_ARGVS:
+        proc = _python("import sys; from siflag.cli import main; sys.exit(main(sys.argv[1:]))",
+                       *argv)
+        cold[tuple(argv)] = (proc.returncode, proc.stdout)
+    for _ in range(2):
+        for argv in WARM_COLD_ARGVS:
+            code = main(argv)
+            assert (code, capsysbinary.readouterr().out) == cold[tuple(argv)], argv
+    rs = parse_args(["roots", "--type", "B2"]).rs
+    assert parse_args(["roots", "--type", "B", "--rank", "2"]).rs is rs
+    assert parse_args(["roots", "--type", "b", "--rank", "2"]).rs is rs
+    # the library constructors still hand out fresh instances
+    assert from_name("B2") is not rs
+
+
+def test_reused_parser_keeps_each_error(capsys):
+    assert main(["weylchar", "--type", "A1", "--lambda", "1"]) == 0
+    capsys.readouterr()
+    for argv, code, err in (
+            (["weylchar", "--type", "A1", "--lambda", "1", "--trunc", "3"], 2,
+             "--trunc is read only with --global"),
+            (["weylchar", "--type", "A1"], 2, "the following arguments are required: --lambda")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert err in capsys.readouterr().err
+    for argv, message in ((["verify", "--type", "A1", "--jobs", "0"], "--jobs must be >= 1"),
+                          (["roots", "--type", "Z2"], "unsupported root system Z2")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+    assert main(["weylchar", "--type", "A1", "--lambda", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0] == {"coeff": "1", "q": 0, "wt": [1]}
+
+
+def test_help_is_the_same_on_every_call():
+    # a fresh process, so its first call is the one that builds the parser
+    proc = _python(
+        "import contextlib, io, sys\n"
+        "from siflag.cli import main\n"
+        "for argv in (['--help'], ['verify', '--help']):\n"
+        "    outs = []\n"
+        "    for _ in range(2):\n"
+        "        buf = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(buf):\n"
+        "            try:\n"
+        "                main(argv)\n"
+        "            except SystemExit as exc:\n"
+        "                assert exc.code == 0, exc.code\n"
+        "        outs.append(buf.getvalue())\n"
+        "    assert outs[0] == outs[1] and outs[0].startswith('usage: siflag'), outs\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_importing_the_cli_builds_no_parser_or_root_system():
+    # what import builds lands in the benchmark's set-up time, not in a case
+    proc = _python(
+        "import argparse, gc\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+        "from siflag import cli\n"
+        "from siflag.rootdata import RootSystem\n"
+        "assert not built, 'an ArgumentParser was built at import'\n"
+        "assert cli._parser.cache_info().currsize == 0 and not cli._ROOT_SYSTEMS\n"
+        "assert not [o for o in gc.get_objects() if isinstance(o, RootSystem)]\n"
+        "cli.parse_args(['roots', '--type', 'A1'])\n"
+        "assert built and list(cli._ROOT_SYSTEMS) == [('A', 1)]\n")
+    assert proc.returncode == 0, proc.stderr.decode()

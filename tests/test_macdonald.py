@@ -454,6 +454,21 @@ def test_convolve_majorant_violation_raises(monkeypatch):
         macdonald._convolve(pairs, 0)
 
 
+def test_unpack_rejects_widths_below_two_bits(monkeypatch):
+    # at one bit the signed digit of a positive value is -1 and packed never
+    # reaches 0; a Poly that refuses to grow turns such a loop into a failure
+    class Bounded(Poly):
+        def __setitem__(self, key, value):
+            assert len(self) < 64, "_unpack did not stop"
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(macdonald, "Poly", Bounded)
+    for bits in (1, 0):
+        with pytest.raises(ValueError, match="bit"):
+            macdonald._unpack(1, bits)
+    assert macdonald._unpack(5, 2) == Poly({0: 1, 1: 1})
+
+
 def test_a1_calibration_anchor_exact():
     w = A1.fundamental_weight(1)
     E = gram_schmidt_E(A1, -w)

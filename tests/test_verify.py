@@ -5,8 +5,9 @@ import pytest
 
 from siflag import weylchar as wc
 from siflag.charpoly import CharPoly, demazure_op
-from siflag.rootdata import from_name
-from siflag.verify import cases, check
+from siflag.cli import RunConfig, run_suite
+from siflag.rootdata import SUPPORTED, build_root_system, from_name
+from siflag.verify import _strictly_antidominant, cases, check, default_beta
 
 
 def _loop_exponent_plus_one(mp, rs, case):
@@ -54,3 +55,34 @@ def test_mutation_fails_its_suite(monkeypatch, mutation, type_name):
             mutate(mp, rs, case)
             failed += not check(rs, case)[0]
     assert failed > 0
+
+
+# default_beta of every type whose box search of radius 8 succeeds: the nmconn
+# digests pinned with them must not move
+BOX_BETAS = {
+    ("A", 1): (-1,), ("A", 2): (-1, -1), ("A", 3): (-3, -3, -2), ("A", 4): (-2, -3, -3, -2),
+    ("B", 2): (-3, -2), ("B", 3): (-3, -5, -3), ("C", 2): (-2, -3), ("C", 3): (-3, -5, -6),
+    ("D", 4): (-3, -5, -3, -3), ("G", 2): (-3, -5),
+}
+# beyond the box: -rho^vee in simple-coroot coordinates, scaled to integers
+RHO_BETAS = {("B", 4): (-4, -7, -9, -5), ("C", 4): (-7, -12, -15, -16),
+             ("F", 4): (-11, -21, -15, -8)}
+
+
+@pytest.mark.parametrize("key", SUPPORTED, ids=lambda key: f"{key[0]}{key[1]}")
+def test_default_beta_is_strictly_antidominant(key):
+    rs = build_root_system(*key)
+    beta = default_beta(rs)
+    assert _strictly_antidominant(rs, beta)
+    assert beta.coords == {**BOX_BETAS, **RHO_BETAS}[key]
+
+
+def test_nmconn_on_c4_runs_past_the_search_box():
+    # every C4 fundamental weight gets a beta; only the known non-unique base
+    # (omega4) fails, with the eigen solve's own message
+    report = run_suite(RunConfig(command="verify", rs=from_name("C4"), suite="nmconn",
+                                 max_weight=1))
+    failed = {c["case"]: c["first_discrepancy"] for c in report.cases if c["status"] != "pass"}
+    assert len(report.cases) == 4
+    assert list(failed) == ["C4:lam=0,0,0,1"]
+    assert "not uniquely solvable" in failed["C4:lam=0,0,0,1"]
