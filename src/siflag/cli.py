@@ -1,10 +1,10 @@
 """Command-line front end and batch verification driver.
 
 ``main`` may be called many times in one process (scripts, tests, the
-benchmark).  The argument parser and one ``RootSystem`` per ``(type, rank)``
-are built on first use and shared by every later call; importing this module
-builds neither.  ``rootdata.from_name`` and ``build_root_system`` still return
-fresh instances for library callers that want their own.
+benchmark).  The argument parser is built on first use and shared by every
+later call, and ``--type`` resolves through ``rootdata.build_root_system``, so
+each call uses the process's one ``RootSystem`` per ``(type, rank)``; importing
+this module builds neither.  Suites run their cases one after another.
 """
 from __future__ import annotations
 
@@ -12,13 +12,12 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .affine import adapted_sequence, quantum_covers
 from .charpoly import CharPoly, CharSeries
 from .macdonald import bar_conjugate, gram_schmidt_E, specialize
-from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, parse_name
+from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name
 from . import verify
 from . import weylchar as wc
 
@@ -36,7 +35,6 @@ class RunConfig:
     fmt: str = "plain"
     suite: str = "all"
     max_weight: int = 2
-    jobs: int = 1
     out: str | None = None
     global_series: bool = False
     dagger: bool = False
@@ -97,10 +95,6 @@ def parse_weyl_word(rs: RootSystem, text: str) -> WeylElement:
     return out
 
 
-# the RootSystem each (type, rank) resolves to, shared by every main() call
-_ROOT_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
-
-
 def _build_rs(args) -> RootSystem:
     name = args.type
     if name is None:
@@ -108,11 +102,7 @@ def _build_rs(args) -> RootSystem:
     if name.isalpha() and args.rank is None:
         raise SystemExit("--rank is required when --type is a bare letter")
     try:
-        key = (name.upper(), args.rank) if name.isalpha() else parse_name(name)
-        rs = _ROOT_SYSTEMS.get(key)
-        if rs is None:
-            # threads racing on a first use each build one; all get the one stored first
-            rs = _ROOT_SYSTEMS.setdefault(key, build_root_system(*key))
+        rs = build_root_system(name.upper(), args.rank) if name.isalpha() else from_name(name)
     except ValueError as err:
         raise SystemExit(str(err))
     if args.rank is not None and args.rank != rs.rank:
@@ -159,27 +149,24 @@ def emit(result, fmt: str) -> str:
 
 
 def run_suite(config: RunConfig) -> Report:
-    """Execute the selected verification suites, order-stable and parallel-safe."""
+    """Execute the selected verification suites, one case after another, order-stable."""
     rs = config.rs
-
-    def execute(case):
+    specs = verify.cases(rs, config.suite, config.max_weight)
+    beta = config.beta
+    if beta is None and any(case.suite == "nmconn" for case in specs):
+        beta = verify.default_beta(rs)
+    results = []
+    for case in specs:
         try:
-            ok, disc = verify.check(rs, case, config.beta)
+            ok, disc = verify.check(rs, case, beta)
         except Exception as err:  # deterministic: message only, no traceback
             ok, disc = False, f"{type(err).__name__}: {err}"
-        return {
+        results.append({
             "suite": case.suite,
             "case": case.case_id,
             "status": "pass" if ok else "fail",
             "first_discrepancy": disc,
-        }
-
-    specs = verify.cases(rs, config.suite, config.max_weight)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(execute, specs))
-    else:
-        results = [execute(case) for case in specs]
+        })
     if rs.key not in verify.ORACLE_TYPES:
         unreferenced = sum(1 for r in results if r["suite"] == "cor" and r["status"] == "pass")
         if unreferenced:
@@ -252,7 +239,9 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_ver.add_argument("--max-weight", type=int, default=2)
     p_ver.add_argument("--beta", default=None,
                        help="override the antidominant coweight for nmconn")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and read by nothing: cases run "
+                            "one after another")
     return parser, p_wc
 
 
@@ -286,7 +275,6 @@ def parse_args(argv) -> RunConfig:
         config.max_weight = args.max_weight
         if args.jobs < 1:
             raise SystemExit("--jobs must be >= 1")
-        config.jobs = args.jobs
     if args.command == "qbruhat":
         if args.qb_from is not None and args.qb_to is None:
             raise SystemExit("qbruhat --from needs --to")
@@ -311,6 +299,15 @@ def _write(config: RunConfig, text: str) -> None:
 
 def main(argv=None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
+    # what the library rejects (oracle scope, specialization modes, a base the
+    # eigen solve cannot pin) ends as "<command>: <message>", exit 1
+    try:
+        return _run(config)
+    except ValueError as err:
+        raise SystemExit(f"{config.command}: {err}")
+
+
+def _run(config: RunConfig) -> int:
     rs = config.rs
 
     if config.command == "roots":
@@ -334,39 +331,28 @@ def main(argv=None) -> int:
         return 0
 
     if config.command == "emac":
-        # the oracle's scope and the specialization modes are the library's to judge
-        try:
-            epoly = gram_schmidt_E(rs, config.gamma)
-            if config.dagger:
-                epoly = bar_conjugate(epoly)
-            if config.spec_modes:
-                result = specialize(epoly, config.spec_modes)
-            else:
-                result = dict(epoly.coeffs)
-        except ValueError as err:
-            raise SystemExit(f"emac: {err}")
+        epoly = gram_schmidt_E(rs, config.gamma)
+        if config.dagger:
+            epoly = bar_conjugate(epoly)
+        if config.spec_modes:
+            result = specialize(epoly, config.spec_modes)
+        else:
+            result = dict(epoly.coeffs)
         _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "weylchar":
         w = rs.element_from_word(config.w_word)
-        # a base the eigen solve cannot pin is the engine's to report
-        try:
-            if config.global_series:
-                result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
-            else:
-                result = wc.genweyl_char(rs, w, config.lam).value
-        except ValueError as err:
-            raise SystemExit(f"weylchar: {err}")
+        if config.global_series:
+            result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
+        else:
+            result = wc.genweyl_char(rs, w, config.lam).value
         _write(config, emit(result, config.fmt))
         return 0
 
     if config.command == "twisted":
         w = rs.element_from_word(config.w_word)
-        try:
-            result = wc.twisted_euler_char(rs, w, config.lam, config.trunc)
-        except ValueError as err:
-            raise SystemExit(f"twisted: {err}")
+        result = wc.twisted_euler_char(rs, w, config.lam, config.trunc)
         _write(config, emit(result, config.fmt))
         return 0
 

@@ -200,6 +200,7 @@ class RootSystem:
             self.root_to_weight(tuple(1 if k == i else 0 for k in range(rank)))
             for i in range(rank)
         )
+        self.simple_root_index = {a.coords: j for j, a in enumerate(self._simple_roots, 1)}
         # fundamental-weight coordinate images of positive/negative roots
         self.positive_root_weights = tuple(self.root_to_weight(b) for b in self.positive_roots)
         self._neg_root_wts = frozenset(
@@ -534,9 +535,18 @@ def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...] | 
     return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in pivots)
 
 
+# the one RootSystem each supported (type, rank) resolves to in this process
+_SHARED: dict[tuple[str, int], RootSystem] = {}
+
+
 def build_root_system(type_label: str, rank: int) -> RootSystem:
-    """Build the root system for a supported (type, rank), e.g. ('A', 2)."""
-    return RootSystem(type_label, rank)
+    """The process's one root system for a supported (type, rank), e.g. ('A', 2).
+
+    Built on first use; ``RootSystem(type_label, rank)`` builds a private one."""
+    rs = _SHARED.get((type_label, rank))
+    if rs is None:
+        rs = _SHARED.setdefault((type_label, rank), RootSystem(type_label, rank))
+    return rs
 
 
 def parse_name(name: str) -> tuple[str, int]:
@@ -548,7 +558,7 @@ def parse_name(name: str) -> tuple[str, int]:
 
 
 def from_name(name: str) -> RootSystem:
-    """Build a root system from a compact name such as 'A2' or 'G2'."""
+    """The process's root system for a compact name such as 'A2' or 'G2'."""
     return build_root_system(*parse_name(name))
 
 

@@ -140,12 +140,9 @@ def _cor_step(rs: RootSystem, lam: Weight, i: int, u: WeylElement, stepped: Char
 
 
 def _pullback_simple(rs: RootSystem, u: WeylElement, i: int):
-    """j when u^{-1} alpha_i = alpha_j for a simple root, else None."""
-    pulled = u.inverse().act(rs.simple_root(i))
-    for j in range(1, rs.rank + 1):
-        if pulled == rs.simple_root(j):
-            return j
-    return None
+    """j when u^{-1} alpha_i = alpha_j for a simple root, else None (i in 1..rank)."""
+    tables = rs.weyl_tables()
+    return rs.simple_root_index.get(tables.inv_roots[tables.index[u]][i])
 
 
 def global_demazure_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> DemazureChar:

@@ -215,7 +215,7 @@ def test_criterion_8_gnsmac_coherence():
 
 
 def test_criterion_9_determinism(tmp_path):
-    cfg = RunConfig(command="verify", rs=A1, suite="all", max_weight=2, trunc=12, jobs=8)
+    cfg = RunConfig(command="verify", rs=A1, suite="all", max_weight=2, trunc=12)
     first = run_suite(cfg).to_json()
     second = run_suite(cfg).to_json()
     ok = first == second

@@ -13,7 +13,7 @@ import siflag
 from siflag import weylchar
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
-from siflag.rootdata import Weight, build_root_system, from_name
+from siflag.rootdata import RootSystem, Weight, build_root_system, from_name
 
 
 def test_parse_args_examples():
@@ -399,8 +399,8 @@ def test_warm_cli_calls_match_cold_processes(capsysbinary):
     rs = parse_args(["roots", "--type", "B2"]).rs
     assert parse_args(["roots", "--type", "B", "--rank", "2"]).rs is rs
     assert parse_args(["roots", "--type", "b", "--rank", "2"]).rs is rs
-    # the library constructors still hand out fresh instances
-    assert from_name("B2") is not rs
+    # the library constructor hands out the same instance
+    assert from_name("B2") is rs
 
 
 def test_reused_parser_keeps_each_error(capsys):
@@ -442,6 +442,33 @@ def test_help_is_the_same_on_every_call():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_library_and_cli_share_one_root_system():
+    rs = from_name("B2")
+    assert build_root_system("B", 2) is rs
+    assert parse_args(["roots", "--type", "b", "--rank", "2"]).rs is rs
+    private = RootSystem("B", 2)
+    assert private is not rs and private._tables is None
+
+
+def test_cli_case_reuses_the_root_systems_built_at_set_up():
+    # the benchmark child's order: from_name for each type, then cli.main cases
+    proc = _python(
+        "import contextlib, gc, io\n"
+        "from siflag import cli\n"
+        "from siflag.rootdata import RootSystem, from_name\n"
+        "set_up = {name: from_name(name) for name in ('B2', 'G2')}\n"
+        "built = []\n"
+        "init = RootSystem.__init__\n"
+        "RootSystem.__init__ = lambda self, *a: (built.append(a), init(self, *a))[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--type', 'B2', '--suite', 'fdif', '--max-weight', '1']) == 0\n"
+        "assert not built, built\n"
+        "assert set_up['B2']._tables is not None and set_up['G2']._tables is None\n"
+        "kinds = sorted(o.key for o in gc.get_objects() if isinstance(o, RootSystem))\n"
+        "assert kinds == [('B', 2), ('G', 2)], kinds\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_importing_the_cli_builds_no_parser_or_root_system():
     # what import builds lands in the benchmark's set-up time, not in a case
     proc = _python(
@@ -449,11 +476,11 @@ def test_importing_the_cli_builds_no_parser_or_root_system():
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
-        "from siflag import cli\n"
+        "from siflag import cli, rootdata\n"
         "from siflag.rootdata import RootSystem\n"
         "assert not built, 'an ArgumentParser was built at import'\n"
-        "assert cli._parser.cache_info().currsize == 0 and not cli._ROOT_SYSTEMS\n"
+        "assert cli._parser.cache_info().currsize == 0 and not rootdata._SHARED\n"
         "assert not [o for o in gc.get_objects() if isinstance(o, RootSystem)]\n"
         "cli.parse_args(['roots', '--type', 'A1'])\n"
-        "assert built and list(cli._ROOT_SYSTEMS) == [('A', 1)]\n")
+        "assert built and list(rootdata._SHARED) == [('A', 1)]\n")
     assert proc.returncode == 0, proc.stderr.decode()

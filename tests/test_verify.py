@@ -1,11 +1,14 @@
 """The verification engine's checks reject a broken identity."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from siflag import verify
 from siflag import weylchar as wc
 from siflag.charpoly import CharPoly, demazure_op
-from siflag.cli import RunConfig, run_suite
+from siflag.cli import RunConfig, main, run_suite
 from siflag.rootdata import SUPPORTED, build_root_system, from_name
 from siflag.verify import _strictly_antidominant, cases, check, default_beta
 
@@ -75,6 +78,20 @@ def test_default_beta_is_strictly_antidominant(key):
     beta = default_beta(rs)
     assert _strictly_antidominant(rs, beta)
     assert beta.coords == {**BOX_BETAS, **RHO_BETAS}[key]
+
+
+def test_verify_resolves_the_default_beta_once_per_run(monkeypatch, capsys):
+    calls = []
+    real = verify.default_beta
+    monkeypatch.setattr(verify, "default_beta", lambda rs: calls.append(rs.key) or real(rs))
+    assert main(["verify", "--type", "A2", "--suite", "nmconn", "--max-weight", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_cases"] == 5
+    assert calls == [("A", 2)]
+    # an explicit --beta, or a run with no nmconn case, needs none
+    assert main(["verify", "--type", "A2", "--suite", "nmconn", "--max-weight", "2",
+                 "--beta=-1,-1"]) == 0
+    assert main(["verify", "--type", "A2", "--suite", "dmain", "--max-weight", "1"]) == 0
+    assert calls == [("A", 2)]
 
 
 def test_nmconn_on_c4_runs_past_the_search_box():

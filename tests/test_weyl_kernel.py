@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 from siflag.affine import AffineElement, translation_word
-from siflag.rootdata import SUPPORTED, Coweight, WeylElement, build_root_system, from_name
+from siflag.rootdata import SUPPORTED, Coweight, RootSystem, WeylElement, build_root_system
 
 KERNEL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2))
 
@@ -95,15 +95,15 @@ def test_index_tables_match_the_group_inverse(key):
 
 @pytest.mark.parametrize("key", SUPPORTED)
 def test_fresh_root_system_builds_no_group_table(key):
-    rs = from_name(f"{key[0]}{key[1]}")
+    rs = RootSystem(*key)
     assert rs._tables is None
 
 
 def test_concurrent_first_use_gives_the_same_words():
     box = [Coweight(c) for c in product(range(3), repeat=4)]
-    serial = from_name("F4")
+    serial = RootSystem("F", 4)
     expected = [translation_word(serial, beta) for beta in box]
-    rs = from_name("F4")
+    rs = RootSystem("F", 4)
     start = threading.Barrier(4)
     results = [None] * 4
 

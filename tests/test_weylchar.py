@@ -15,6 +15,7 @@ from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
 from siflag.rootdata import (SUPPORTED, Coweight, RootSystem, Weight, build_root_system,
                              from_name, minimal_coset_reps)
 from siflag.weylchar import (
+    _pullback_simple,
     base_char,
     cns_step,
     cor_family,
@@ -456,3 +457,15 @@ def test_base_loops_are_pinned(monkeypatch, name):
     count, digest = PINNED_LOOPS[name]
     assert len(loops) == count
     assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_pullback_simple_matches_the_inverse_action(name):
+    # the index tables' u^{-1} alpha_i against the inverse element acting on alpha_i
+    rs = from_name(name)
+    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
+    for u in rs.weyl_elements():
+        for i in range(1, rs.rank + 1):
+            pulled = u.inverse().act(rs.simple_root(i))
+            expected = next((j for j, a in enumerate(simple, 1) if a == pulled), None)
+            assert _pullback_simple(rs, u, i) == expected
