@@ -32,7 +32,6 @@ from .affine import (
 )
 from .charpoly import (
     CharPoly,
-    CharSeries,
     demazure_op,
     demazure_word,
     exact_divide,
@@ -48,7 +47,6 @@ from .macdonald import (
     triangular_order_ideal,
 )
 from .weylchar import (
-    DemazureChar,
     GenWeylChar,
     base_char,
     cns_step,

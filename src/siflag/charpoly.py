@@ -1,4 +1,4 @@
-"""The character ring: exact sums of q^n e^lam, Demazure operators, q-series truncations.
+"""The character ring: exact sums of q^n e^lam, Demazure operators, exact division.
 
 A CharPoly is a finite sum sum c * q^n e^lam with exact rational coefficients,
 stored sparsely as {(weight coords, n): coefficient} with no zero entries.  A
@@ -9,15 +9,13 @@ acts monomialwise through the closed finite-sum rule (never by series
 division); q is e^delta and is inert under all reflections, so q-powers pass
 through every operator.
 
-A CharSeries is a CharPoly truncated at q-order N together with a validity
-watermark V <= N: coefficients in degrees <= V are certified exact, degrees
-above V may have been polluted by truncation.
+A q-series in q alone, such as the freeness factor F_lam, is held as the
+CharPoly of its terms through a stated q-degree, each of them exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .rootdata import Coords, RootSystem, Weight
@@ -203,10 +201,8 @@ def _letter(rs: RootSystem, i: int):
     return itemgetter(i - 1), tuple(map(neg, root)), root, 0
 
 
-def demazure_op(rs: RootSystem, i: int, f):
-    """Demazure operator D_i for i in {0, ..., rank}, on a CharPoly or CharSeries."""
-    if isinstance(f, CharSeries):
-        return f._apply_demazure(rs, i)
+def demazure_op(rs: RootSystem, i: int, f: CharPoly) -> CharPoly:
+    """Demazure operator D_i for i in {0, ..., rank}."""
     if not 0 <= i <= rs.rank:
         raise ValueError(f"affine index {i} out of range")
     pairing, step, back, qstep = _letter(rs, i)
@@ -238,67 +234,20 @@ def demazure_op(rs: RootSystem, i: int, f):
     return res
 
 
-def demazure_word(rs: RootSystem, word: Iterable[int], f):
+def demazure_word(rs: RootSystem, word: Iterable[int], f: CharPoly) -> CharPoly:
     """Composite D_{i_1} o ... o D_{i_l}; the last letter acts first."""
     for i in reversed(tuple(word)):
         f = demazure_op(rs, i, f)
     return f
 
 
-def t_op(rs: RootSystem, i: int, f):
+def t_op(rs: RootSystem, i: int, f: CharPoly) -> CharPoly:
     """T_i = D_i - 1."""
     return demazure_op(rs, i, f) - f
 
 
-@dataclass
-class CharSeries:
-    """A CharPoly truncated at q-order N, exact on all degrees <= V."""
-
-    poly: CharPoly
-    trunc: int
-    watermark: int
-
-    @staticmethod
-    def from_poly(p: CharPoly, trunc: int) -> "CharSeries":
-        return CharSeries(p.truncate(trunc), trunc, trunc)
-
-    def __add__(self, other: "CharSeries") -> "CharSeries":
-        n = min(self.trunc, other.trunc)
-        return CharSeries((self.poly + other.poly).truncate(n), n,
-                          min(self.watermark, other.watermark))
-
-    def __sub__(self, other: "CharSeries") -> "CharSeries":
-        return self + CharSeries(-other.poly, other.trunc, other.watermark)
-
-    def mul_poly(self, p: CharPoly) -> "CharSeries":
-        """Multiply by an exact polynomial; validity shifts with its lowest q-degree."""
-        if p.is_zero():
-            return CharSeries(CharPoly.zero(), self.trunc, self.trunc)
-        v = self.watermark + p.q_min()
-        return CharSeries((self.poly * p).truncate(self.trunc), self.trunc, v)
-
-    def shift_q(self, m: int) -> "CharSeries":
-        return CharSeries(self.poly.shift_q(m), self.trunc + m, self.watermark + m)
-
-    def _apply_demazure(self, rs: RootSystem, i: int) -> "CharSeries":
-        v = self.watermark
-        if i == 0 and self.poly.terms:
-            # terms above the watermark can shift down by up to <theta^vee, nu>
-            drop = max(
-                sum(t * a for t, a in zip(rs.theta_coroot.coords, wt))
-                for (wt, _) in self.poly.terms
-            )
-            v -= max(0, drop)
-        inner = demazure_op(rs, i, self.poly)
-        return CharSeries(inner.truncate(self.trunc), self.trunc, v)
-
-    def equal_upto_watermark(self, other: "CharSeries") -> bool:
-        v = min(self.watermark, other.watermark)
-        return self.poly.truncate(v) == other.poly.truncate(v)
-
-
-def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:
-    """Hilbert series prod_i prod_{k=1}^{lam_i} (1-q^k)^{-1}, truncated at q-order trunc."""
+def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharPoly:
+    """Hilbert series prod_i prod_{k=1}^{lam_i} (1-q^k)^{-1} through q^trunc, exact there."""
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
     rank = rs.rank
@@ -308,7 +257,7 @@ def freeness_factor(rs: RootSystem, lam: Weight, trunc: int) -> CharSeries:
         for k in range(1, lam.coords[i] + 1):
             geom = CharPoly({(zero_wt, m): 1 for m in range(0, trunc + 1, k)})
             series = (series * geom).truncate(trunc)
-    return CharSeries(series, trunc, trunc)
+    return series
 
 
 def freeness_ratio(rs: RootSystem, lam: Weight, mu: Weight) -> CharPoly:
@@ -327,37 +276,42 @@ def exact_divide(f: CharPoly, d: CharPoly) -> CharPoly:
     """Exact quotient f / d in the character ring; raises if d does not divide f.
 
     The divisor's minimal term under (q-degree, weight lex) is a unit monomial,
-    so greedy elimination discovers the quotient terms in increasing order.
-    Each quotient coefficient is an exact division by that term's coefficient:
-    an int when it divides, else a Fraction.
+    so greedy elimination discovers the quotient terms in increasing order,
+    each one new.  Each quotient coefficient is an exact division by that
+    term's coefficient: an int when it divides, else a Fraction.  By
+    Ostrowski's theorem the Newton polytope of f is the Minkowski sum of those
+    of the quotient and of d, so in each coordinate (q-degree and every weight
+    coordinate) a quotient term lies between min(f) - min(d) and
+    max(f) - max(d); a term outside that finite box proves d does not divide f,
+    and so the elimination ends.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero character")
     if f.is_zero():
         return CharPoly.zero()
-    d_keys = sorted(d.terms, key=lambda k: (k[1], k[0]))
-    d_min = d_keys[0]
+    (f_wts, f_qs), (d_wts, d_qs) = zip(*f.terms), zip(*d.terms)
+    q_lo, q_hi = min(f_qs) - min(d_qs), max(f_qs) - max(d_qs)
+    f_cols, d_cols = list(zip(*f_wts)), list(zip(*d_wts))
+    w_lo = list(map(sub, map(min, f_cols), map(min, d_cols)))
+    w_hi = list(map(sub, map(max, f_cols), map(max, d_cols)))
+    d_min = min(d.terms, key=lambda k: (k[1], k[0]))
     d_min_coeff = d.terms[d_min]
-    q_bound = f.q_max() - d.q_max()
     rem = dict(f.terms)
     quo: dict[Key, Coeff] = {}
-    max_steps = 4 * (len(f.terms) + 4) * (len(d.terms) + 4) + 4 * (f.q_max() - f.q_min() + 2)
-    for _ in range(max_steps):
-        if not rem:
-            res = CharPoly()
-            res.terms = _settle(quo)
-            return res
+    while rem:
         m = min(rem, key=lambda k: (k[1], k[0]))
-        t = (tuple(a - b for a, b in zip(m[0], d_min[0])), m[1] - d_min[1])
-        if t[1] > q_bound:
+        wt, n = tuple(map(sub, m[0], d_min[0])), m[1] - d_min[1]
+        if not (q_lo <= n <= q_hi and all(map(le, w_lo, wt)) and all(map(le, wt, w_hi))):
             raise ValueError("nonzero remainder: divisor does not divide")
         c = _divide(rem[m], d_min_coeff)
-        quo[t] = quo.get(t, _ZERO) + c
-        for key, dc in d.terms.items():
-            kk = (tuple(a + b for a, b in zip(t[0], key[0])), t[1] + key[1])
-            s = rem.get(kk, _ZERO) - c * dc
+        quo[wt, n] = c
+        for (d_wt, d_n), dc in d.terms.items():
+            key = (tuple(map(add, wt, d_wt)), n + d_n)
+            s = rem.get(key, _ZERO) - c * dc
             if s:
-                rem[kk] = s
+                rem[key] = s
             else:
-                rem.pop(kk, None)
-    raise ValueError("nonzero remainder: divisor does not divide")
+                rem.pop(key, None)
+    res = CharPoly()
+    res.terms = _settle(quo)
+    return res

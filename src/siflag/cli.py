@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .affine import adapted_sequence, quantum_covers
-from .charpoly import CharPoly, CharSeries
+from .charpoly import CharPoly
 from .macdonald import bar_conjugate, gram_schmidt_E, specialize
 from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name
 from . import verify
@@ -114,9 +114,7 @@ def _build_rs(args) -> RootSystem:
 
 
 def emit(result, fmt: str) -> str:
-    """Render a CharPoly/CharSeries (or QTRat coefficient map) as text."""
-    if isinstance(result, CharSeries):
-        result = result.poly
+    """Render a CharPoly (or QTRat coefficient map) as text."""
     if isinstance(result, CharPoly):
         items = result.sorted_terms()
         if fmt == "json":
@@ -344,7 +342,7 @@ def _run(config: RunConfig) -> int:
     if config.command == "weylchar":
         w = rs.element_from_word(config.w_word)
         if config.global_series:
-            result = wc.global_demazure_char(rs, w, config.lam, config.trunc).value
+            result = wc.global_demazure_char(rs, w, config.lam, config.trunc)
         else:
             result = wc.genweyl_char(rs, w, config.lam).value
         _write(config, emit(result, config.fmt))

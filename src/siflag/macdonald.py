@@ -17,11 +17,12 @@ Convention notes (calibration-determined, validated by the test suite):
 
 are pinned so that in rank one E_{-w} = e^{-w} + (1-t)/(1-qt) e^{w} and
 E_{w} = e^{w} hold exactly; the t = infinity and t = 0 specializations then
-reproduce the rank-one module characters, and rank two is cross-validated
-against the recursion engine.  That engine never calls this module (its base
-characters come from the eigen solve in every type), so the oracle is only the
-independent reference of the ``cor`` suite, the acceptance gate and the
-route-agreement tests.
+reproduce the rank-one module characters.  Beyond rank one the oracle is the
+reference of the recursion engine's T_i family on A2 only (verify.ORACLE_TYPES)
+and, in the tests, of its base ch W_lam on every rank-two type.  That engine
+never calls this module (its base characters come from the eigen solve in
+every type), so the oracle is only the independent reference of the ``cor``
+suite, the acceptance gate and the route-agreement tests.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
 in t).  Every root's density factor has the same column of coefficients of its
@@ -417,24 +418,23 @@ def default_truncation(rs: RootSystem, gamma: Weight) -> int:
     return 4 * height + 8
 
 
-def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> EPoly:
+def gram_schmidt_E(rs: RootSystem, gamma: Weight) -> EPoly:
     """The unique monic element e^gamma + lower terms orthogonal to its strict ideal.
 
     Solved order by order in q over Z[t] up to default_truncation, reconstructed
     to exact rational coefficients, and re-verified on five extra q-orders,
     whatever width the solve ran at; raises when that truncation is too small
-    to pin the answer.  reverse_ties reverses the order of the unknowns of
-    equal height (the result must not change).
+    to pin the answer.
     """
     if rs.rank > 2:
         raise ValueError("oracle scope is rank <= 2")
     order = default_truncation(rs, gamma)
-    cache_key = (rs.key, gamma.coords, reverse_ties)
+    cache_key = (rs.key, gamma.coords)
     got = _E_CACHE.get(cache_key)
     if got is not None:
         return got
 
-    lower = _unknowns(rs, gamma, reverse_ties)
+    lower = _unknowns(rs, gamma)
     if not lower:
         result = EPoly(gamma, {gamma: QTRat.one()})
         _E_CACHE[cache_key] = result
@@ -471,16 +471,14 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) ->
     return result
 
 
-def _unknowns(rs: RootSystem, gamma: Weight, reverse_ties: bool = False) -> list[Weight]:
-    """gamma's strict order ideal by root-lattice height, ties in (reversed) triangular order.
+def _unknowns(rs: RootSystem, gamma: Weight) -> list[Weight]:
+    """gamma's strict order ideal by root-lattice height, ties in triangular order.
 
     The q^0 density lives on Q_+ with constant term 1, so the q^0 term of
     <e^mu, e^nu> vanishes unless nu = mu or ht nu > ht mu: in this listing the
     order-0 Gram block is unit lower triangular.
     """
     lower = triangular_order_ideal(rs, gamma)[:-1]
-    if reverse_ties:
-        lower.reverse()
     return sorted(lower, key=lambda nu: sum(rs.weight_to_root(nu)))
 
 

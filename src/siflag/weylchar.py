@@ -7,8 +7,14 @@ E^dagger_{-w lam}(q^{-1}, inf) is grown from the same base by the twisted steps
 T_i = D_i - 1 along coset_chain, the suffixes of that word (each again in
 W^lam), dividing out (1 - q^{<alpha_j^vee, lam>}) whenever the step pulls back
 to a simple root.
-The two families agree at w = e and split immediately afterwards; both are
-cross-checked against the Gram-Schmidt oracle at rank <= 2.
+The two families agree at w = e and split immediately afterwards.  The
+Gram-Schmidt oracle is the reference of the T_i family (and of the D_i family
+at the longest w) only on A1 and A2, the cor suite's verify.ORACLE_TYPES; the
+tests compare the base with it on every rank-two type.
+
+The global character ch W(lam)_w = F_lam(q) ch W_{w lam} and the twisted
+Euler character are exact products with a freeness factor F(q), truncated
+once, after the product (_times_freeness).
 
 The base itself comes, in every type, from one eigen solve of the
 quantum-Bruhat loop difference operators with no bound on its q-degree: the
@@ -27,7 +33,6 @@ from .affine import (loop_translation_weight, minimal_loops, quantum_step, trans
                      walk_quantum)
 from .charpoly import (
     CharPoly,
-    CharSeries,
     demazure_op,
     demazure_word,
     exact_divide,
@@ -54,15 +59,6 @@ class GenWeylChar:
     lam: Weight
     w: WeylElement
     value: CharPoly
-
-
-@dataclass
-class DemazureChar:
-    """Truncated character of the global Demazure submodule at w."""
-
-    lam: Weight
-    w: WeylElement
-    value: CharSeries
 
 
 # -- the shared base ch W_lam -----------------------------------------------------
@@ -145,22 +141,37 @@ def _pullback_simple(rs: RootSystem, u: WeylElement, i: int):
     return rs.simple_root_index.get(tables.inv_roots[tables.index[u]][i])
 
 
-def global_demazure_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> DemazureChar:
-    """ch W(lam)_w = freeness factor times ch W_{w lam}, truncated at q-order trunc."""
-    gen = genweyl_char(rs, w, lam)
-    series = freeness_factor(rs, lam, trunc).mul_poly(gen.value)
-    return DemazureChar(lam, gen.w, series)
+def _times_freeness(rs: RootSystem, lam: Weight, value: CharPoly, trunc: int) -> CharPoly:
+    """F_lam(q) value through q^trunc, exactly.
+
+    freeness_factor holds F_lam through q^trunc; every term it leaves out has a
+    higher q-degree, so it could reach q^trunc of the product only through a
+    term of value of negative q-degree, which is refused.
+    """
+    if value.terms and value.q_min() < 0:
+        raise ValueError(f"a term of q-degree {value.q_min()} < 0 leaves F(q) value "
+                         f"inexact through q^{trunc}")
+    return (freeness_factor(rs, lam, trunc) * value).truncate(trunc)
 
 
-def cns_step(rs: RootSystem, i: int, dc: DemazureChar) -> DemazureChar:
-    """One induction step: the normalized D_i image of a global Demazure character."""
-    target = quantum_step(rs, i, dc.w)
+def global_demazure_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> CharPoly:
+    """ch W(lam)_w = F_lam(q) ch W_{w lam} through q^trunc."""
+    return _times_freeness(rs, lam, genweyl_char(rs, w, lam).value, trunc)
+
+
+def cns_step(rs: RootSystem, i: int, gen: GenWeylChar) -> GenWeylChar:
+    """One induction step: the normalized D_i image of ch W_{w lam}.
+
+    It is the global step as well: D_i fixes q, so it fixes F_lam(q), and
+    ch W(lam)_w = F_lam(q) ch W_{w lam} steps by the same image times F_lam.
+    """
+    target = quantum_step(rs, i, gen.w)
     if target is None:
-        raise ValueError(f"letter {i} is not a quantum cover at {dc.w!r}")
-    value = demazure_op(rs, i, dc.value)
+        raise ValueError(f"letter {i} is not a quantum cover at {gen.w!r}")
+    value = demazure_op(rs, i, gen.value)
     if i == 0:
-        value = value.shift_q(-rs.pairing(rs.theta_coroot, dc.w.act(dc.lam)))
-    return DemazureChar(dc.lam, target, value)
+        value = value.shift_q(-rs.pairing(rs.theta_coroot, gen.w.act(gen.lam)))
+    return GenWeylChar(gen.lam, target, value)
 
 
 def loop_exponent(rs: RootSystem, loop, w: WeylElement, lam: Weight) -> int:
@@ -207,14 +218,14 @@ def lambda_w(rs: RootSystem, lam: Weight, w: WeylElement) -> Weight:
     return out
 
 
-def twisted_euler_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> CharSeries:
-    """Character of the twisted sheaf sections at w, as a truncated q-series.
+def twisted_euler_char(rs: RootSystem, w: WeylElement, lam: Weight, trunc: int) -> CharPoly:
+    """Character of the twisted sheaf sections at w, through q^trunc.
 
     Closed form F_{lambda_w}(q) E_w, with E_w the T_i-recursion family, after
     twisted_family has checked every step of the chain to w.
     """
     w = minimal_coset_representative(rs, w, lam)
-    return freeness_factor(rs, lambda_w(rs, lam, w), trunc).mul_poly(twisted_family(rs, w, lam))
+    return _times_freeness(rs, lambda_w(rs, lam, w), twisted_family(rs, w, lam), trunc)
 
 
 def twisted_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:

@@ -9,7 +9,6 @@ import pytest
 from siflag.affine import all_reduced_words
 from siflag.charpoly import (
     CharPoly,
-    CharSeries,
     demazure_op,
     demazure_word,
     exact_divide,
@@ -156,17 +155,15 @@ def test_reduced_word_independence_length4():
 
 def test_freeness_factor_examples():
     zero = Weight((0,))
-    one = freeness_factor(A1, zero, 10)
-    assert one.poly == CharPoly.one(1)
-    assert one.watermark == 10
+    assert freeness_factor(A1, zero, 10) == CharPoly.one(1)
 
     f1 = freeness_factor(A1, Weight((1,)), 6)
-    assert f1.poly == CharPoly({((0,), m): Fraction(1) for m in range(7)})
+    assert f1 == CharPoly({((0,), m): Fraction(1) for m in range(7)})
 
     f2 = freeness_factor(A1, Weight((2,)), 6)
     # 1/((1-q)(1-q^2)) = 1 + q + 2q^2 + 2q^3 + 3q^4 + 3q^5 + 4q^6 + ...
     expect = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
-    assert f2.poly == CharPoly({((0,), m): Fraction(c) for m, c in expect.items()})
+    assert f2 == CharPoly({((0,), m): Fraction(c) for m, c in expect.items()})
 
     with pytest.raises(ValueError):
         freeness_factor(A1, Weight((-1,)), 5)
@@ -175,7 +172,7 @@ def test_freeness_factor_examples():
     lam, mu = Weight((1, 0)), Weight((3, 0))
     ratio = freeness_ratio(A2, lam, mu)
     assert ratio == (mono(0, 0) - mono(0, 0, n=2)) * (mono(0, 0) - mono(0, 0, n=3))
-    assert freeness_factor(A2, mu, 12).mul_poly(ratio).poly == freeness_factor(A2, lam, 12).poly
+    assert (freeness_factor(A2, mu, 12) * ratio).truncate(12) == freeness_factor(A2, lam, 12)
     assert freeness_ratio(A2, mu, mu) == CharPoly.one(2)
     with pytest.raises(ValueError):
         freeness_ratio(A2, Weight((0, 1)), mu)
@@ -189,8 +186,24 @@ def test_exact_divide_examples():
     g = mono(2) - mono(2, n=2)
     assert exact_divide(g, one_minus_q) == mono(2) + mono(2, n=1)
 
-    with pytest.raises(ValueError):
-        exact_divide(mono(1), one_minus_q)
+    # a quotient term outside the Newton-polytope box: past max(f) - max(d) in
+    # the weight, past it in q, and below min(f) - min(d) in q
+    for f, d in ((mono(1), one_minus_q),
+                 (CharPoly.one(1) - mono(3), CharPoly.one(1) - mono(2)),
+                 (mono(0) + mono(0, n=3), one_minus_q),
+                 (mono(0, n=1) + mono(0, n=2), mono(0) + mono(0, n=2))):
+        with pytest.raises(ValueError, match="does not divide"):
+            exact_divide(f, d)
+
+
+def test_exact_divide_accepts_long_exact_quotients():
+    # 1 - e^400 = (1 - e^2)(1 + e^2 + ... + e^398): 200 quotient terms from 2-term operands
+    one = CharPoly.one(1)
+    got = exact_divide(one - mono(400), one - mono(2))
+    assert got == CharPoly({((2 * k,), 0): 1 for k in range(200)})
+    # and with the q-degree as the long direction
+    got = exact_divide(mono(0) - mono(0, n=300), mono(0) - mono(0, n=3))
+    assert got == CharPoly({((0,), 3 * k): 1 for k in range(100)})
 
 
 def test_exact_divide_random_roundtrip():
@@ -204,33 +217,32 @@ def test_exact_divide_random_roundtrip():
         assert exact_divide(f, d) == q
 
 
-def test_series_watermark_soundness():
+def test_series_truncations_are_prefixes():
+    # F through q^10 is F through q^15 cut at q^10: every term held is exact
     lam = Weight((2,))
-    s10 = freeness_factor(A1, lam, 10)
-    s15 = freeness_factor(A1, lam, 15)
-    assert s10.poly == s15.poly.truncate(10)
-
-    # applying D_0 on a series drops the watermark by the support's max pairing
-    base = CharSeries.from_poly(mono(1) + mono(-1, n=1), 10)
-    d0 = demazure_op(A1, 0, base)
-    assert d0.watermark == 9
-    d1 = demazure_op(A1, 1, base)
-    assert d1.watermark == 10
+    assert freeness_factor(A1, lam, 10) == freeness_factor(A1, lam, 15).truncate(10)
+    for n in (0, 1, 7):
+        assert freeness_factor(A2, Weight((1, 2)), n).q_max() == n
 
 
-def test_series_demazure_matches_poly_below_watermark():
+def test_demazure_ops_fix_q_series_factors():
+    # q is inert under every D_i, so D_w(F p) = F D_w(p) exactly, whatever F's truncation
     lam = Weight((1,))
-    series = freeness_factor(A1, lam, 12).mul_poly(mono(1) + mono(-1, n=1))
-    bigger = freeness_factor(A1, lam, 20).mul_poly(mono(1) + mono(-1, n=1))
-    a = demazure_word(A1, (0, 1), series)
-    b = demazure_word(A1, (0, 1), bigger)
-    assert a.equal_upto_watermark(CharSeries(b.poly, a.trunc, a.watermark))
+    p = mono(1) + mono(-1, n=1)
+    for trunc in (12, 20):
+        series = freeness_factor(A1, lam, trunc)
+        for word in ((0, 1), (1, 0, 1), (0,)):
+            assert demazure_word(A1, word, series * p) == series * demazure_word(A1, word, p)
 
 
 def test_series_equality_and_discrepancy():
-    a = CharSeries.from_poly(mono(1) + mono(-1, n=1), 8)
-    b = CharSeries.from_poly(mono(1) + mono(-1, n=1).scale(2), 8)
-    assert not a.equal_upto_watermark(b)
+    # q-series characters compare exactly, and the first difference is reported
+    series = freeness_factor(A1, Weight((1,)), 8)
+    a = series * (mono(1) + mono(-1, n=1))
+    b = series * (mono(1) + mono(-1, n=1).scale(2))
+    assert a != b
+    assert a.first_discrepancy(b) == (((-1,), 1), 1, 2)
+    assert a.first_discrepancy(series * (mono(1) + mono(-1, n=1))) is None
 
 
 def assert_exact(p):
@@ -263,7 +275,7 @@ def test_coefficients_are_int_or_fraction_never_float():
         with pytest.raises(TypeError):
             mono(1).scale(bad)
     assert_exact(freeness_ratio(A2, Weight((0, 1)), Weight((3, 2))))
-    assert_exact(freeness_factor(G2, Weight((2, 1)), 12).poly)
+    assert_exact(freeness_factor(G2, Weight((2, 1)), 12))
 
 
 def test_exact_divide_divides_exactly():

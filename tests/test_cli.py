@@ -171,29 +171,6 @@ def test_verify_cli_deterministic(tmp_path):
     assert payload["cases"] == sorted(payload["cases"], key=lambda c: (c["suite"], c["case"]))
 
 
-def _verify_in_fresh_process(tmp_path, jobs: int) -> bytes:
-    # a fresh interpreter, so no cache warmed by another test hides a race
-    out = tmp_path / f"jobs{jobs}.json"
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from siflag.cli import main; sys.exit(main(sys.argv[1:]))",
-         "verify", "--suite", "fdif", "--type", "C2", "--max-weight", "1", "--trunc", "10",
-         "--jobs", str(jobs), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return out.read_bytes()
-
-
-def test_verify_jobs_independent_on_eigen_route(tmp_path):
-    serial = _verify_in_fresh_process(tmp_path, 1)
-    threaded = _verify_in_fresh_process(tmp_path, 2)
-    assert threaded == serial
-    payload = json.loads(serial)
-    assert payload["n_cases"] > 0 and payload["n_failed"] == 0
-
-
 def test_emac_unknown_spec_is_a_clean_error():
     with pytest.raises(SystemExit) as exc:
         main(["emac", "--type", "A1", "--gamma=-1", "--spec", "bogus"])
@@ -362,6 +339,33 @@ def test_eigen_base_bytes_are_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BASES[(type_name, lam)]
 
 
+# ch W(lam)_w (weylchar --global) and the twisted Euler character through q^trunc
+PINNED_SERIES = {
+    ("weylchar", "A2", "1,1", "s1", "20"):
+        "48d1e90d7d591b555fed4ef57900d2451ecfc9a676ac7e8f0d0da17b5d68346f",
+    ("weylchar", "B2", "1,1", "w0", "8"):
+        "597459889022b899590c823ec36ac2743e19749f41392b90af5519c2485d75e2",
+    ("weylchar", "G2", "0,1", "s1 s2", "12"):
+        "a189c5eb897ea7c4f77fb6bf7b30b61a39e760e5853de68db1eefb3d37ef5c7c",
+    ("twisted", "A2", "1,0", "s2 s1", "20"):
+        "b8becc2b4d3e11359d4983c94ef36ba3b3933df87f2a162dbec14b8180562298",
+    ("twisted", "C2", "1,1", "s2 s1", "10"):
+        "2764ae8770f507abd9aca2d52243c3513fc534ac9d9ca701b0ea6e247288c03a",
+    ("twisted", "A3", "0,1,0", "s2", "6"):
+        "464d4a0093e7085ab22c4eaf1de9af0202f1820816e60d9ce8e8f55d13ab2d01",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SERIES), ids=":".join)
+def test_series_bytes_are_pinned(capsys, case):
+    command, type_name, lam, w, trunc = case
+    argv = [command, "--type", type_name, "--lambda", lam, "--w", w, "--trunc", trunc,
+            "--format", "json"] + (["--global"] if command == "weylchar" else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SERIES[case]
+
+
 # -- one parser and one RootSystem per type, shared by every main() call ----------
 
 
@@ -401,6 +405,22 @@ def test_warm_cli_calls_match_cold_processes(capsysbinary):
     assert parse_args(["roots", "--type", "b", "--rank", "2"]).rs is rs
     # the library constructor hands out the same instance
     assert from_name("B2") is rs
+
+
+def test_verify_jobs_2_cold_process_matches_warm_run(tmp_path):
+    # --jobs 2 in a fresh interpreter, every cache cold, writes the report that
+    # the same command writes here once this process's caches are warm
+    argv = ["verify", "--suite", "fdif", "--type", "C2", "--max-weight", "1", "--trunc", "10",
+            "--jobs", "2"]
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    proc = _python("import sys; from siflag.cli import main; sys.exit(main(sys.argv[1:]))",
+                   *argv, "--out", str(cold))
+    assert proc.returncode == 0, proc.stderr
+    for _ in range(2):  # the second call reads the caches the first one filled
+        assert main([*argv, "--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+    payload = json.loads(cold.read_bytes())
+    assert payload["n_cases"] > 0 and payload["n_failed"] == 0
 
 
 def test_reused_parser_keeps_each_error(capsys):
