@@ -243,9 +243,26 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, p_wc
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """argv with "--gamma -1,0" written "--gamma=-1,0", so both forms parse alike.
+
+    argparse reads a token that starts with "-" as a flag unless it is a plain
+    negative number, so a weight such as -1,0 could follow a flag only after
+    "="; no flag of this CLI starts with "-" and a digit.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token[:1] == "-" and token[1:2].isdigit() and prev.startswith("--") and "=" not in prev:
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_args(argv) -> RunConfig:
     parser, p_wc = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     if args.command == "weylchar" and args.trunc is not None and not args.global_series:
         p_wc.error("--trunc is read only with --global")
     rs = _build_rs(args)

@@ -36,9 +36,12 @@ recovered by a fraction-free Pade step, and the result is re-verified against
 five extra q-orders.  The density and all three later stages compute on
 t-polynomials packed into integers at t = 2^B and decode only their results:
 _on_packed sizes B from L1 majorants (and says why that width carries
-exactness), except for the Pade nullspace, which bounds its own minors, and
-the Gram solve, which first tries the width of its inputs and is certified by
-the re-verification (see gram_schmidt_E).
+exactness), except for two stages that first try a narrower width and let an
+exact check certify the result.  The Gram solve tries the width of its inputs
+and is certified by the re-verification (see gram_schmidt_E); the Pade
+nullspace climbs a ladder from the width of its inputs to the width that
+bounds its minors, and each candidate denominator is certified by the exact
+Toeplitz product (see _pade_reconstruct).
 """
 from __future__ import annotations
 
@@ -546,39 +549,74 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     make series * v vanish at the orders dp+1..order.  If some fraction in the
     box reproduces every available order, every nonzero null vector gives that
     same fraction (num_v D - N den_v has degree <= order and is O(q^(order+1))),
-    so one null vector suffices.  The reduced fraction is accepted only if
-    series * den = num holds at every available order; at q^0 that rules out a
-    denominator divisible by q, so the fraction is a power series.
+    so one null vector suffices, whichever the elimination finds.
+
+    The null vector is found on a ladder of packing widths (see _null_vector):
+    first the width of the largest coefficient in the rows (at least 2 bits),
+    doubled on each rejection and capped at the width the rows' minors are
+    proven to fit.  A rung's candidate den is certified by the exact product
+    series * den, whose orders dp+1..order must vanish; its orders 0..dp are
+    the numerator.  A rejection at the proven width is final.  The reduced
+    fraction is then accepted only if series * den = num holds at every
+    available order; at q^0 that rules out a denominator divisible by q, so the
+    fraction is a power series.
     """
     if not any(series):
         return QTRat.zero()
     dq = order // 2
     dp = order - dq
     rows = [[series[n - j] for j in range(dq + 1)] for n in range(dp + 1, order + 1)]
-    vec = _null_vector(rows, dq + 1)
-    den = Poly({j: c for j, c in enumerate(vec) if c})
-    num = Poly({n: c for n, c in enumerate(_convolve([(den, series)], dp)) if c})
-    cand = QTRat(num, den)
+    proven = _minor_width(rows)
+    bits = _pade_trial_width(series[dp + 1 - dq:order + 1])  # every entry of the rows
+    while True:
+        bits = min(bits, proven)
+        vec = _null_vector(rows, dq + 1, bits)
+        den = Poly({j: c for j, c in enumerate(vec) if c})
+        product = _convolve([(den, series)], order)
+        if not any(product[dp + 1:]):
+            break
+        if bits == proven:
+            raise ValueError(_NO_FRACTION)
+        bits *= 2
+    cand = QTRat(Poly({n: c for n, c in enumerate(product[:dp + 1]) if c}), den)
     expanded = _convolve([(cand.den, series)], len(series) - 1)
     if all(c == cand.num.get(n, Poly()) for n, c in enumerate(expanded)):
         return cand
     raise ValueError(_NO_FRACTION)
 
 
-def _null_vector(rows, ncols) -> list[Poly]:
-    """One nonzero right null vector of a matrix over Z[t] with fewer rows than columns.
+def _pade_trial_width(entries) -> int:
+    """The Pade ladder's first width: that of the largest coefficient, at least 2 bits (see _unpack)."""
+    return max(2, _width(max((max(map(abs, tp.values())) for tp in entries if tp), default=0)))
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on the
-    entries packed at t = 2^B, stopped at the first column without a pivot.
-    Every entry it forms is a minor of the matrix, and the product over the
-    rows of max(1, sum_j L1(a_ij)) bounds the coefficients of every minor, so
-    with B one bit longer than that product zero tests and exact divisions on
-    the integers mean the same as on Z[t]; a remainder raises.
+
+def _minor_width(rows) -> int:
+    """A packing width that every minor of a matrix over Z[t] fits.
+
+    The product over the rows of max(1, sum_j L1(a_ij)) bounds the
+    coefficients of every minor, by the Leibniz expansion.
     """
     bound = 1
     for row in rows:
         bound *= max(1, sum(map(_l1, row)))
-    bits = _width(bound)
+    return _width(bound)
+
+
+def _null_vector(rows, ncols, bits: int | None = None) -> list[Poly]:
+    """A right null vector of a matrix over Z[t] with fewer rows than columns.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on the
+    entries packed at t = 2^B, stopped at the first column without a pivot.
+    Evaluation at 2^B is a ring homomorphism and every entry it forms is the
+    value of a minor of the matrix, so at any width the elimination is exact
+    integer arithmetic.  Without bits, B is _minor_width(rows): every minor
+    fits, so zero tests and the decode mean the same as on Z[t], and the
+    vector is a nonzero null vector; a remainder raises.  With bits given,
+    a minor that vanishes at 2^B or a coefficient too wide to decode can give
+    a wrong vector, so its caller must check it (see _pade_reconstruct).
+    """
+    if bits is None:
+        bits = _minor_width(rows)
     a = [[_pack(tp, bits) for tp in row] for row in rows]
     prev = 1
     pivots = []

@@ -19,7 +19,8 @@ modulo the prime P = 2^61 - 1, evaluated at one point q each.  ``sparse_solve``,
 oracle's density finds root functionals with ``gauss_nullspace`` over
 ``Fraction``; ``QTRat`` serves the tests as a Q(t) reference).  The only other
 elimination is the oracle's fraction-free Pade step over Z[t]
-(``macdonald._null_vector``).
+(``macdonald._null_vector``), on integers packed at a trial width whose
+result an exact product check certifies.
 """
 from __future__ import annotations
 

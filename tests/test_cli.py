@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import siflag
+from conftest import fresh_env
 from siflag import weylchar
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
@@ -72,11 +71,8 @@ def test_cli_roots_and_qbruhat(capsys):
 
 def test_python_m_siflag_runs_the_cli():
     # an uninstalled checkout has no siflag script; python -m siflag stands in
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "siflag", "roots", "--type", "A1"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["type"] == "A1"
 
@@ -238,6 +234,41 @@ def test_rank_beside_a_full_type_name_must_match():
     assert parse_args(["roots", "--type", "A2", "--rank", "2"]).rs.key == ("A", 2)
 
 
+NEGATIVE_WEIGHT_ARGVS = [
+    (["emac", "--type", "A2", "--format", "json"], "--gamma", "-1,0"),
+    (["emac", "--type", "A1", "--spec", "t-inf"], "--gamma", "-2"),
+    (["verify", "--type", "A2", "--suite", "nmconn", "--max-weight", "1"], "--beta", "-1,-1"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", NEGATIVE_WEIGHT_ARGVS,
+                         ids=["emac-A2", "emac-A1", "verify-A2"])
+def test_negative_weight_parses_with_or_without_equals(capsysbinary, argv, flag, value):
+    outs = []
+    for tail in ([flag, value], [f"{flag}={value}"]):
+        assert main([*argv, *tail]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_negative_lambda_reaches_the_dominance_check():
+    argv = ["weylchar", "--type", "A2"]
+    for tail in (["--lambda", "-1,0"], ["--lambda=-1,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *tail])
+        assert exc.value.code == "--lambda must be dominant (nonnegative coordinates)"
+
+
+def test_weight_flag_without_a_value_is_a_clean_error(capsys):
+    for tail in ([], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["emac", "--type", "A2", "--gamma", *tail])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("error: argument --gamma: expected one argument")
+        assert "Traceback" not in err
+
+
 def test_verify_states_the_cor_cap(capsys, tmp_path):
     capped, plain = tmp_path / "capped.json", tmp_path / "plain.json"
     assert main(["verify", "--type", "A1", "--suite", "cor", "--max-weight", "3",
@@ -369,14 +400,8 @@ def test_series_bytes_are_pinned(capsys, case):
 # -- one parser and one RootSystem per type, shared by every main() call ----------
 
 
-def _fresh_env():
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+    return subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
                           capture_output=True, timeout=300)
 
 

@@ -1,17 +1,15 @@
 """Gram-Schmidt oracle: order ideals, pairings, anchors, specializations."""
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
 
 import pytest
 
-import siflag
-
+from conftest import fresh_env
 from siflag.charpoly import CharPoly
-from siflag import macdonald
+from siflag import macdonald, qt
 from siflag.macdonald import (
     _EXTRA_ORDERS,
     EPoly,
@@ -577,16 +575,13 @@ def test_a2_specialization_is_module_character():
 
 def test_root_lattice_check_survives_python_O():
     # the invariant checks of macdonald must not be asserts that -O strips
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "from siflag.macdonald import _weight_to_root_int\n"
         "from siflag.rootdata import Weight, build_root_system\n"
         "_weight_to_root_int(build_root_system('A', 1), Weight((1,)))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "AssertionError: weight (1,) is not in the root lattice" in proc.stderr
 
@@ -802,9 +797,6 @@ def test_order0_block_must_be_unimodular():
 
 
 def test_order0_block_check_survives_python_O():
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "from siflag.macdonald import _solve_orthogonality\n"
         "from siflag.qt import Poly\n"
@@ -812,7 +804,7 @@ def test_order0_block_check_survives_python_O():
         "_solve_orthogonality([[[one], [tp]], [[Poly()], [one]]], [[one], [one]])\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "ValueError: order-0 pairing block is not unimodular over Z[t]" in proc.stderr
 
@@ -862,9 +854,6 @@ def test_halved_packing_width_with_a_cold_density_raises(monkeypatch):
 
 
 def test_halved_packing_width_raises_under_python_O():
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "from siflag import macdonald\n"
         "from siflag.rootdata import Weight, build_root_system\n"
@@ -875,7 +864,7 @@ def test_halved_packing_width_raises_under_python_O():
         "macdonald.gram_schmidt_E(a1, gamma)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "ValueError: rational reconstruction failed" in proc.stderr
 
@@ -938,9 +927,6 @@ def test_trial_result_that_pade_accepts_is_still_reverified(monkeypatch, name, g
 
 
 def test_too_narrow_trial_width_falls_back_under_python_O():
-    src = os.path.dirname(os.path.dirname(siflag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "from siflag import macdonald\n"
         "from siflag.rootdata import Weight, build_root_system\n"
@@ -956,6 +942,101 @@ def test_too_narrow_trial_width_falls_back_under_python_O():
         "print(macdonald.gram_schmidt_E(a1, gamma).coeffs == want.coeffs, widths)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True [2, None]"
+
+
+# -- the Pade step's width ladder ---------------------------------------------------
+
+
+def _spy_ladders(monkeypatch) -> list:
+    """Record each Pade call's proven width and the widths of its rungs, [proven, *rungs]."""
+    null_vector, minor_width, ladders = macdonald._null_vector, macdonald._minor_width, []
+
+    def width_spy(rows):
+        ladders.append([minor_width(rows)])
+        return ladders[-1][0]
+
+    def rung_spy(rows, ncols, bits=None):
+        ladders[-1].append(bits)
+        return null_vector(rows, ncols, bits)
+
+    monkeypatch.setattr(macdonald, "_minor_width", width_spy)
+    monkeypatch.setattr(macdonald, "_null_vector", rung_spy)
+    return ladders
+
+
+LADDER_CASES = [("A1", (-4,), True), ("A2", (1, -2), True), ("B2", (1, -2), True),
+                ("A2", (-1, 0), False), ("B2", (0, -1), False)]
+
+
+@pytest.mark.parametrize("name, gamma, wider", LADDER_CASES, ids=_id)
+def test_pade_ladder_from_two_bits(monkeypatch, name, gamma, wider):
+    # at 2 bits a decoded null vector has coefficients in [-2, 1]: one outside
+    # that range wraps, fails the Toeplitz check and is found again at twice the
+    # width; one inside it is exact and is accepted on the first rung (every
+    # null vector of A2 (-1,0) and B2 (0,-1) is)
+    rs, gamma = RANK2[name], Weight(gamma)
+    want = gram_schmidt_E(rs, gamma)
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
+    ladders = _spy_ladders(monkeypatch)
+    assert gram_schmidt_E(rs, gamma).coeffs == want.coeffs
+    for proven, *rungs in ladders:
+        assert rungs == [min(2 << k, proven) for k in range(len(rungs))]
+    assert any(len(rungs) > 1 for _, *rungs in ladders) == wider
+
+
+def test_rejected_pade_candidate_never_reaches_qtrat(monkeypatch):
+    # QTRat's gcd is the costly step; only a certified denominator may pay for it
+    series, order, _, _ = _fresh_series(A1, Weight((-4,)))
+    want = [macdonald._pade_reconstruct(xs, order) for xs in series]
+    null_vector, gcd = macdonald._null_vector, qt.p_gcd
+    dens, gcd_dens = [], []
+
+    def rung_spy(rows, ncols, bits=None):
+        vec = null_vector(rows, ncols, bits)
+        dens.append(Poly({j: c for j, c in enumerate(vec) if c}))
+        return vec
+
+    def gcd_spy(a, b):
+        gcd_dens.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
+    monkeypatch.setattr(macdonald, "_null_vector", rung_spy)
+    monkeypatch.setattr(qt, "p_gcd", gcd_spy)
+    rejected = 0
+    for xs, fraction in zip(series, want):
+        dens.clear()
+        gcd_dens.clear()
+        assert macdonald._pade_reconstruct(xs, order) == fraction
+        dp = order - order // 2
+        for den in dens[:-1]:
+            assert any(macdonald._convolve([(den, xs)], order)[dp + 1:])
+        assert gcd_dens == dens[-1:]
+        rejected += len(dens) - 1
+    assert rejected
+
+
+def test_pade_ladder_stops_at_the_proven_width(monkeypatch):
+    series, order, _, _ = _fresh_series(A1, Weight((-4,)))
+    ladders = _spy_ladders(monkeypatch)
+    # a first rung wider than the proven width packs at the proven width
+    monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 1 << 20)
+    want = [macdonald._pade_reconstruct(xs, order) for xs in series]
+    assert all(rungs == [proven] for proven, *rungs in ladders)
+    # a rejection at the proven width is final (here a proven width made too
+    # narrow for the null vector that the 2-bit rung cannot decode)
+    monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
+    minor_width = macdonald._minor_width
+    monkeypatch.setattr(macdonald, "_minor_width", lambda rows: min(minor_width(rows), 2))
+    outcomes = []
+    for xs, fraction in zip(series, want):
+        try:
+            outcomes.append(macdonald._pade_reconstruct(xs, order) == fraction)
+        except ValueError as err:
+            assert err.args == (macdonald._NO_FRACTION,)
+            outcomes.append(None)
+    assert None in outcomes and False not in outcomes
