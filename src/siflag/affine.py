@@ -41,10 +41,6 @@ class AffineElement:
         back = self.finite.act_coweight(Coweight(self.trans))
         return AffineElement(self.finite.inverse(), tuple(-c for c in back.coords))
 
-    def projection(self) -> WeylElement:
-        """Image under the homomorphism sending s_0 to s_theta."""
-        return self.finite
-
     def is_identity(self) -> bool:
         return self.finite.is_identity() and all(c == 0 for c in self.trans)
 

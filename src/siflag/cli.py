@@ -283,6 +283,8 @@ def parse_args(argv) -> RunConfig:
         config.spec_modes = tuple(m.strip() for m in args.spec.split(",") if m.strip())
     if getattr(args, "beta", None):
         config.beta = parse_coweight(rs, args.beta)
+        if not verify._strictly_antidominant(rs, config.beta):
+            raise SystemExit("--beta must pair strictly negatively with every simple root")
     if args.command == "verify":
         if args.max_weight < 1:
             raise SystemExit("--max-weight must be >= 1")

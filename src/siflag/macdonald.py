@@ -602,21 +602,19 @@ def _minor_width(rows) -> int:
     return _width(bound)
 
 
-def _null_vector(rows, ncols, bits: int | None = None) -> list[Poly]:
+def _null_vector(rows, ncols, bits: int) -> list[Poly]:
     """A right null vector of a matrix over Z[t] with fewer rows than columns.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on the
     entries packed at t = 2^B, stopped at the first column without a pivot.
     Evaluation at 2^B is a ring homomorphism and every entry it forms is the
     value of a minor of the matrix, so at any width the elimination is exact
-    integer arithmetic.  Without bits, B is _minor_width(rows): every minor
-    fits, so zero tests and the decode mean the same as on Z[t], and the
-    vector is a nonzero null vector; a remainder raises.  With bits given,
-    a minor that vanishes at 2^B or a coefficient too wide to decode can give
-    a wrong vector, so its caller must check it (see _pade_reconstruct).
+    integer arithmetic.  At B = _minor_width(rows) every minor fits, so zero
+    tests and the decode mean the same as on Z[t], and the vector is a
+    nonzero null vector.  At a narrower B a minor that vanishes at 2^B or a
+    coefficient too wide to decode can give a wrong vector, so its caller
+    must check it (see _pade_reconstruct).
     """
-    if bits is None:
-        bits = _minor_width(rows)
     a = [[_pack(tp, bits) for tp in row] for row in rows]
     prev = 1
     pivots = []

@@ -12,7 +12,7 @@ coefficient, so equal values always have equal representations.
 The package has one exact field elimination kernel, ``_rref``: a reduced row
 echelon form of sparse rows {col: value} that takes pivot columns in increasing
 order, so its output is the canonical RREF.  ``rootdata._invert`` hands it
-``Fraction`` rows (integer matrices beside the identity), and the eigen base
+``Fraction`` rows (the Cartan matrix beside the identity), and the eigen base
 solve (``weylchar.eigen_solve_base``) hands it rows of ``ModP``, the integers
 modulo the prime P = 2^61 - 1, evaluated at one point q each.  ``sparse_solve``,
 ``gauss_solve`` and ``gauss_nullspace`` wrap it for any exact field (the

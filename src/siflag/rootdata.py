@@ -135,14 +135,20 @@ class WeylElement:
         return WeylElement(self.rs, tuple(_apply(self.cols, c) for c in other.cols))
 
     def inverse(self) -> "WeylElement":
-        return self.rs._inverse(self)
+        # (s_i1 ... s_ik)^{-1} = s_ik ... s_i1: left-multiply by s_i1 first
+        tables, k = self.rs._lookup(self)
+        inv = 0
+        for i in tables.words[k]:
+            inv = tables.left[inv][i]
+        return tables.elements[inv]
 
     def length(self) -> int:
-        return self.rs._length(self)
+        return len(self.word())
 
     def word(self) -> tuple[int, ...]:
         """A shortest word in simple reflections (1-based letters)."""
-        return self.rs._word(self)
+        tables, k = self.rs._lookup(self)
+        return tables.words[k]
 
     def is_identity(self) -> bool:
         return self == self.rs.identity
@@ -165,6 +171,10 @@ class WeylTables:
       root is negative;
     * ``inv_theta_coroot[k]`` is w^{-1} theta^vee in simple-coroot coordinates;
     * ``words[k]`` is a shortest word.
+
+    They are the one source of words, lengths and inverses: ``WeylElement.word``,
+    ``length`` and ``inverse`` look w up in ``index`` through ``RootSystem._lookup``,
+    and an element missing from it is not in W.
     """
 
     elements: tuple[WeylElement, ...]
@@ -212,8 +222,6 @@ class RootSystem:
         self._simple = tuple(self._make_simple(i) for i in range(1, rank + 1))
         # memo tables, filled on first use so that construction stays cheap
         self._tables: WeylTables | None = None
-        self._lengths: dict[WeylElement, int] = {}
-        self._inverses: dict[WeylElement, WeylElement] = {}
         self._s_theta: WeylElement | None = None
         self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
 
@@ -395,7 +403,6 @@ class RootSystem:
             wt, co = self.root_to_weight(root).coords, self.coroot(root).coords
             coroots[wt] = co
             coroots[tuple(-c for c in wt)] = tuple(-c for c in co)
-        self._lengths.update((w, len(word)) for w, word in words.items())
         return WeylTables(
             elements=tuple(order),
             index=index,
@@ -410,35 +417,17 @@ class RootSystem:
         """The whole Weyl group, BFS order from the identity (deterministic)."""
         return self.weyl_tables().elements
 
-    def _word(self, w: WeylElement) -> tuple[int, ...]:
+    def _lookup(self, w: WeylElement) -> tuple[WeylTables, int]:
+        """The tables and w's index in them; a ValueError if w is not in W."""
         tables = self.weyl_tables()
-        return tables.words[tables.index[w]]
-
-    def _length(self, w: WeylElement) -> int:
-        got = self._lengths.get(w)
-        if got is None:
-            got = sum(1 for wt in self.positive_root_weights if self.root_is_negative(w.act(wt)))
-            self._lengths[w] = got
-        return got
-
-    def _inverse(self, w: WeylElement) -> WeylElement:
-        got = self._inverses.get(w)
-        if got is None:
-            # w.cols, read as the array A[j][k] = coefficient of w_k in w(w_j), is the
-            # transpose of the action matrix; inverting it returns rows that are exactly
-            # the coordinate vectors of w^{-1}(w_j).  Weyl matrices are unimodular.
-            inv = _invert(w.cols)
-            if inv is None:
-                raise ValueError(f"{w.cols} is not a Weyl group element: it is singular")
-            if any(x.denominator != 1 for row in inv for x in row):
-                raise ValueError(f"{w.cols} is not a Weyl group element: inverse is not integral")
-            got = WeylElement(self, tuple(tuple(int(x) for x in row) for row in inv))
-            self._inverses[w] = got
-            self._inverses[got] = w
-        return got
+        k = tables.index.get(w)
+        if k is None:
+            raise ValueError(f"{w.cols} is not a Weyl group element")
+        return tables, k
 
     def longest_element(self) -> WeylElement:
-        w0 = max(self.weyl_elements(), key=lambda w: w.length())
+        """w0, the one element of the last BFS level."""
+        w0 = self.weyl_elements()[-1]
         if w0.length() != len(self.positive_roots):
             raise AssertionError("longest element does not invert every positive root")
         return w0
@@ -464,10 +453,10 @@ class RootSystem:
         key = (u, w)
         got = self._bruhat.get(key)
         if got is None:
-            i = w.word()[0]
-            si = self.simple_reflection(i)
-            sw = si * w
-            su = si * u
+            tables, k = self._lookup(w)
+            i = tables.words[k][0]
+            sw = tables.elements[tables.left[k][i]]
+            su = tables.elements[tables.left[tables.index[u]][i]]
             if su.length() < u.length():
                 got = self.bruhat_leq(su, sw)
             else:
@@ -486,9 +475,11 @@ class RootSystem:
             i = neg[0]
             cur = self._simple_reflect(i, cur)
             letters.append(i)
-        v = self.identity
+        tables = self.weyl_tables()
+        k = 0
         for i in reversed(letters):
-            v = self.simple_reflection(i) * v
+            k = tables.left[k][i]
+        v = tables.elements[k]
         if v.act(cur) != nu:
             raise AssertionError("dominant representative does not map back to the weight")
         return cur, v
@@ -524,14 +515,12 @@ def _apply(cols: Sequence[Coords], vec: Coords) -> Coords:
     return tuple(out)
 
 
-def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Exact inverse of a small integer matrix, or None if it is singular."""
+def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a small nonsingular integer matrix, such as a Cartan matrix."""
     n = len(mat)
     rows = [{**{j: Fraction(x) for j, x in enumerate(row)}, n + i: Fraction(1)}
             for i, row in enumerate(mat)]
     pivots, _ = _rref(rows, n)
-    if len(pivots) < n:
-        return None
     return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in pivots)
 
 

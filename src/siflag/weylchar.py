@@ -26,7 +26,6 @@ never calls the oracle, so that cross-check compares two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .affine import (loop_translation_weight, minimal_loops, quantum_step, translation_word,
@@ -90,11 +89,12 @@ def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, 
     """
     if not is_minimal_coset_rep(rs, w, lam):
         raise ValueError("w is not a minimal coset representative")
+    tables = rs.weyl_tables()
     steps = []
-    u = rs.identity
+    k = 0
     for i in reversed(w.word()):
-        steps.append((i, u))
-        u = rs.simple_reflection(i) * u
+        steps.append((i, tables.elements[k]))
+        k = tables.left[k][i]
     return steps
 
 
@@ -239,8 +239,9 @@ def twisted_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:
     AssertionError at the first step where the two sides differ.
     """
     value = base_char(rs, lam)
-    for i, u in coset_chain(rs, lam, w):
-        target = rs.simple_reflection(i) * u
+    chain = coset_chain(rs, lam, w)
+    # the chain climbs to w, so each step's target s_i u is the next step's u
+    for (i, u), target in zip(chain, [v for _, v in chain[1:]] + [w]):
         stepped = t_op(rs, i, value)
         value = _cor_step(rs, lam, i, u, stepped)
         ratio = freeness_ratio(rs, lambda_w(rs, lam, target), lambda_w(rs, lam, u))
@@ -443,7 +444,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> CharPoly:
     num = CharPoly.zero()
     den = CharPoly.zero()
     for w in rs.weyl_elements():
-        sign = Fraction(-1) if w.length() % 2 else Fraction(1)
+        sign = -1 if w.length() % 2 else 1
         num = num + CharPoly.monomial(w.act(lam + rho), 0, sign)
         den = den + CharPoly.monomial(w.act(rho), 0, sign)
     return exact_divide(num, den)

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 from conftest import fresh_env
-from siflag import weylchar
+from siflag import cli, weylchar
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
-from siflag.rootdata import RootSystem, Weight, build_root_system, from_name
+from siflag.rootdata import Coweight, RootSystem, Weight, build_root_system, from_name
 
 
 def test_parse_args_examples():
@@ -142,6 +142,17 @@ def test_run_suite_empty_weight_range():
     assert report.n_failed() == 0
 
 
+def test_verify_writes_a_raising_case_as_failed_and_exits_1(tmp_path):
+    # parse_args rejects this beta; handed to the run path directly, its
+    # exception becomes the case's fail record and the exit code is 1
+    out = tmp_path / "report.json"
+    cfg = RunConfig(command="verify", rs=build_root_system("A", 1), suite="nmconn",
+                    max_weight=1, beta=Coweight((1,)), out=str(out))
+    assert cli._run(cfg) == 1
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "20b9302d3c53573aa94535135b81fa1a7813018356a83cdb4cfc5c69ff884b37")
+
+
 def test_run_suite_nmconn_a1():
     rs = build_root_system("A", 1)
     cfg = RunConfig(command="verify", rs=rs, suite="nmconn", max_weight=3, trunc=12)
@@ -184,6 +195,14 @@ def test_verify_rejects_max_weight_below_one():
         with pytest.raises(SystemExit) as exc:
             parse_args(["verify", "--type", "A1", "--max-weight", bad])
         assert exc.value.code == "--max-weight must be >= 1"
+
+
+def test_verify_rejects_beta_not_strictly_antidominant():
+    for bad in ("1,-1", "0,-1", "-1,0"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--type", "A2", "--beta", bad])
+        assert exc.value.code == "--beta must pair strictly negatively with every simple root"
+    assert parse_args(["verify", "--type", "A2", "--beta", "-1,-1"]).beta.coords == (-1, -1)
 
 
 def test_verify_rejects_jobs_below_one():
@@ -303,9 +322,9 @@ PINNED_REPORTS = {
            "50b4205e8f09a8c5c510c438479b3d465af19acd8c6b8598cf2c457714629cab", 0),
     "G2": ("G2", ["--suite", "all", "--max-weight", "1", "--trunc", "12"],
            "771cc4e9ce45f8384e831101725e511a791697dfbc1d6e72a559e644cbf7d6f2", 0),
-    # a bad --beta: the exception becomes the case's fail record
-    "A1": ("A1", ["--suite", "nmconn", "--max-weight", "1", "--beta=1"],
-           "20b9302d3c53573aa94535135b81fa1a7813018356a83cdb4cfc5c69ff884b37", 1),
+    # an explicit --beta in place of the default
+    "A1": ("A1", ["--suite", "nmconn", "--max-weight", "1", "--beta=-2"],
+           "4aa91e5ea82f11aa177e16c4d9541b416afa87dafa24efa38bb8dabd6dea20b6", 0),
     # the types whose cor cases compare the eigen-route engine with the oracle
     "A1-all": ("A1", ["--suite", "all", "--max-weight", "2", "--trunc", "12"],
                "259f06551d9e7461a36c2d0ac1570803a539707ed813d89fa0824146d5873bfc", 0),

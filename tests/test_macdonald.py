@@ -724,7 +724,7 @@ def test_null_vector_spans_the_first_free_column(rows, cols, rank):
         right = [[_random_tpoly(rng) for _ in range(cols)] for _ in range(rank)]
         matrix = [[sum((left[i][k] * right[k][j] for k in range(rank)), Poly())
                    for j in range(cols)] for i in range(rows)]
-        vec = macdonald._null_vector(matrix, cols)
+        vec = macdonald._null_vector(matrix, cols, macdonald._minor_width(matrix))
         assert any(vec)
         for row in matrix:
             assert not sum((a * v for a, v in zip(row, vec)), Poly())

@@ -1,10 +1,13 @@
-"""The integer Weyl-group kernel against references that use no elimination.
+"""The integer Weyl-group kernel against references that use no table.
 
-Inverses are memoised on the root system and the affine product needs no
-inverse at all; both must agree with the group inverse read off a reduced
-word, and the Cartan inverse must multiply the Cartan matrix to the identity.
-The index tables, built without any inverse, must agree with it too; they are
-built on first use only, and concurrent first uses must see the same group.
+The index tables are the one source of words, lengths and inverses.  Lengths
+must equal an inversion count, and inverses the product of a reversed word
+taken on matrices, whose product with the element is the identity; the
+affine product needs no inverse at all and must agree with the same
+reference.  A matrix outside W has no word, length or inverse, and all three
+say so with one message.  The Cartan inverse must multiply the Cartan matrix
+to the identity.  The tables are built on first use only, and concurrent
+first uses must see the same group.
 """
 from __future__ import annotations
 
@@ -41,6 +44,8 @@ def test_memoised_inverse_matches_fraction_reference(key):
         assert inv == _reference_inverse(w)
         assert inv.inverse() == w
         assert (w * inv).is_identity()
+        assert w.length() == sum(1 for a in rs.positive_root_weights
+                                 if rs.root_is_negative(w.act(a)))
     assert rs.theta_reflection() is rs.theta_reflection()
 
 
@@ -67,14 +72,24 @@ def test_affine_product_matches_fraction_reference(key):
 
 def test_non_integral_inverse_raises():
     rs = build_root_system("A", 2)
-    with pytest.raises(ValueError, match="not integral"):
+    with pytest.raises(ValueError, match=r"\)\) is not a Weyl group element$"):
         WeylElement(rs, ((2, 0), (0, 1))).inverse()
 
 
 def test_singular_inverse_raises():
     rs = build_root_system("A", 2)
-    with pytest.raises(ValueError, match="is not a Weyl group element: it is singular"):
+    with pytest.raises(ValueError, match=r"\)\) is not a Weyl group element$"):
         WeylElement(rs, ((0, 0), (0, 1))).inverse()
+
+
+@pytest.mark.parametrize("cols", [((0, 1), (1, 0)), ((2, 0), (0, 1)), ((0, 0), (0, 1))])
+def test_non_element_has_no_word_length_or_inverse(cols):
+    # ((0, 1), (1, 0)) swaps w_1 and w_2: A2's diagram automorphism, not in W
+    w = WeylElement(build_root_system("A", 2), cols)
+    for method in (w.word, w.length, w.inverse):
+        with pytest.raises(ValueError) as exc:
+            method()
+        assert str(exc.value) == f"{cols} is not a Weyl group element"
 
 
 @pytest.mark.parametrize("key", SUPPORTED)
