@@ -33,20 +33,41 @@ system is solved order by order over Z[t] by forward substitution, with no
 inverse and no field (listed by root-lattice height, the order-0 block is unit
 lower triangular), the rational function behind each coefficient series is
 recovered by a fraction-free Pade step, and the result is re-verified against
-five extra q-orders.  The density and all three later stages compute on
-t-polynomials packed into integers at t = 2^B and decode only their results:
-_on_packed sizes B from L1 majorants (and says why that width carries
-exactness), except for two stages that first try a narrower width and let an
-exact check certify the result.  The Gram solve tries the width of its inputs
-and is certified by the re-verification (see gram_schmidt_E); the Pade
+five extra q-orders.
+
+Every stage computes on t-polynomials packed into integers at t = 2^B, with B
+from L1 majorants rounded up to a multiple of 16 bits (_width).  At such a
+width the packing is one-to-one on every polynomial the stage forms, so a
+packed integer is zero exactly when its polynomial is (see _on_packed).  So:
+
+* the density decodes every entry of its table, and the Gram solve every
+  order of the coefficient series it finds;
+* the Pade step decodes its null vector and the numerator orders 0..dp of the
+  Toeplitz product, and tests the orders dp+1..order for zero on the packed
+  integers;
+* the re-verification tests every sum for zero on the packed integers and
+  decodes nothing.
+
+The Pade step's final acceptance still decodes its product and compares it
+with the exact numerator, the one comparison that does not take the width on
+trust (see _pade_reconstruct).  Two stages first try a narrower width and let
+an exact check certify the result.  The Gram solve tries the width of its
+inputs and is certified by the re-verification (see gram_schmidt_E); the Pade
 nullspace climbs a ladder from the width of its inputs to the width that
 bounds its minors, and each candidate denominator is certified by the exact
-Toeplitz product (see _pade_reconstruct).
+Toeplitz product.
+
+Each q-series that one gram_schmidt_E call reads after the density is an
+_Series, which computes its L1 majorants once and its packed integers once
+per width: the pairing series (one per weight difference, see _CallTable),
+the coefficient series of the solve and the Pade candidates.  None of them is
+cached, so every packed form is dropped when the call returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .charpoly import CharPoly
 from .qt import Poly, QTRat, gauss_nullspace, p_gcd
@@ -100,45 +121,62 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     while its q-budget covers the least budget with which the remaining roots
     can still land it on a target.
 
-    The expansion runs on packed t-polynomials (see _on_packed).  A packed
-    column entry at e^{k alpha} is about t^k times a short band, so products
-    are taken with the trailing zero bits stripped and shifted back.
+    The expansion runs twice, as the later stages do (see _on_packed), but on
+    single t-polynomials: with value = _l1 each entry is an L1 majorant, and
+    with value packing at B = _width(largest majorant) each entry is decoded
+    and checked against its majorant.  A packed column entry at e^{k alpha} is
+    about t^k times a short band, so products are taken with the trailing zero
+    bits stripped and shifted back.
     """
     if not targets:
         return {}
-    return _on_packed(_DensityExpansion(rs, targets, order).run)
+    expansion = _DensityExpansion(rs, targets, order)
+    bound = expansion.run(_l1)
+    bits = _width(max(bound.values(), default=0))
+    return _decode(expansion.run(lambda tp: _pack(tp, bits)), bound, bits)
 
 
-def _on_packed(run, bits: int | None = None) -> dict:
-    """{key: t-polynomial} from run(value) -> {key: int}, computed on packed integers.
+def _on_packed(run, bits: int | None = None) -> tuple[dict, dict | None, int]:
+    """(packed, bound, B): run(value) -> {key: int} evaluated on t-polynomials packed at t = 2^B.
 
-    run must read every t-polynomial it uses, t and -1 included, through value.
-    Without bits it is called twice.  First value = _l1 (t -> 1, every minus
-    sign made plus): every entry is then an L1 majorant, a bound on the
-    absolute coefficient sum of the entry it stands for.  Then value packs at
-    t = 2^B, B = _width(largest majorant), and each entry is decoded.
+    run must read every t-polynomial it uses, -1 included, through value, a
+    whole _Series at a time: value(series) lists the integers that stand for
+    its entries, and each series computes them once (per width).  Without
+    bits, run is called twice.  First value = _Series.l1s (t -> 1, every minus
+    sign made plus): every entry of bound is then an L1 majorant, a bound on
+    the absolute coefficient sum of the entry it stands for.  Then value packs
+    at B = _width(largest majorant).
 
     Evaluation at 2^B is a ring homomorphism, so only the final coefficients
-    must fit in B bits, and with B from the majorants they do: the density and
-    the q-series products of the Pade step and the re-verification (_convolve)
-    are exact by that width alone.  Each decoded entry is checked against its
-    majorant, but that check guards only the code path (the two runs against
-    each other): a width too narrow wraps into small coefficients that stay
-    under their majorants, and only a later stage (the Pade acceptance) can
-    catch it.
+    must fit in B bits, and with B from the majorants they do.  Decoding is
+    then a bijection between integers and t-polynomials with coefficients
+    below 2^(B-1) in size, at any width at least that of the majorants, so a
+    wider width is exact as well.  It follows that a packed entry is zero
+    exactly when its t-polynomial is: a stage that only asks whether entries
+    vanish tests the integers and decodes nothing (the Pade Toeplitz orders
+    and the re-verification, see _convolution).  A stage that needs an entry
+    decodes it (_decode) and checks it against its majorant.  That check
+    guards only the code path (the two runs against each other): a width too
+    narrow wraps into small coefficients that stay under their majorants, and
+    only a later stage (the Pade acceptance) can catch it.
 
-    With bits given, run is called once, packed at that width, and nothing
-    bounds the decoded entries.  The Gram solve runs so at a trial width (see
-    gram_schmidt_E): the exact re-verification of the coefficients that Pade
-    recovers from its result, not the width, certifies it.
+    With bits given, run is called once, packed at that width, bound is None
+    and nothing bounds the decoded entries.  The Gram solve runs so at a trial
+    width (see gram_schmidt_E): the exact re-verification of the coefficients
+    that Pade recovers from its result, not the width, certifies it.
     """
     bound = None
     if bits is None:
-        bound = run(_l1)
+        bound = run(_Series.l1s)
         bits = _width(max(bound.values(), default=0))
+    return run(lambda series: series.packed(bits)), bound, bits
+
+
+def _decode(packed: dict, bound: dict | None, bits: int, keys=None) -> dict:
+    """{key: t-polynomial} for keys (default: every key), each checked against its majorant."""
     out = {}
-    for key, packed in run(lambda tp: _pack(tp, bits)).items():
-        tp = _unpack(packed, bits)
+    for key in packed if keys is None else keys:
+        tp = _unpack(packed[key], bits)
         if bound is not None and _l1(tp) > bound.get(key, 0):
             raise AssertionError(f"packed entry {key} exceeds its L1 majorant")
         out[key] = tp
@@ -175,11 +213,61 @@ def _l1(tp: Poly) -> int:
 
 
 def _width(bound: int) -> int:
-    """The packing width for t-polynomials whose coefficients are at most bound in size."""
-    return bound.bit_length() + 1
+    """The packing width for t-polynomials whose coefficients are at most bound in size.
+
+    That takes bound.bit_length() + 1 bits (one for the sign), rounded up to a
+    multiple of 16 so that the stages of one E_gamma meet only a few widths
+    and each _Series is packed once per width; a wider width is exact as well
+    (see _on_packed).
+    """
+    return (bound.bit_length() + 16) // 16 * 16
 
 
-# t and -1, for a run(value) to read through value (see _on_packed)
+class _Series(tuple):
+    """A q-series of t-polynomials, listed by q-degree, that packs itself.
+
+    Its L1 majorants are computed once and its packed integers once per width
+    (by pack), on first use, so every stage that reads it (see _on_packed and
+    _read) shares them.  It is a tuple, so they never go stale, and no cache
+    holds one, so they die with the gram_schmidt_E call that made it.
+    """
+
+    def __new__(cls, tps):
+        self = super().__new__(cls, tps)
+        self._l1s = None
+        self._packed = {}
+        return self
+
+    @classmethod
+    def of(cls, series) -> _Series:
+        """series as an _Series: itself if it is one, a dict {qdeg: tp} listed densely."""
+        if isinstance(series, cls):
+            return series
+        if isinstance(series, dict):
+            return cls(series.get(n, _ZERO) for n in range(max(series, default=-1) + 1))
+        return cls(series)
+
+    def l1s(self) -> list[int]:
+        """The entries' L1 majorants (see _l1)."""
+        if self._l1s is None:
+            self._l1s = [_l1(tp) for tp in self]
+        return self._l1s
+
+    def packed(self, bits: int) -> list[int]:
+        """The entries packed at t = 2^bits, computed once per width."""
+        got = self._packed.get(bits)
+        if got is None:
+            got = self._packed[bits] = self.pack(bits)
+        return got
+
+    def pack(self, bits: int) -> list[int]:
+        """Every entry packed at t = 2^bits: the step packed runs once per width."""
+        return [_pack(tp, bits) for tp in self]
+
+
+_ZERO = Poly()
+
+# t and -1, for a run(value) to read through value (see density_table)
 _T = Poly({1: 1})
 _MINUS_ONE = Poly({0: -1})
 
@@ -188,7 +276,7 @@ class _DensityExpansion:
     """The root-by-root expansion of Delta onto one target set, up to q^order.
 
     run(value) evaluates it with C_a built from the factors (t - q^i), each
-    read through value (see _on_packed).  Both runs share the reachability
+    read through value (see density_table).  Both runs share the reachability
     budgets.
     """
 
@@ -285,7 +373,7 @@ class _FactorColumn:
     (see density_table).  The head, all but the factor (tq^{k+1};q)_inf, is
     one series at k = 0 and one linear factor more per further k; that last
     factor is one linear factor per i in k < i <= order.  t and -1 come read
-    through value (see _on_packed); in the L1 run every factor becomes
+    through value (see density_table); in the L1 run every factor becomes
     1 + q^i or 1/(1 - q^i), and as the L1 norm is submultiplicative the same
     code then yields valid majorants.  Each of those is its factor at t = -1
     up to sign, so the L1 run yields col(k) at t = -1 up to sign, as the
@@ -342,14 +430,19 @@ class _FactorColumn:
 
 
 def _integer_kernel(root_list, rank):
-    """Rational functionals vanishing on every root in the list."""
+    """Integer functionals vanishing on every root in the list."""
     if not root_list:
         return [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
     # functionals f with sum_i f_i b_i = 0 for every root b: nullspace of the
-    # matrix whose rows are the remaining roots
+    # matrix whose rows are the remaining roots, each basis vector scaled by
+    # the lcm of its denominators (a scaled functional groups targets alike)
     rows = [[Fraction(b[i]) for i in range(rank)] for b in root_list]
     basis = gauss_nullspace(rows, rank, Fraction(0), Fraction(1))
-    return [tuple(v) for v in basis]
+    out = []
+    for v in basis:
+        scale = lcm(*(c.denominator for c in v))
+        out.append(tuple(c.numerator * (scale // c.denominator) for c in v))
+    return out
 
 
 # -- pairing tables ---------------------------------------------------------------
@@ -391,6 +484,28 @@ def _pairing_table(rs: RootSystem, lam_plus: Weight, order: int) -> PairingTable
         got = PairingTable(rs, lam_plus, order)
         _PAIR_CACHE[key] = got
     return got
+
+
+class _CallTable:
+    """A pairing table as one gram_schmidt_E call reads it: one _Series per nu - mu.
+
+    Every pairing <e^mu, e^nu> with the same nu - mu is the same _Series, so
+    the Gram solve and the re-verification pack each pairing series once per
+    width.  The view lives for one call; the cached PairingTable never holds a
+    packed form.
+    """
+
+    def __init__(self, table: PairingTable):
+        self.table = table
+        self.order = table.order
+        self.memo: dict = {}
+
+    def series(self, mu: Weight, nu: Weight) -> _Series:
+        key = (nu - mu).coords
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = _Series(self.table.series(mu, nu))
+        return got
 
 
 # -- Gram-Schmidt ------------------------------------------------------------------
@@ -445,7 +560,7 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight) -> EPoly:
 
     gamma_plus, _ = rs.dominant_representative(gamma)
     big = order + _EXTRA_ORDERS
-    table = _pairing_table(rs, gamma_plus, big)
+    table = _CallTable(_pairing_table(rs, gamma_plus, big))
 
     gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
     rhs_series = [table.series(gamma, nu) for nu in lower]
@@ -486,11 +601,9 @@ def _unknowns(rs: RootSystem, gamma: Weight) -> list[Weight]:
 
 
 def _trial_width(gram, rhs_series) -> int:
-    """The packing width of the largest coefficient among the Gram and right-hand-side entries."""
-    # the Gram entries are the pairing table's own polynomials, many shared
-    entries = {id(tp): tp for rows in (gram, [rhs_series]) for row in rows for entry in row
-               for tp in entry if tp}
-    return _width(max((max(map(abs, tp.values())) for tp in entries.values()), default=0))
+    """The packing width of the largest L1 majorant among the Gram and right-hand-side entries."""
+    return _width(max(max(series.l1s()) for rows in (gram, [rhs_series])
+                      for row in rows for series in row))
 
 
 def _solve_orthogonality(gram, rhs_series, bits: int | None = None) -> list[list[Poly]]:
@@ -504,7 +617,7 @@ def _solve_orthogonality(gram, rhs_series, bits: int | None = None) -> list[list
 
     on packed t-polynomials (see _on_packed), at the width bits or, without it,
     at the width the L1 majorants prove.  Returns each coefficient's q-series
-    through the last order.
+    through the last order, decoded.
     """
     for i, row in enumerate(gram):
         if not row[i][0]:
@@ -512,28 +625,32 @@ def _solve_orthogonality(gram, rhs_series, bits: int | None = None) -> list[list
                 "pairing matrix singular at order 0: truncation too small or order ideal wrong")
         if row[i][0] != {0: 1} or any(entry[0] for entry in row[i + 1:]):
             raise ValueError("order-0 pairing block is not unimodular over Z[t]")
-    got = _on_packed(lambda value: _gram_recurrence(gram, rhs_series, value), bits)
+    gram = [[_Series.of(series) for series in row] for row in gram]
+    rhs_series = [_Series.of(series) for series in rhs_series]
+    got = _decode(*_on_packed(lambda value: _gram_recurrence(gram, rhs_series, value), bits))
     return [[got[n, col] for n in range(len(rhs_series[0]))] for col in range(len(rhs_series))]
 
 
 def _gram_recurrence(gram, rhs_series, value) -> dict:
     """{(n, i): x_n[i]}, x_n[i] = -(rhs_n[i] + sum_{k >= 0} (g_k x_{n-k})[i]), read through value.
 
-    At k = 0 it reads only the x_n[j], j < i, already found: forward substitution.
+    Every entry of gram and rhs_series is an _Series, read whole (see
+    _on_packed).  At k = 0 it reads only the x_n[j], j < i, already found:
+    forward substitution.
     """
     big = len(rhs_series[0]) - 1
-    sign = value(_MINUS_ONE)
-    # the Gram entries are the pairing table's own polynomials, many shared
-    vals = {id(tp): value(tp) for row in gram for entry in row for tp in entry if tp}
+    sign = value(_Series((_MINUS_ONE,)))[0]
+    gram = [[value(series) for series in row] for row in gram]
+    rhs_series = [value(series) for series in rhs_series]
     xs: list[list[int]] = []
     for n in range(big + 1):
         xs.append([])
         for g_row, rhs in zip(gram, rhs_series):
-            acc = value(rhs[n])
+            acc = rhs[n]
             for k in range(n + 1):
                 for g, x in zip(g_row, xs[n - k]):
                     if x and g[k]:
-                        acc += vals[id(g[k])] * x
+                        acc += g[k] * x
             xs[n].append(sign * acc)
     return {(n, i): x for n, row in enumerate(xs) for i, x in enumerate(row)}
 
@@ -549,45 +666,82 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     make series * v vanish at the orders dp+1..order.  If some fraction in the
     box reproduces every available order, every nonzero null vector gives that
     same fraction (num_v D - N den_v has degree <= order and is O(q^(order+1))),
-    so one null vector suffices, whichever the elimination finds.
+    so one null vector suffices, whichever the elimination finds.  The rows
+    are a _Toeplitz matrix read off the one _Series, so each width packs
+    every coefficient once.
 
     The null vector is found on a ladder of packing widths (see _null_vector):
-    first the width of the largest coefficient in the rows (at least 2 bits),
-    doubled on each rejection and capped at the width the rows' minors are
-    proven to fit.  A rung's candidate den is certified by the exact product
-    series * den, whose orders dp+1..order must vanish; its orders 0..dp are
-    the numerator.  A rejection at the proven width is final.  The reduced
-    fraction is then accepted only if series * den = num holds at every
-    available order; at q^0 that rules out a denominator divisible by q, so the
-    fraction is a power series.
+    first the width of the largest L1 majorant in the rows, doubled on each
+    rejection and capped at the width the rows' minors are proven to fit.  A
+    rung's candidate den is certified by the exact product series * den (see
+    _convolution), whose orders dp+1..order must vanish; they are tested on
+    the packed integers, and only its orders 0..dp, the numerator, are decoded.
+    A rejection at the proven width is final.  The reduced fraction is then
+    accepted only if series * den = num holds at every available order.  That
+    comparison decodes the product and compares t-polynomials.  Equal packed
+    integers would say only that both sides agree at t = 2^B; the decoded
+    product equals the numerator only if, besides, the numerator's
+    coefficients fit in B bits.  So a width too narrow for the true product (a
+    fault of _width) shows here as _NO_FRACTION rather than passing on to the
+    re-verification, whose zero tests take the width on trust.  At q^0 the
+    check rules out a denominator divisible by q, so the fraction is a power
+    series.
     """
     if not any(series):
         return QTRat.zero()
+    series = _Series.of(series)
     dq = order // 2
     dp = order - dq
-    rows = [[series[n - j] for j in range(dq + 1)] for n in range(dp + 1, order + 1)]
+    rows = _Toeplitz(series, range(dp + 1, order + 1), dq + 1)
     proven = _minor_width(rows)
-    bits = _pade_trial_width(series[dp + 1 - dq:order + 1])  # every entry of the rows
+    bits = _pade_trial_width(rows)
     while True:
         bits = min(bits, proven)
         vec = _null_vector(rows, dq + 1, bits)
-        den = Poly({j: c for j, c in enumerate(vec) if c})
-        product = _convolve([(den, series)], order)
-        if not any(product[dp + 1:]):
+        product, bound, width = _convolution([(vec, series)], order)
+        if not any(product[n] for n in range(dp + 1, order + 1)):
             break
         if bits == proven:
             raise ValueError(_NO_FRACTION)
         bits *= 2
-    cand = QTRat(Poly({n: c for n, c in enumerate(product[:dp + 1]) if c}), den)
+    num = _decode(product, bound, width, range(dp + 1))
+    cand = QTRat(Poly({n: tp for n, tp in num.items() if tp}),
+                 Poly({j: c for j, c in enumerate(vec) if c}))
     expanded = _convolve([(cand.den, series)], len(series) - 1)
-    if all(c == cand.num.get(n, Poly()) for n, c in enumerate(expanded)):
+    if all(c == cand.num.get(n, _ZERO) for n, c in enumerate(expanded)):
         return cand
     raise ValueError(_NO_FRACTION)
 
 
-def _pade_trial_width(entries) -> int:
-    """The Pade ladder's first width: that of the largest coefficient, at least 2 bits (see _unpack)."""
-    return max(2, _width(max((max(map(abs, tp.values())) for tp in entries if tp), default=0)))
+class _Toeplitz(list):
+    """The rows [series[n - j] for j < ncols], n in orders, of the Pade step.
+
+    A list of rows of t-polynomials like any matrix, which _read reads off its
+    one series, so each entry is packed once per width however often it repeats.
+    """
+
+    def __init__(self, series: _Series, orders: range, ncols: int):
+        super().__init__([series[n - j] for j in range(ncols)] for n in orders)
+        self.series = series
+        self.orders = orders
+        self.ncols = ncols
+
+
+def _read(rows, value) -> list[list[int]]:
+    """Every entry of a matrix over Z[t] read through value, an _Series reader (see _on_packed).
+
+    A _Toeplitz matrix reads its one series; any other reads each row as a
+    fresh _Series, whose list the caller may change.
+    """
+    if isinstance(rows, _Toeplitz):
+        vals = value(rows.series)
+        return [[vals[n - j] for j in range(rows.ncols)] for n in rows.orders]
+    return [value(_Series(row)) for row in rows]
+
+
+def _pade_trial_width(rows) -> int:
+    """The Pade ladder's first width: that of the largest L1 majorant in rows, at least 2 bits."""
+    return max(2, _width(max(max(row) for row in _read(rows, _Series.l1s))))
 
 
 def _minor_width(rows) -> int:
@@ -597,8 +751,8 @@ def _minor_width(rows) -> int:
     coefficients of every minor, by the Leibniz expansion.
     """
     bound = 1
-    for row in rows:
-        bound *= max(1, sum(map(_l1, row)))
+    for row in _read(rows, _Series.l1s):
+        bound *= max(1, sum(row))
     return _width(bound)
 
 
@@ -615,7 +769,7 @@ def _null_vector(rows, ncols, bits: int) -> list[Poly]:
     coefficient too wide to decode can give a wrong vector, so its caller
     must check it (see _pade_reconstruct).
     """
-    a = [[_pack(tp, bits) for tp in row] for row in rows]
+    a = _read(rows, lambda series: series.packed(bits))
     prev = 1
     pivots = []
     for col in range(ncols):
@@ -645,24 +799,35 @@ def _null_vector(rows, ncols, bits: int) -> list[Poly]:
     raise AssertionError("every column took a pivot")
 
 
-def _convolve(pairs, top: int) -> list[Poly]:
-    """The q-orders 0..top of sum_i a_i b_i, exactly, for q-series with Z[t] coefficients.
+def _convolution(pairs, top: int) -> tuple[dict, dict, int]:
+    """The q-orders 0..top of sum_i a_i b_i, packed: (packed, bound, B) as _on_packed gives them.
 
-    Each a_i maps q-degrees to t-polynomials; each b_i lists them by q-degree
-    up to top.  The sums run on packed t-polynomials (see _on_packed).
+    Each a_i and b_i is a q-series with Z[t] coefficients: an _Series, a list
+    of t-polynomials by q-degree, or a dict {qdeg: t-polynomial}; each is read
+    as an _Series.  B comes from the L1 majorants, so every order's packed sum
+    is zero exactly when the order vanishes (see _on_packed): a caller that
+    only asks that tests the integers, and one that needs an order decodes it
+    (_decode, or _convolve for every order).
     """
+    pairs = [(_Series.of(a), _Series.of(b)) for a, b in pairs]
+
     def run(value):
         out = [0] * (top + 1)
         for a, b in pairs:
-            vb = [value(tp) for tp in b[:top + 1]]
-            for k, tp in a.items():
-                x = value(tp)
-                for n in range(k, top + 1):
-                    if vb[n - k]:
-                        out[n] += x * vb[n - k]
+            vb = value(b)
+            for k, x in enumerate(value(a)[:top + 1]):
+                if x:
+                    for n, y in enumerate(vb[:top + 1 - k], k):
+                        if y:
+                            out[n] += x * y
         return dict(enumerate(out))
 
-    got = _on_packed(run)
+    return _on_packed(run)
+
+
+def _convolve(pairs, top: int) -> list[Poly]:
+    """The q-orders 0..top of sum_i a_i b_i, exactly, decoded (see _convolution)."""
+    got = _decode(*_convolution(pairs, top))
     return [got[n] for n in range(top + 1)]
 
 
@@ -670,12 +835,14 @@ class _NotOrthogonal(AssertionError):
     """The re-verification's verdict against a candidate E (see _verify_orthogonality)."""
 
 
-def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
+def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable | _CallTable):
     """<E, e^nu> must vanish identically through every computed q-order.
 
     Checked from the coefficients alone, each scaled by a common denominator L
     with L(q=0) != 0 (a unit in Q(t)[[q]]), so sum_mu (c_mu L) <e^mu, e^nu>
-    must vanish through the same orders.
+    must vanish through the same orders.  Each sum is only tested for zero, on
+    its packed integers at the width its majorants prove (see _convolution),
+    and none is decoded.
     """
     big = table.order
     common = QTRat.one().den
@@ -683,11 +850,11 @@ def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
         common = common // p_gcd(common, den) * den
     if 0 not in common:
         raise AssertionError("coefficients are not power series in q")
-    scaled = {mu: c.num * (common // c.den) for mu, c in epoly.coeffs.items() if c}
+    scaled = {mu: _Series.of(c.num * (common // c.den)) for mu, c in epoly.coeffs.items() if c}
     for nu in lower:
-        sums = _convolve([(cl, table.series(mu, nu)) for mu, cl in scaled.items()], big)
-        for n, c in enumerate(sums):
-            if c:
+        sums, _, _ = _convolution([(cl, table.series(mu, nu)) for mu, cl in scaled.items()], big)
+        for n, x in sums.items():
+            if x:
                 raise _NotOrthogonal(f"orthogonality fails against {nu} at q^{n}")
 
 

@@ -154,7 +154,10 @@ class WeylElement:
         return self == self.rs.identity
 
     def __repr__(self) -> str:
-        w = self.word()
+        try:
+            w = self.word()
+        except ValueError:  # a matrix outside W has no word
+            return f"WeylElement({self.cols})"
         return "e" if not w else "*".join(f"s{i}" for i in w)
 
 

@@ -1,15 +1,17 @@
 """Gram-Schmidt oracle: order ideals, pairings, anchors, specializations."""
 from __future__ import annotations
 
+import gc
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import fresh_env
 from siflag.charpoly import CharPoly
-from siflag import macdonald, qt
+from siflag import cli, macdonald, qt
 from siflag.macdonald import (
     _EXTRA_ORDERS,
     EPoly,
@@ -295,6 +297,22 @@ def test_density_table_matches_tower_expansion(name, lam, order):
     rs = RANK2[name]
     targets = _hull_targets(rs, lam)
     assert density_table(rs, targets, order) == _tower_density_table(rs, targets, order)
+
+
+@pytest.mark.parametrize("name", sorted(RANK2))
+def test_integer_kernel_vanishes_on_its_suffix(name):
+    # the density's reachability functionals are integer tuples, one per
+    # dimension the suffix's roots leave free
+    rs = RANK2[name]
+    roots = sorted(rs.positive_roots, key=sum, reverse=True)
+    for pos in range(len(roots) + 1):
+        kernel = _integer_kernel(roots[pos:], rs.rank)
+        assert all(type(f) is int for func in kernel for f in func)
+        assert all(sum(f * b for f, b in zip(func, root)) == 0
+                   for func in kernel for root in roots[pos:])
+        # no two positive roots are parallel, so the suffix spans min(len, rank)
+        assert len(kernel) == rs.rank - min(len(roots) - pos, rs.rank)
+        assert all(any(func) for func in kernel)
 
 
 # -- reference: the q-binomial convolution _FactorColumn replaced ---------------
@@ -867,6 +885,83 @@ def test_halved_packing_width_raises_under_python_O():
                           env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "ValueError: rational reconstruction failed" in proc.stderr
+
+
+# -- each series packed once per width, for one call --------------------------------
+
+
+def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch):
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
+    pack, packed = macdonald._Series.pack, []
+
+    def spy(series, bits):
+        packed.append((series, bits))  # the reference keeps each id unique
+        return pack(series, bits)
+
+    monkeypatch.setattr(macdonald._Series, "pack", spy)
+    gram_schmidt_E(A1, Weight((-4,)))
+    repeats = Counter((id(series), bits) for series, bits in packed)
+    assert packed and max(repeats.values()) == 1
+    # the widths are multiples of 16 bits, so the stages meet only a few
+    assert all(bits % 16 == 0 for _, bits in packed)
+    assert len({bits for _, bits in packed}) <= 3
+
+
+def _live_series() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is macdonald._Series)
+
+
+@pytest.mark.parametrize("name, gamma", [("A1", (-4,)), ("A2", (-1, 0))], ids=_id)
+def test_no_packed_series_outlives_its_call(monkeypatch, name, gamma):
+    # the cached E and pairing table hold no _Series, so no packed form either
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    before = _live_series()
+    gram_schmidt_E(RANK2[name], Weight(gamma))
+    assert _live_series() == before
+
+
+def test_reverification_decodes_nothing(monkeypatch):
+    # every sum of the re-verification is only tested for zero on its packed
+    # integers; a bent coefficient is still caught
+    gamma = Weight((-3,))
+    E = gram_schmidt_E(A1, gamma)
+    _, _, lower, table = _fresh_series(A1, gamma)
+    unpack, decoded = macdonald._unpack, []
+
+    def spy(packed, bits):
+        decoded.append(bits)
+        return unpack(packed, bits)
+
+    monkeypatch.setattr(macdonald, "_unpack", spy)
+    macdonald._verify_orthogonality(E, lower, table)
+    coeffs = dict(E.coeffs)
+    coeffs[lower[0]] = coeffs[lower[0]] + QTRat.q(table.order)
+    with pytest.raises(AssertionError, match=f"at q\\^{table.order}$"):
+        macdonald._verify_orthogonality(EPoly(gamma, coeffs), lower, table)
+    assert decoded == []
+
+
+def _emac_bytes(capsys, type_name, gamma) -> str:
+    assert cli.main(["emac", "--type", type_name, f"--gamma={_id(gamma)}", "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, orbit", [("A1", ((3,), (-3,))),
+                                         ("A2", ((1, 0), (-1, 1), (0, -1)))], ids=_id)
+def test_emac_bytes_independent_of_order_and_cache(monkeypatch, capsys, name, orbit):
+    # each order of an orbit, with the pairing table cold and then warm, must
+    # give the same bytes: nothing packed for one E leaks into another
+    got: dict = {}
+    for members in (orbit, orbit[::-1]):
+        monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
+        for _ in ("cold", "warm"):
+            monkeypatch.setattr(macdonald, "_E_CACHE", {})
+            for gamma in members:
+                got.setdefault(gamma, set()).add(_emac_bytes(capsys, name, gamma))
+    assert all(len(outs) == 1 for outs in got.values())
+    assert len(got) == len(orbit)
 
 
 # -- the Gram solve's trial width -------------------------------------------------

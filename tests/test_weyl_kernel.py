@@ -90,6 +90,14 @@ def test_non_element_has_no_word_length_or_inverse(cols):
         with pytest.raises(ValueError) as exc:
             method()
         assert str(exc.value) == f"{cols} is not a Weyl group element"
+    # its repr names the columns rather than raising inside a failure report
+    assert repr(w) == f"WeylElement({cols})"
+
+
+def test_repr_of_an_element_is_its_word():
+    rs = build_root_system("A", 2)
+    assert repr(rs.identity) == "e"
+    assert repr(rs.element_from_word((1, 2))) == "s1*s2"
 
 
 @pytest.mark.parametrize("key", SUPPORTED)
