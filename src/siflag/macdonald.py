@@ -57,11 +57,12 @@ nullspace climbs a ladder from the width of its inputs to the width that
 bounds its minors, and each candidate denominator is certified by the exact
 Toeplitz product.
 
-Each q-series that one gram_schmidt_E call reads after the density is an
-_Series, which computes its L1 majorants once and its packed integers once
-per width: the pairing series (one per weight difference, see _CallTable),
-the coefficient series of the solve and the Pade candidates.  None of them is
-cached, so every packed form is dropped when the call returns.
+Every stage reads its t-polynomials as _Series, q-series that compute their
+L1 majorants once and their packed integers once per width.  The cached
+PairingTable owns one _Series per weight difference, so its packed forms live
+as long as the table does and are shared by every gram_schmidt_E call that
+reads it; the coefficient series of the solve and the Pade candidates are
+made per call and dropped when it returns.
 """
 from __future__ import annotations
 
@@ -121,31 +122,28 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     while its q-budget covers the least budget with which the remaining roots
     can still land it on a target.
 
-    The expansion runs twice, as the later stages do (see _on_packed), but on
-    single t-polynomials: with value = _l1 each entry is an L1 majorant, and
-    with value packing at B = _width(largest majorant) each entry is decoded
-    and checked against its majorant.  A packed column entry at e^{k alpha} is
-    about t^k times a short band, so products are taken with the trailing zero
-    bits stripped and shifted back.
+    The expansion is read through _on_packed, as every later stage is: its
+    L1 run gives each entry's majorant, and its packed run each entry, decoded
+    and checked against that majorant.  A packed column entry at e^{k alpha}
+    is about t^k times a short band, so products are taken with the trailing
+    zero bits stripped and shifted back.
     """
     if not targets:
         return {}
-    expansion = _DensityExpansion(rs, targets, order)
-    bound = expansion.run(_l1)
-    bits = _width(max(bound.values(), default=0))
-    return _decode(expansion.run(lambda tp: _pack(tp, bits)), bound, bits)
+    return _decode(*_on_packed(_DensityExpansion(rs, targets, order).run))
 
 
 def _on_packed(run, bits: int | None = None) -> tuple[dict, dict | None, int]:
     """(packed, bound, B): run(value) -> {key: int} evaluated on t-polynomials packed at t = 2^B.
 
-    run must read every t-polynomial it uses, -1 included, through value, a
-    whole _Series at a time: value(series) lists the integers that stand for
-    its entries, and each series computes them once (per width).  Without
-    bits, run is called twice.  First value = _Series.l1s (t -> 1, every minus
-    sign made plus): every entry of bound is then an L1 majorant, a bound on
-    the absolute coefficient sum of the entry it stands for.  Then value packs
-    at B = _width(largest majorant).
+    The density (see density_table), the Gram solve and every _convolution
+    run so.  run must read every t-polynomial it uses, t and -1 included
+    (_T_SIGN), through value, a whole _Series at a time: value(series) lists
+    the integers that stand for its entries, and each series computes them
+    once (per width).  Without bits, run is called twice.  First value =
+    _Series.l1s (t -> 1, every minus sign made plus): every entry of bound is
+    then an L1 majorant, a bound on the absolute coefficient sum of the entry
+    it stands for.  Then value packs at B = _width(largest majorant).
 
     Evaluation at 2^B is a ring homomorphism, so only the final coefficients
     must fit in B bits, and with B from the majorants they do.  Decoding is
@@ -228,8 +226,10 @@ class _Series(tuple):
 
     Its L1 majorants are computed once and its packed integers once per width
     (by pack), on first use, so every stage that reads it (see _on_packed and
-    _read) shares them.  It is a tuple, so they never go stale, and no cache
-    holds one, so they die with the gram_schmidt_E call that made it.
+    _pade_reconstruct) shares them.  It is a tuple, so they never go stale.
+    The pairing series are owned by their cached PairingTable and keep their
+    packed forms as long as it lives; every other _Series dies with the
+    gram_schmidt_E call that made it.
     """
 
     def __new__(cls, tps):
@@ -267,17 +267,18 @@ class _Series(tuple):
 
 _ZERO = Poly()
 
-# t and -1, for a run(value) to read through value (see density_table)
+# t and -1, for a run(value) to read through value (see _on_packed)
 _T = Poly({1: 1})
 _MINUS_ONE = Poly({0: -1})
+_T_SIGN = _Series((_T, _MINUS_ONE))
 
 
 class _DensityExpansion:
     """The root-by-root expansion of Delta onto one target set, up to q^order.
 
-    run(value) evaluates it with C_a built from the factors (t - q^i), each
-    read through value (see density_table).  Both runs share the reachability
-    budgets.
+    run(value) evaluates it with C_a built from the factors (t - q^i), t and
+    -1 read through value as _T_SIGN (see _on_packed).  Both runs share the
+    reachability budgets.
     """
 
     def __init__(self, rs: RootSystem, targets: frozenset, order: int):
@@ -323,7 +324,7 @@ class _DensityExpansion:
 
     def run(self, value) -> dict:
         order = self.order
-        column = _FactorColumn(value(_T), value(_MINUS_ONE), order)
+        column = _FactorColumn(*value(_T_SIGN), order)
         states: dict = {(0,) * len(self.tmax): {0: 1}}
         for pos, alpha in enumerate(self.roots):
             neg_cap = self.suffix[pos + 1][0]
@@ -373,7 +374,7 @@ class _FactorColumn:
     (see density_table).  The head, all but the factor (tq^{k+1};q)_inf, is
     one series at k = 0 and one linear factor more per further k; that last
     factor is one linear factor per i in k < i <= order.  t and -1 come read
-    through value (see density_table); in the L1 run every factor becomes
+    through value (see _DensityExpansion); in the L1 run every factor becomes
     1 + q^i or 1/(1 - q^i), and as the L1 norm is submultiplicative the same
     code then yields valid majorants.  Each of those is its factor at t = -1
     up to sign, so the L1 run yields col(k) at t = -1 up to sign, as the
@@ -459,22 +460,25 @@ def _weight_to_root_int(rs: RootSystem, nu: Weight):
 
 
 class PairingTable:
-    """All monomial pairings <e^mu, e^nu> for mu, nu in a saturated hull, per q-order."""
+    """All monomial pairings <e^mu, e^nu> for mu, nu in a saturated hull, per q-order.
+
+    Every pairing with the same nu - mu is one _Series, built once here, so
+    the table owns the packed forms of its series (see _Series) and every
+    gram_schmidt_E call that reads it packs each series once per width.
+    """
 
     def __init__(self, rs: RootSystem, lam_plus: Weight, order: int):
-        self.rs = rs
         self.order = order
-        self.hull = hull_weights(rs, lam_plus)
-        targets = set()
-        for mu in self.hull:
-            for nu in self.hull:
-                targets.add(_weight_to_root_int(rs, nu - mu))
-        self.table = density_table(rs, frozenset(targets), order)
+        hull = hull_weights(rs, lam_plus)
+        keys = {diff.coords: _weight_to_root_int(rs, diff)
+                for diff in {nu - mu for mu in hull for nu in hull}}
+        table = density_table(rs, frozenset(keys.values()), order)
+        self.pairings = {coords: _Series(table.get((key, n), _ZERO) for n in range(order + 1))
+                         for coords, key in keys.items()}
 
-    def series(self, mu: Weight, nu: Weight) -> list[Poly]:
+    def series(self, mu: Weight, nu: Weight) -> _Series:
         """q-order coefficients (integer t-polys) of <e^mu, e^nu> = ct(e^{mu-nu} Delta)."""
-        key = _weight_to_root_int(self.rs, nu - mu)
-        return [self.table.get((key, n), Poly()) for n in range(self.order + 1)]
+        return self.pairings[(nu - mu).coords]
 
 
 def _pairing_table(rs: RootSystem, lam_plus: Weight, order: int) -> PairingTable:
@@ -484,28 +488,6 @@ def _pairing_table(rs: RootSystem, lam_plus: Weight, order: int) -> PairingTable
         got = PairingTable(rs, lam_plus, order)
         _PAIR_CACHE[key] = got
     return got
-
-
-class _CallTable:
-    """A pairing table as one gram_schmidt_E call reads it: one _Series per nu - mu.
-
-    Every pairing <e^mu, e^nu> with the same nu - mu is the same _Series, so
-    the Gram solve and the re-verification pack each pairing series once per
-    width.  The view lives for one call; the cached PairingTable never holds a
-    packed form.
-    """
-
-    def __init__(self, table: PairingTable):
-        self.table = table
-        self.order = table.order
-        self.memo: dict = {}
-
-    def series(self, mu: Weight, nu: Weight) -> _Series:
-        key = (nu - mu).coords
-        got = self.memo.get(key)
-        if got is None:
-            got = self.memo[key] = _Series(self.table.series(mu, nu))
-        return got
 
 
 # -- Gram-Schmidt ------------------------------------------------------------------
@@ -560,7 +542,7 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight) -> EPoly:
 
     gamma_plus, _ = rs.dominant_representative(gamma)
     big = order + _EXTRA_ORDERS
-    table = _CallTable(_pairing_table(rs, gamma_plus, big))
+    table = _pairing_table(rs, gamma_plus, big)
 
     gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
     rhs_series = [table.series(gamma, nu) for nu in lower]
@@ -639,7 +621,7 @@ def _gram_recurrence(gram, rhs_series, value) -> dict:
     forward substitution.
     """
     big = len(rhs_series[0]) - 1
-    sign = value(_Series((_MINUS_ONE,)))[0]
+    sign = value(_T_SIGN)[1]
     gram = [[value(series) for series in row] for row in gram]
     rhs_series = [value(series) for series in rhs_series]
     xs: list[list[int]] = []
@@ -667,8 +649,8 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     box reproduces every available order, every nonzero null vector gives that
     same fraction (num_v D - N den_v has degree <= order and is O(q^(order+1))),
     so one null vector suffices, whichever the elimination finds.  The rows
-    are a _Toeplitz matrix read off the one _Series, so each width packs
-    every coefficient once.
+    are read off the one _Series, its L1 majorants or its packed integers, so
+    each width packs every coefficient once.
 
     The null vector is found on a ladder of packing widths (see _null_vector):
     first the width of the largest L1 majorant in the rows, doubled on each
@@ -692,12 +674,16 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     series = _Series.of(series)
     dq = order // 2
     dp = order - dq
-    rows = _Toeplitz(series, range(dp + 1, order + 1), dq + 1)
-    proven = _minor_width(rows)
-    bits = _pade_trial_width(rows)
+
+    def rows(values: list[int]) -> list[list[int]]:
+        return [[values[n - j] for j in range(dq + 1)] for n in range(dp + 1, order + 1)]
+
+    l1_rows = rows(series.l1s())
+    proven = _minor_width(l1_rows)
+    bits = _pade_trial_width(l1_rows)
     while True:
         bits = min(bits, proven)
-        vec = _null_vector(rows, dq + 1, bits)
+        vec = _null_vector(rows(series.packed(bits)), bits)
         product, bound, width = _convolution([(vec, series)], order)
         if not any(product[n] for n in range(dp + 1, order + 1)):
             break
@@ -713,63 +699,38 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     raise ValueError(_NO_FRACTION)
 
 
-class _Toeplitz(list):
-    """The rows [series[n - j] for j < ncols], n in orders, of the Pade step.
-
-    A list of rows of t-polynomials like any matrix, which _read reads off its
-    one series, so each entry is packed once per width however often it repeats.
-    """
-
-    def __init__(self, series: _Series, orders: range, ncols: int):
-        super().__init__([series[n - j] for j in range(ncols)] for n in orders)
-        self.series = series
-        self.orders = orders
-        self.ncols = ncols
-
-
-def _read(rows, value) -> list[list[int]]:
-    """Every entry of a matrix over Z[t] read through value, an _Series reader (see _on_packed).
-
-    A _Toeplitz matrix reads its one series; any other reads each row as a
-    fresh _Series, whose list the caller may change.
-    """
-    if isinstance(rows, _Toeplitz):
-        vals = value(rows.series)
-        return [[vals[n - j] for j in range(rows.ncols)] for n in rows.orders]
-    return [value(_Series(row)) for row in rows]
-
-
 def _pade_trial_width(rows) -> int:
-    """The Pade ladder's first width: that of the largest L1 majorant in rows, at least 2 bits."""
-    return max(2, _width(max(max(row) for row in _read(rows, _Series.l1s))))
+    """The Pade ladder's first width: that of the largest L1 majorant in rows."""
+    return _width(max(max(row) for row in rows))
 
 
 def _minor_width(rows) -> int:
-    """A packing width that every minor of a matrix over Z[t] fits.
+    """A packing width that every minor of a matrix over Z[t] fits, from its rows of L1 majorants.
 
     The product over the rows of max(1, sum_j L1(a_ij)) bounds the
     coefficients of every minor, by the Leibniz expansion.
     """
     bound = 1
-    for row in _read(rows, _Series.l1s):
+    for row in rows:
         bound *= max(1, sum(row))
     return _width(bound)
 
 
-def _null_vector(rows, ncols, bits: int) -> list[Poly]:
+def _null_vector(a: list[list[int]], bits: int) -> list[Poly]:
     """A right null vector of a matrix over Z[t] with fewer rows than columns.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on the
-    entries packed at t = 2^B, stopped at the first column without a pivot.
+    a holds the matrix's rows packed at t = 2^B (B = bits), and the
+    elimination works on it in place.  Fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 1968), stopped at the first column without a pivot.
     Evaluation at 2^B is a ring homomorphism and every entry it forms is the
     value of a minor of the matrix, so at any width the elimination is exact
-    integer arithmetic.  At B = _minor_width(rows) every minor fits, so zero
-    tests and the decode mean the same as on Z[t], and the vector is a
-    nonzero null vector.  At a narrower B a minor that vanishes at 2^B or a
-    coefficient too wide to decode can give a wrong vector, so its caller
-    must check it (see _pade_reconstruct).
+    integer arithmetic.  At B = _minor_width of the rows' L1 majorants every
+    minor fits, so zero tests and the decode mean the same as on Z[t], and
+    the vector is a nonzero null vector.  At a narrower B a minor that
+    vanishes at 2^B or a coefficient too wide to decode can give a wrong
+    vector, so its caller must check it (see _pade_reconstruct).
     """
-    a = _read(rows, lambda series: series.packed(bits))
+    ncols = len(a[0])
     prev = 1
     pivots = []
     for col in range(ncols):
@@ -835,7 +796,7 @@ class _NotOrthogonal(AssertionError):
     """The re-verification's verdict against a candidate E (see _verify_orthogonality)."""
 
 
-def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable | _CallTable):
+def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
     """<E, e^nu> must vanish identically through every computed q-order.
 
     Checked from the coefficients alone, each scaled by a common denominator L

@@ -41,6 +41,13 @@ Q = QTRat.q()
 T = QTRat.t()
 
 
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Fresh E and pairing-table caches, so a test sees the same cold oracle alone or in any order."""
+    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
+
+
 def test_order_ideal_examples():
     w = A1.fundamental_weight(1)
     assert [x.coords for x in triangular_order_ideal(A1, -w)] == [(1,), (-1,)]
@@ -436,7 +443,7 @@ def test_density_coefficients_within_majorant(name, lam, order):
     # the packing width comes from the L1 majorants; every decoded coefficient
     # must sit below it, and each entry's coefficient sum below its majorant
     targets = _hull_targets(rs, lam)
-    bound = _DensityExpansion(rs, targets, order).run(macdonald._l1)
+    bound = _DensityExpansion(rs, targets, order).run(macdonald._Series.l1s)
     half = 1 << max(bound.values()).bit_length()
     table = density_table(rs, targets, order)
     assert table
@@ -452,7 +459,7 @@ def test_density_majorant_violation_raises(monkeypatch):
 
     def shrunk(self, value):
         got = run(self, value)
-        return {key: v // 2 for key, v in got.items()} if value is macdonald._l1 else got
+        return {key: v // 2 for key, v in got.items()} if value is macdonald._Series.l1s else got
 
     monkeypatch.setattr(_DensityExpansion, "run", shrunk)
     with pytest.raises(AssertionError, match="exceeds its L1 majorant"):
@@ -496,7 +503,7 @@ def test_a1_calibration_anchor_exact():
     assert gram_schmidt_E(A1, zero).coeffs == {zero: ONE}
 
 
-def test_gram_schmidt_independent_of_linear_extension(monkeypatch):
+def test_gram_schmidt_independent_of_linear_extension(monkeypatch, fresh_caches):
     # weights whose unknowns include ties in height, so the two listings differ
     cases = [(rs, Weight(coords))
              for rs, coords in ((A2, (-2, 0)), (B2, (0, -2)), (C2, (-2, 0)), (G2, (0, -1)))]
@@ -513,7 +520,7 @@ def test_gram_schmidt_independent_of_linear_extension(monkeypatch):
         assert fwd != rev and set(fwd) == set(rev)
         forward[rs.key, gamma] = gram_schmidt_E(rs, gamma)
     monkeypatch.setattr(macdonald, "_unknowns", reversed_ties)
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    macdonald._E_CACHE.clear()
     for rs, gamma in cases:
         assert gram_schmidt_E(rs, gamma).coeffs == forward[rs.key, gamma].coeffs
 
@@ -734,15 +741,17 @@ def _random_tpoly(rng):
 
 @pytest.mark.parametrize("rows, cols, rank", [(3, 4, 1), (4, 5, 2), (5, 6, 3), (6, 7, 6)])
 def test_null_vector_spans_the_first_free_column(rows, cols, rank):
-    # low-rank matrices over Z[t] with zero entries, so pivots need row swaps;
-    # the null vector must be the field kernel's first basis vector up to scale
+    # low-rank matrices over Z[t] with zero entries, so pivots need row swaps,
+    # packed at the width of their minors: Bareiss on input that is no Toeplitz
+    # matrix; the null vector must be the field kernel's first basis vector up to scale
     rng = random.Random(f"{rows}x{cols}/{rank}")
     for _ in range(20):
         left = [[_random_tpoly(rng) for _ in range(rank)] for _ in range(rows)]
         right = [[_random_tpoly(rng) for _ in range(cols)] for _ in range(rank)]
         matrix = [[sum((left[i][k] * right[k][j] for k in range(rank)), Poly())
                    for j in range(cols)] for i in range(rows)]
-        vec = macdonald._null_vector(matrix, cols, macdonald._minor_width(matrix))
+        bits = macdonald._minor_width([[macdonald._l1(a) for a in row] for row in matrix])
+        vec = macdonald._null_vector([[macdonald._pack(a, bits) for a in row] for row in matrix], bits)
         assert any(vec)
         for row in matrix:
             assert not sum((a * v for a, v in zip(row, vec)), Poly())
@@ -846,26 +855,30 @@ def test_perturbed_coefficient_fails_reverification():
 
 
 def _halve_width(bound):
-    return (bound.bit_length() + 1) // 2
+    # half the bits a bound needs, but the 2 that a signed digit needs (below
+    # that _unpack refuses to decode at all, see the test of width 1 below)
+    return max(2, (bound.bit_length() + 1) // 2)
 
 
-def test_halved_packing_width_raises(monkeypatch):
+def test_halved_packing_width_raises(monkeypatch, fresh_caches):
     # the pairing table stays warm, so only the stages after the density pack
     # with too few bits; the run must raise, not return a wrong E
     gamma = Weight((-2,))
     gram_schmidt_E(A1, gamma)
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    macdonald._E_CACHE.clear()
     monkeypatch.setattr(macdonald, "_width", _halve_width)
     with pytest.raises(ValueError, match="rational reconstruction failed"):
         gram_schmidt_E(A1, gamma)
+    # halved down to 1 bit, the first Pade rung cannot decode its null vector
+    monkeypatch.setattr(macdonald, "_width", lambda bound: (bound.bit_length() + 1) // 2)
+    with pytest.raises(ValueError, match="at 1 bit"):
+        gram_schmidt_E(A1, gamma)
 
 
-def test_halved_packing_width_with_a_cold_density_raises(monkeypatch):
+def test_halved_packing_width_with_a_cold_density_raises(monkeypatch, fresh_caches):
     # the density packs with too few bits as well: its decoded entries wrap into
     # small coefficients that pass their majorant check, so only a later stage
     # can stop the run, and it must, rather than return a wrong E
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
-    monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
     monkeypatch.setattr(macdonald, "_width", _halve_width)
     with pytest.raises(ValueError, match="rational reconstruction failed"):
         gram_schmidt_E(A1, Weight((-2,)))
@@ -878,7 +891,7 @@ def test_halved_packing_width_raises_under_python_O():
         "a1, gamma = build_root_system('A', 1), Weight((-2,))\n"
         "macdonald.gram_schmidt_E(a1, gamma)\n"
         "macdonald._E_CACHE.clear()\n"
-        "macdonald._width = lambda bound: (bound.bit_length() + 1) // 2\n"
+        "macdonald._width = lambda bound: max(2, (bound.bit_length() + 1) // 2)\n"
         "macdonald.gram_schmidt_E(a1, gamma)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -887,19 +900,23 @@ def test_halved_packing_width_raises_under_python_O():
     assert "ValueError: rational reconstruction failed" in proc.stderr
 
 
-# -- each series packed once per width, for one call --------------------------------
+# -- each series packed once per width ----------------------------------------------
 
 
-def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch):
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
-    monkeypatch.setattr(macdonald, "_PAIR_CACHE", {})
+def _spy_packs(monkeypatch) -> list:
+    """Record every (series, bits) that _Series.pack packs; the reference keeps each id unique."""
     pack, packed = macdonald._Series.pack, []
 
     def spy(series, bits):
-        packed.append((series, bits))  # the reference keeps each id unique
+        packed.append((series, bits))
         return pack(series, bits)
 
     monkeypatch.setattr(macdonald._Series, "pack", spy)
+    return packed
+
+
+def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch, fresh_caches):
+    packed = _spy_packs(monkeypatch)
     gram_schmidt_E(A1, Weight((-4,)))
     repeats = Counter((id(series), bits) for series, bits in packed)
     assert packed and max(repeats.values()) == 1
@@ -908,18 +925,42 @@ def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch):
     assert len({bits for _, bits in packed}) <= 3
 
 
-def _live_series() -> int:
+def _live_series() -> set[int]:
     gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is macdonald._Series)
+    return {id(obj) for obj in gc.get_objects() if type(obj) is macdonald._Series}
 
 
 @pytest.mark.parametrize("name, gamma", [("A1", (-4,)), ("A2", (-1, 0))], ids=_id)
-def test_no_packed_series_outlives_its_call(monkeypatch, name, gamma):
-    # the cached E and pairing table hold no _Series, so no packed form either
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+def test_no_packed_series_outlives_its_call(monkeypatch, fresh_caches, name, gamma):
+    # the only _Series a call leaves alive are the pairings its cached table
+    # owns, packed forms and all; the cached E holds none, and dropping the
+    # table frees the rest
     before = _live_series()
     gram_schmidt_E(RANK2[name], Weight(gamma))
-    assert _live_series() == before
+    (table,) = macdonald._PAIR_CACHE.values()
+    owned = {id(series) for series in table.pairings.values()}
+    assert any(series._packed for series in table.pairings.values())
+    assert _live_series() - before == owned
+    del table
+    macdonald._PAIR_CACHE.clear()
+    assert _live_series() - before == set()
+
+
+def test_pairing_table_packs_each_series_once_across_an_orbit(monkeypatch, fresh_caches):
+    # the three E of A2's omega1 orbit read one cached table, which owns one
+    # _Series per weight difference: across the calls each is packed once per width
+    packed = _spy_packs(monkeypatch)
+    orbit = [Weight(g) for g in ((1, 0), (-1, 1), (0, -1))]
+    for gamma in orbit:
+        gram_schmidt_E(A2, gamma)
+    (table,) = macdonald._PAIR_CACHE.values()
+    pairings = {id(series) for series in table.pairings.values()}
+    repeats = Counter((id(series), bits) for series, bits in packed if id(series) in pairings)
+    assert repeats and max(repeats.values()) == 1
+    # a repeated weight difference is the same object, whichever pair reads it
+    assert len({id(table.series(mu, mu)) for mu in orbit}) == 1
+    assert all(table.series(mu, nu) is table.pairings[(nu - mu).coords]
+               for mu in orbit for nu in orbit)
 
 
 def test_reverification_decodes_nothing(monkeypatch):
@@ -971,7 +1012,7 @@ FALLBACK_CASES = [("A1", (-3,)), ("A2", (-1, 1)), ("B2", (0, -1))]
 
 
 @pytest.mark.parametrize("name, gamma", FALLBACK_CASES, ids=_id)
-def test_too_narrow_trial_width_falls_back(monkeypatch, name, gamma):
+def test_too_narrow_trial_width_falls_back(monkeypatch, fresh_caches, name, gamma):
     # at 2 bits the decoded coefficients lie in [-2, 1]: an answer outside that
     # wraps, is rejected and is solved again at the proven width; an answer
     # inside it is exact and is accepted at the trial width
@@ -980,7 +1021,7 @@ def test_too_narrow_trial_width_falls_back(monkeypatch, name, gamma):
     series, _, _, _ = _fresh_series(rs, gamma)
     fits = all(-2 <= c <= 1 for xs in series for tp in xs for c in tp.values())
     assert fits or name == "A1"  # A1 -3 has coefficients -3 and 2
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    macdonald._E_CACHE.clear()
     monkeypatch.setattr(macdonald, "_trial_width", lambda gram, rhs_series: 2)
     solve, widths = macdonald._solve_orthogonality, []
 
@@ -994,13 +1035,13 @@ def test_too_narrow_trial_width_falls_back(monkeypatch, name, gamma):
 
 
 @pytest.mark.parametrize("name, gamma", FALLBACK_CASES, ids=_id)
-def test_trial_result_that_pade_accepts_is_still_reverified(monkeypatch, name, gamma):
+def test_trial_result_that_pade_accepts_is_still_reverified(monkeypatch, fresh_caches, name, gamma):
     # a wrong trial series that is itself a fraction in the Pade box (c + q^2):
     # Pade accepts it, only the re-verification rejects it, and the proven
     # width must then give the true E
     rs, gamma = RANK2[name], Weight(gamma)
     want = gram_schmidt_E(rs, gamma)
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    macdonald._E_CACHE.clear()
     solve, verify, widths, verified = macdonald._solve_orthogonality, macdonald._verify_orthogonality, [], []
 
     def bent(gram, rhs_series, bits=None):
@@ -1053,9 +1094,9 @@ def _spy_ladders(monkeypatch) -> list:
         ladders.append([minor_width(rows)])
         return ladders[-1][0]
 
-    def rung_spy(rows, ncols, bits=None):
+    def rung_spy(a, bits):
         ladders[-1].append(bits)
-        return null_vector(rows, ncols, bits)
+        return null_vector(a, bits)
 
     monkeypatch.setattr(macdonald, "_minor_width", width_spy)
     monkeypatch.setattr(macdonald, "_null_vector", rung_spy)
@@ -1067,14 +1108,14 @@ LADDER_CASES = [("A1", (-4,), True), ("A2", (1, -2), True), ("B2", (1, -2), True
 
 
 @pytest.mark.parametrize("name, gamma, wider", LADDER_CASES, ids=_id)
-def test_pade_ladder_from_two_bits(monkeypatch, name, gamma, wider):
+def test_pade_ladder_from_two_bits(monkeypatch, fresh_caches, name, gamma, wider):
     # at 2 bits a decoded null vector has coefficients in [-2, 1]: one outside
     # that range wraps, fails the Toeplitz check and is found again at twice the
     # width; one inside it is exact and is accepted on the first rung (every
     # null vector of A2 (-1,0) and B2 (0,-1) is)
     rs, gamma = RANK2[name], Weight(gamma)
     want = gram_schmidt_E(rs, gamma)
-    monkeypatch.setattr(macdonald, "_E_CACHE", {})
+    macdonald._E_CACHE.clear()
     monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
     ladders = _spy_ladders(monkeypatch)
     assert gram_schmidt_E(rs, gamma).coeffs == want.coeffs
@@ -1090,8 +1131,8 @@ def test_rejected_pade_candidate_never_reaches_qtrat(monkeypatch):
     null_vector, gcd = macdonald._null_vector, qt.p_gcd
     dens, gcd_dens = [], []
 
-    def rung_spy(rows, ncols, bits=None):
-        vec = null_vector(rows, ncols, bits)
+    def rung_spy(a, bits):
+        vec = null_vector(a, bits)
         dens.append(Poly({j: c for j, c in enumerate(vec) if c}))
         return vec
 
