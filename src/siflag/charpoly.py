@@ -90,9 +90,6 @@ class CharPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CharPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "CharPoly") -> "CharPoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -150,9 +147,6 @@ class CharPoly:
 
     def q_max(self) -> int:
         return max(n for (_, n) in self.terms)
-
-    def weights(self) -> set[Coords]:
-        return {wt for (wt, _) in self.terms}
 
     def total_at_one(self) -> Coeff:
         """Evaluation q = 1, e^lam = 1 (the graded dimension at q = 1)."""

@@ -287,38 +287,36 @@ class _DensityExpansion:
         self.roots = sorted(rs.positive_roots, key=sum, reverse=True)
         self.tmax = [max(t[i] for t in targets) for i in range(rank)]
         # per suffix roots[pos:]: how far it can lower each coordinate per unit
-        # of q-degree, which coordinates it can raise, and the targets grouped
-        # by their image under the functionals vanishing on it
+        # of q-degree, and the targets grouped by their image under the
+        # functionals vanishing on it
         self.suffix = []
         for pos in range(len(self.roots) + 1):
             rem = self.roots[pos:]
             neg_cap = [max((b[i] for b in rem), default=0) for i in range(rank)]
-            pos_ok = [any(b[i] > 0 for b in rem) for i in range(rank)]
             kernel = _integer_kernel(rem, rank)
             groups: dict = {}
             for tau in targets:
                 groups.setdefault(_image(kernel, tau), []).append(tau)
-            self.suffix.append((neg_cap, pos_ok, kernel, groups, {}))
+            self.suffix.append((neg_cap, kernel, groups, {}))
 
     def need(self, coords: tuple, pos: int):
         """Least q-budget with which roots[pos:] can take coords onto a target, or None."""
-        neg_cap, pos_ok, kernel, groups, memo = self.suffix[pos]
+        neg_cap, kernel, groups, memo = self.suffix[pos]
         if coords in memo:
             return memo[coords]
         best = None
+        # For tau in the group of coords, coords - tau lies in the span of
+        # roots[pos:].  Positive roots have no negative coordinate, so where none
+        # of them is positive (cap 0) that whole span is 0 and c = goal: every
+        # c > goal has cap > 0, and no c < goal is out of reach.  This rests on
+        # the kernel; a wrong _integer_kernel ends in ZeroDivisionError here.
         for tau in groups.get(_image(kernel, coords), ()):
             req = 0
-            for c, goal, cap, ok in zip(coords, tau, neg_cap, pos_ok):
-                d = c - goal
-                if d > 0:
-                    if not cap:
-                        break
-                    req = max(req, -(-d // cap))
-                elif d < 0 and not ok:
-                    break
-            else:
-                if best is None or req < best:
-                    best = req
+            for c, goal, cap in zip(coords, tau, neg_cap):
+                if c > goal:
+                    req = max(req, -((goal - c) // cap))
+            if best is None or req < best:
+                best = req
         memo[coords] = best
         return best
 

@@ -14,10 +14,12 @@ echelon form of sparse rows {col: value} that takes pivot columns in increasing
 order, so its output is the canonical RREF.  ``rootdata._invert`` hands it
 ``Fraction`` rows (the Cartan matrix beside the identity), and the eigen base
 solve (``weylchar.eigen_solve_base``) hands it rows of ``ModP``, the integers
-modulo the prime P = 2^61 - 1, evaluated at one point q each.  ``sparse_solve``,
-``gauss_solve`` and ``gauss_nullspace`` wrap it for any exact field (the
-oracle's density finds root functionals with ``gauss_nullspace`` over
-``Fraction``; ``QTRat`` serves the tests as a Q(t) reference).  The only other
+modulo the prime P = 2^61 - 1, evaluated at one point q each.
+``gauss_nullspace`` and ``gauss_solve`` wrap it for dense rows over any exact
+field.  The oracle's density finds root functionals with ``gauss_nullspace``
+over ``Fraction``.  ``gauss_solve`` has no caller in the package: it stays as
+the dense solve that the benchmark's tracer wraps and the tests solve through,
+over ``Fraction`` and over ``QTRat`` as a Q(t) reference.  The only other
 elimination is the oracle's fraction-free Pade step over Z[t]
 (``macdonald._null_vector``), on integers packed at a trial width whose
 result an exact product check certifies.
@@ -270,28 +272,9 @@ class QTRat:
         return not self.num
 
     def __eq__(self, other: object) -> bool:
-        coerced = QTRat._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.num == coerced.num and self.den == coerced.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QTRat):
-            return other
-        if isinstance(other, int):
-            return QTRat.from_int(other)
-        if isinstance(other, Fraction):
-            return QTRat.from_fraction(other)
-        return None
+        return isinstance(other, QTRat) and self.num == other.num and self.den == other.den
 
     def __add__(self, other: "QTRat") -> "QTRat":
-        other = QTRat._coerce(other)
-        if other is None:
-            return NotImplemented
         if not other.num:
             return self
         if not self.num:
@@ -300,42 +283,27 @@ class QTRat:
             return QTRat(self.num + other.num, self.den)
         return QTRat(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QTRat":
         out = QTRat.__new__(QTRat)
         out.num, out.den = -self.num, self.den
         return out
 
-    def __sub__(self, other) -> "QTRat":
-        other = QTRat._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __sub__(self, other: "QTRat") -> "QTRat":
         return self + (-other)
 
-    def __rsub__(self, other) -> "QTRat":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QTRat":
-        other = QTRat._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __mul__(self, other: "QTRat") -> "QTRat":
         return QTRat(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QTRat":
-        other = QTRat._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __truediv__(self, other: "QTRat") -> "QTRat":
         if not other.num:
             raise ZeroDivisionError
         return QTRat(self.num * other.den, self.den * other.num)
 
     def __repr__(self) -> str:
-        if self.den == _ONE:
-            return p_str(self.num)
-        return f"({p_str(self.num)})/({p_str(self.den)})"
+        shown = self.to_json()
+        if shown["den"] == "1":
+            return shown["num"]
+        return f"({shown['num']})/({shown['den']})"
 
     def to_json(self) -> dict:
         num, den = self.num, self.den
@@ -421,9 +389,6 @@ class ModP:
     def __truediv__(self, other: "ModP") -> "ModP":
         return ModP(self.v * pow(other.v, -1, P))
 
-    def __repr__(self) -> str:
-        return f"ModP({self.v})"
-
 
 def _rref(rows, ncols):
     """Reduced row echelon form of sparse rows {col: value} over an exact field.
@@ -485,18 +450,6 @@ def _rref(rows, ncols):
     return pivots, rest
 
 
-def sparse_solve(rows, ncols, zero):
-    """Solve over an exact field from sparse rows {col: value}, right-hand side at col ncols.
-
-    Returns x as a list of ncols values, or None if the system is inconsistent
-    or underdetermined.
-    """
-    pivots, rest = _rref(rows, ncols)
-    if any(rest) or len(pivots) < ncols:
-        return None
-    return [row.get(ncols, zero) for _, row in pivots]
-
-
 def gauss_solve(rows, rhs, zero):
     """Solve M x = rhs over an exact field from dense rows; returns x, or None if singular.
 
@@ -504,7 +457,11 @@ def gauss_solve(rows, rhs, zero):
     """
     if not rows:
         return []
-    return sparse_solve([dict(enumerate([*r, v])) for r, v in zip(rows, rhs)], len(rows[0]), zero)
+    ncols = len(rows[0])
+    pivots, rest = _rref([dict(enumerate([*r, v])) for r, v in zip(rows, rhs)], ncols)
+    if any(rest) or len(pivots) < ncols:
+        return None
+    return [row.get(ncols, zero) for _, row in pivots]
 
 
 def gauss_nullspace(rows, ncols, zero, one):

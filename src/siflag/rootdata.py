@@ -98,14 +98,8 @@ class Coweight:
     def __add__(self, other: "Coweight") -> "Coweight":
         return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Coweight") -> "Coweight":
-        return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __neg__(self) -> "Coweight":
         return Coweight(tuple(-a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
 
 @dataclass(frozen=True)
@@ -486,18 +480,6 @@ class RootSystem:
         if v.act(cur) != nu:
             raise AssertionError("dominant representative does not map back to the weight")
         return cur, v
-
-    def orbit(self, lam: Weight) -> list[Weight]:
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            mu = frontier.pop()
-            for i in range(1, self.rank + 1):
-                img = self._simple_reflect(i, mu)
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-        return sorted(seen, key=lambda w: w.coords)
 
     def to_json(self) -> dict:
         return {

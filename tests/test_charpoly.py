@@ -185,6 +185,7 @@ def test_exact_divide_examples():
 
     g = mono(2) - mono(2, n=2)
     assert exact_divide(g, one_minus_q) == mono(2) + mono(2, n=1)
+    assert exact_divide(CharPoly.zero(), one_minus_q).is_zero()
 
     # a quotient term outside the Newton-polytope box: past max(f) - max(d) in
     # the weight, past it in q, and below min(f) - min(d) in q

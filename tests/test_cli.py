@@ -50,6 +50,7 @@ def test_emit_examples():
     assert emit(p, "json") == '[{"coeff":"1","q":0,"wt":[1]},{"coeff":"1","q":1,"wt":[-1]}]'
     assert emit(CharPoly.one(1), "json") == '[{"coeff":"1","q":0,"wt":[0]}]'
     assert emit(CharPoly.zero(), "json") == "[]"
+    assert emit(CharPoly.zero(), "latex") == emit(CharPoly.zero(), "plain") == "0"
     assert "q^{0}" in emit(p, "latex")
     assert emit(p, "plain") == repr(p)
 
@@ -276,6 +277,53 @@ def test_negative_lambda_reaches_the_dominance_check():
         with pytest.raises(SystemExit) as exc:
             main([*argv, *tail])
         assert exc.value.code == "--lambda must be dominant (nonnegative coordinates)"
+
+
+def test_weight_flags_refuse_empty_coordinates():
+    for argv, flag in ((["weylchar", "--type", "A2"], "lambda"), (["emac", "--type", "A2"], "gamma"),
+                       (["verify", "--type", "A2", "--suite", "nmconn"], "beta")):
+        for value in ("1,,0", "1,0,", ",-1", ""):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([*argv, f"--{flag}={value}"])
+            assert exc.value.code == f"--{flag} expects a comma list of integers, got {value!r}"
+    # spaces around a coordinate stay allowed
+    assert parse_args(["weylchar", "--type", "A2", "--lambda", " 1 , 0"]).lam == Weight((1, 0))
+    assert parse_args(["emac", "--type", "A2", "--gamma= -1,0 "]).gamma == Weight((-1, 0))
+    assert parse_args(["verify", "--type", "A2", "--beta=-1, -1"]).beta == Coweight((-1, -1))
+
+
+INPUT_ERRORS = [
+    (["weylchar", "--type", "A1", "--lambda", "1", "--global", "--trunc", "0"],
+     "--trunc must be >= 1"),
+    (["twisted", "--type", "A1", "--lambda", "1", "--trunc", "0"], "--trunc must be >= 1"),
+    (["verify", "--type", "A1", "--trunc", "0"], "--trunc must be >= 1"),
+    (["roots", "--type", "A"], "--rank is required when --type is a bare letter"),
+    (["roots", "--type", "A2x"], "cannot parse root-system name 'A2x'"),
+    (["weylchar", "--type", "A2", "--lambda", "1,x"],
+     "--lambda expects a comma list of integers, got '1,x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS,
+                         ids=["weylchar-trunc", "twisted-trunc", "verify-trunc", "bare-letter",
+                              "bad-name", "lambda-not-int"])
+def test_input_error_is_one_line_and_exits_nonzero(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    # a string code prints as one line on stderr and exits with status 1
+    assert exc.value.code == message
+
+
+def test_emac_formats_share_one_sign_convention(capsys):
+    outs = []
+    for fmt in ("plain", "latex", "json"):
+        assert main(["emac", "--type", "A1", "--gamma=-1", "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [
+        "e[-1]: 1\ne[1]: (1-t)/(1-q*t)\n",
+        "1\\, e^{[-1]} + \\frac{1-t}{1-q*t}\\, e^{[1]}\n",
+        '[{"wt":[-1],"num":"1","den":"1"},{"wt":[1],"num":"1-t","den":"1-q*t"}]\n',
+    ]
 
 
 def test_weight_flag_without_a_value_is_a_clean_error(capsys):

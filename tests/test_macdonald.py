@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import subprocess
 import sys
@@ -306,6 +307,10 @@ def test_density_table_matches_tower_expansion(name, lam, order):
     assert density_table(rs, targets, order) == _tower_density_table(rs, targets, order)
 
 
+def test_density_table_without_targets_is_empty():
+    assert density_table(A2, frozenset(), 4) == {}
+
+
 @pytest.mark.parametrize("name", sorted(RANK2))
 def test_integer_kernel_vanishes_on_its_suffix(name):
     # the density's reachability functionals are integer tuples, one per
@@ -320,6 +325,25 @@ def test_integer_kernel_vanishes_on_its_suffix(name):
         # no two positive roots are parallel, so the suffix spans min(len, rank)
         assert len(kernel) == rs.rank - min(len(roots) - pos, rs.rank)
         assert all(any(func) for func in kernel)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "A3"])
+def test_density_group_fixes_what_no_remaining_root_raises(name):
+    # _DensityExpansion.need divides by a coordinate's cap wherever coords
+    # exceeds its target, and cap is 0 exactly where no remaining root is
+    # positive: there every target in the group of coords must equal coords
+    rs = RANK2[name] if name in RANK2 else build_root_system("A", 3)
+    targets = frozenset(itertools.product(range(-2, 3), repeat=rs.rank))
+    expansion = _DensityExpansion(rs, targets, 2)
+    fixed_seen = 0
+    for pos, (_, kernel, groups, _) in enumerate(expansion.suffix):
+        rem = expansion.roots[pos:]
+        fixed = [i for i in range(rs.rank) if not any(b[i] > 0 for b in rem)]
+        fixed_seen += bool(rem and fixed)
+        for coords in itertools.product(range(-3, 4), repeat=rs.rank):
+            for tau in groups.get(macdonald._image(kernel, coords), ()):
+                assert all(coords[i] == tau[i] for i in fixed), (pos, coords, tau)
+    assert fixed_seen
 
 
 # -- reference: the q-binomial convolution _FactorColumn replaced ---------------

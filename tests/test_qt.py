@@ -17,7 +17,6 @@ from siflag.qt import (
     gauss_nullspace,
     gauss_solve,
     p_str,
-    sparse_solve,
 )
 
 Q = QTRat.q()
@@ -123,6 +122,9 @@ def test_p_str_formats():
     assert p_str(_poly({(2, 0): 3})) == "3*q^2"
     f = (ONE - T) / (ONE - Q * T)
     assert f.to_json() == {"num": "1-t", "den": "1-q*t"}
+    # repr shows the same normal form: a positive lowest-order denominator term
+    assert repr(f) == "(1-t)/(1-q*t)"
+    assert repr(-T) == "-t" and repr(ONE / (Q - ONE)) == "(-1)/(1-q)"
 
 
 def test_gauss_solve_and_nullspace_over_qtrat():
@@ -130,6 +132,7 @@ def test_gauss_solve_and_nullspace_over_qtrat():
     rhs = [ONE + T, ONE + T]
     x = gauss_solve(rows, rhs, QTRat.zero())
     assert x == [ONE, ONE]
+    assert gauss_solve([], [], QTRat.zero()) == []
 
     # singular matrix: nullspace of [[1, t], [t, t^2]]
     basis = gauss_nullspace([[ONE, T], [T, T * T]], 2, QTRat.zero(), ONE)
@@ -627,6 +630,17 @@ def _mod_p(x: Fraction) -> ModP:
 
 def _rows_mod_p(rows):
     return [{c: _mod_p(x) for c, x in row.items()} for row in rows]
+
+
+def sparse_solve(rows, ncols, zero):
+    """Solve from sparse rows {col: value} with the right-hand side at col ncols, through _rref.
+
+    Returns x, or None if the system is inconsistent or underdetermined.
+    """
+    pivots, rest = _rref(rows, ncols)
+    if any(rest) or len(pivots) < ncols:
+        return None
+    return [row.get(ncols, zero) for _, row in pivots]
 
 
 # the Fraction cases keep their bare shape ids; the ModP cases add "-modp"

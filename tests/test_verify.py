@@ -60,6 +60,34 @@ def test_mutation_fails_its_suite(monkeypatch, mutation, type_name):
     assert failed > 0
 
 
+@pytest.mark.parametrize("type_name, referenced", [("A1", True), ("A2", True), ("B2", False)])
+def test_cor_step_times_q_fails_only_where_the_oracle_is_the_reference(
+        monkeypatch, type_name, referenced):
+    # q times the first step's result keeps every later (1 - q^a) division
+    # exact, so only the oracle can catch it; B2 has no oracle, and its cor
+    # cases still pass: the gap that verify's stderr note states
+    rs = from_name(type_name)
+    specs = cases(rs, "cor", 1)
+    monkeypatch.setattr(wc, "_BASE_CACHE", dict(wc._BASE_CACHE))
+    assert all(check(rs, case)[0] for case in specs)
+    real = wc._cor_step
+    failed = stepped = 0
+    for case in specs:
+        steps = []
+
+        def scaled(*args):
+            steps.append(args)
+            value = real(*args)
+            return value.shift_q(1) if len(steps) == 1 else value
+
+        with monkeypatch.context() as mp:
+            mp.setattr(wc, "_cor_step", scaled)
+            failed += not check(rs, case)[0]
+        stepped += bool(steps)
+    assert stepped > 0
+    assert failed == (stepped if referenced else 0)
+
+
 # default_beta of every type whose box search of radius 8 succeeds: the nmconn
 # digests pinned with them must not move
 BOX_BETAS = {
