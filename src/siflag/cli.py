@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -62,11 +63,15 @@ class Report:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# one coordinate: an optional sign and ASCII digits, spaces around it allowed
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def parse_weight(rs: RootSystem, text: str, name: str) -> Weight:
-    try:
-        coords = tuple(int(p) for p in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(_INTEGER.fullmatch(p) for p in parts):
         raise SystemExit(f"--{name} expects a comma list of integers, got {text!r}")
+    coords = tuple(int(p) for p in parts)
     if len(coords) != rs.rank:
         raise SystemExit(
             f"--{name} has {len(coords)} coordinates but {rs.type_label}{rs.rank} has rank {rs.rank}")
@@ -83,15 +88,15 @@ def parse_weyl_word(rs: RootSystem, text: str) -> WeylElement:
         return rs.identity
     if text == "w0":
         return rs.longest_element()
-    out = rs.identity
+    word = []
     for token in text.split():
         if not (token.startswith("s") and token[1:].isdigit()):
             raise SystemExit(f"cannot parse Weyl word token {token!r} (use e.g. 's1 s2' or 'w0')")
         i = int(token[1:])
         if not 1 <= i <= rs.rank:
             raise SystemExit(f"generator index {i} out of range for rank {rs.rank}")
-        out = out * rs.simple_reflection(i)
-    return out
+        word.append(i)
+    return rs.element_from_word(word)
 
 
 def _build_rs(args) -> RootSystem:
@@ -278,8 +283,11 @@ def parse_args(argv) -> RunConfig:
         config.w_word = parse_weyl_word(rs, args.w).word()
     if getattr(args, "gamma", None) is not None:
         config.gamma = parse_weight(rs, args.gamma, "gamma")
-    if getattr(args, "spec", None):
-        config.spec_modes = tuple(m.strip() for m in args.spec.split(",") if m.strip())
+    if getattr(args, "spec", None) is not None:
+        config.spec_modes = tuple(m.strip() for m in args.spec.split(","))
+        if not all(config.spec_modes):
+            raise SystemExit(f"--spec expects a comma list of specializations "
+                             f"(t-0, t-inf, q-inv), got {args.spec!r}")
     if getattr(args, "beta", None) is not None:
         config.beta = parse_coweight(rs, args.beta)
         if not verify._strictly_antidominant(rs, config.beta):

@@ -436,10 +436,14 @@ class RootSystem:
         return self._s_theta
 
     def element_from_word(self, word: Iterable[int]) -> WeylElement:
-        out = self.identity
-        for i in word:
-            out = out * self.simple_reflection(i)
-        return out
+        """s_i1 ... s_ik for letters in 1..rank, read off ``left`` from the right."""
+        tables = self.weyl_tables()
+        k = 0
+        for i in reversed(tuple(word)):
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"simple reflection index {i} out of range")
+            k = tables.left[k][i]
+        return tables.elements[k]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Bruhat order, by the standard descent recursion."""

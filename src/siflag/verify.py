@@ -79,8 +79,8 @@ def default_beta(rs: RootSystem) -> Coweight:
     return Coweight(tuple(-int(c * scale) for c in rho))
 
 
-def _word(w: WeylElement) -> str:
-    return ".".join(map(str, w.word())) or "e"
+def _word(word: tuple[int, ...]) -> str:
+    return ".".join(map(str, word)) or "e"
 
 
 def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
@@ -97,15 +97,19 @@ def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
         if suite == "nmconn":
             out.append(Case(suite, head, lam.coords))
         elif suite == "dmain":
-            elems = rs.weyl_elements()
-            for w in elems:
-                for v in elems:
-                    if (w * v).length() == w.length() + v.length():
-                        out.append(Case(suite, f"{head}:w={_word(w)}:v={_word(v)}",
-                                        lam.coords, w.word(), v.word()))
+            # wv's index: left-multiply v by w's letters, last letter first
+            tables = rs.weyl_tables()
+            for w_word in tables.words:
+                for v, v_word in enumerate(tables.words):
+                    wv = v
+                    for i in reversed(w_word):
+                        wv = tables.left[wv][i]
+                    if len(tables.words[wv]) == len(w_word) + len(v_word):
+                        out.append(Case(suite, f"{head}:w={_word(w_word)}:v={_word(v_word)}",
+                                        lam.coords, w_word, v_word))
         else:
             for w in minimal_coset_reps(rs, lam):
-                out.append(Case(suite, f"{head}:w={_word(w)}", lam.coords, w.word()))
+                out.append(Case(suite, f"{head}:w={_word(w.word())}", lam.coords, w.word()))
     return out
 
 

@@ -51,7 +51,7 @@ from .rootdata import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenWeylChar:
     """Graded character of the cyclic module with extremal weight w(lam)."""
 
@@ -60,9 +60,11 @@ class GenWeylChar:
     value: CharPoly
 
 
-# -- the shared base ch W_lam -----------------------------------------------------
+# -- the shared base ch W_lam and the characters grown from it ----------------------
 
 _BASE_CACHE: dict = {}
+# genweyl_char's results, keyed (rs.key, lam.coords, w) on w as passed, before reduction
+_CHAR_CACHE: dict = {}
 
 
 def base_char(rs: RootSystem, lam: Weight) -> CharPoly:
@@ -99,14 +101,22 @@ def coset_chain(rs: RootSystem, lam: Weight, w: WeylElement) -> list[tuple[int, 
 
 
 def genweyl_char(rs: RootSystem, w: WeylElement, lam: Weight) -> GenWeylChar:
-    """ch W_{w lam} = D_w ch W_lam, for the minimal representative w of w W_lam."""
+    """ch W_{w lam} = D_w ch W_lam, for the minimal representative w of w W_lam.
+
+    Computed once per (type, lam, w) and process; a cached record is shared, so
+    it is frozen.
+    """
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
-    w = minimal_coset_representative(rs, w, lam)
-    value = demazure_word(rs, w.word(), base_char(rs, lam))
-    if value.coeff(w.act(lam), 0) != 1:
-        raise AssertionError("cyclic-vector coefficient is not 1")
-    return GenWeylChar(lam, w, value)
+    key = (rs.key, lam.coords, w)
+    got = _CHAR_CACHE.get(key)
+    if got is None:
+        rep = minimal_coset_representative(rs, w, lam)
+        value = demazure_word(rs, rep.word(), base_char(rs, lam))
+        if value.coeff(rep.act(lam), 0) != 1:
+            raise AssertionError("cyclic-vector coefficient is not 1")
+        got = _CHAR_CACHE[key] = GenWeylChar(lam, rep, value)
+    return got
 
 
 def cor_family(rs: RootSystem, w: WeylElement, lam: Weight) -> CharPoly:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import fresh_env
-from siflag import cli, weylchar
+from siflag import cli
 from siflag.charpoly import CharPoly
 from siflag.cli import RunConfig, emit, main, parse_args, parse_weyl_word, run_suite
 from siflag.rootdata import Coweight, RootSystem, Weight, build_root_system, from_name
@@ -96,9 +96,8 @@ def test_out_to_missing_directory_is_a_clean_error(tmp_path):
     assert str(target) in str(err.value)
 
 
-def test_failed_base_solve_is_a_clean_error(monkeypatch):
+def test_failed_base_solve_is_a_clean_error(fresh_char_caches):
     # F4 omega4 is rank-deficient at the check point: 19 of the 24 a unique base needs
-    monkeypatch.setattr(weylchar, "_BASE_CACHE", {})
     for command in ("weylchar", "twisted"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--type", "F4", "--lambda", "0,0,0,1"])
@@ -183,6 +182,17 @@ def test_emac_unknown_spec_is_a_clean_error():
     with pytest.raises(SystemExit) as exc:
         main(["emac", "--type", "A1", "--gamma=-1", "--spec", "bogus"])
     assert exc.value.code == "emac: unknown specialization mode 'bogus'"
+
+
+def test_emac_empty_spec_is_a_clean_error():
+    # an empty list, or an empty entry in it, names no specialization
+    for spec in (",", "", " ", "t-inf,", "t-inf,,q-inv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["emac", "--type", "A1", "--gamma=-1", "--spec", spec])
+        assert exc.value.code == ("--spec expects a comma list of specializations "
+                                  f"(t-0, t-inf, q-inv), got {spec!r}")
+    assert parse_args(["emac", "--type", "A1", "--gamma=-1", "--spec", " t-inf , q-inv "]
+                      ).spec_modes == ("t-inf", "q-inv")
 
 
 def test_emac_outside_oracle_scope_is_a_clean_error():
@@ -286,6 +296,14 @@ def test_weight_flags_refuse_empty_coordinates():
             with pytest.raises(SystemExit) as exc:
                 parse_args([*argv, f"--{flag}={value}"])
             assert exc.value.code == f"--{flag} expects a comma list of integers, got {value!r}"
+    # int() alone would read "1_0" as 10 and non-ASCII digits as digits
+    for argv, flag in ((["weylchar", "--type", "A2"], "lambda"), (["emac", "--type", "A2"], "gamma"),
+                       (["verify", "--type", "A2", "--suite", "nmconn"], "beta")):
+        for value in ("1_0,0", "-1,-1_0", "\u0661,0", "-1,-\uff11", "- 1,0", "1,+-1"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([*argv, f"--{flag}={value}"])
+            assert exc.value.code == f"--{flag} expects a comma list of integers, got {value!r}"
+    assert parse_args(["weylchar", "--type", "A2", "--lambda", "+1,0"]).lam == Weight((1, 0))
     # spaces around a coordinate stay allowed
     assert parse_args(["weylchar", "--type", "A2", "--lambda", " 1 , 0"]).lam == Weight((1, 0))
     assert parse_args(["emac", "--type", "A2", "--gamma= -1,0 "]).gamma == Weight((-1, 0))

@@ -10,7 +10,7 @@ from siflag import weylchar as wc
 from siflag.charpoly import CharPoly, demazure_op
 from siflag.cli import RunConfig, main, run_suite
 from siflag.rootdata import SUPPORTED, build_root_system, from_name
-from siflag.verify import _strictly_antidominant, cases, check, default_beta
+from siflag.verify import Case, _strictly_antidominant, cases, check, default_beta, dominant_weights
 
 
 def _loop_exponent_plus_one(mp, rs, case):
@@ -45,12 +45,11 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("type_name", ["A2", "B2"])
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_mutation_fails_its_suite(monkeypatch, mutation, type_name):
+def test_mutation_fails_its_suite(monkeypatch, fresh_char_caches, mutation, type_name):
     rs = from_name(type_name)
     suite, mutate = MUTATIONS[mutation]
     specs = cases(rs, suite, 1)
-    # the bases are cached unmutated first, and the cache is restored afterwards
-    monkeypatch.setattr(wc, "_BASE_CACHE", dict(wc._BASE_CACHE))
+    # the bases and characters are cached unmutated first, in caches dropped afterwards
     assert all(check(rs, case)[0] for case in specs)
     failed = 0
     for case in specs:
@@ -62,13 +61,12 @@ def test_mutation_fails_its_suite(monkeypatch, mutation, type_name):
 
 @pytest.mark.parametrize("type_name, referenced", [("A1", True), ("A2", True), ("B2", False)])
 def test_cor_step_times_q_fails_only_where_the_oracle_is_the_reference(
-        monkeypatch, type_name, referenced):
+        monkeypatch, fresh_char_caches, type_name, referenced):
     # q times the first step's result keeps every later (1 - q^a) division
     # exact, so only the oracle can catch it; B2 has no oracle, and its cor
     # cases still pass: the gap that verify's stderr note states
     rs = from_name(type_name)
     specs = cases(rs, "cor", 1)
-    monkeypatch.setattr(wc, "_BASE_CACHE", dict(wc._BASE_CACHE))
     assert all(check(rs, case)[0] for case in specs)
     real = wc._cor_step
     failed = stepped = 0
@@ -131,3 +129,40 @@ def test_nmconn_on_c4_runs_past_the_search_box():
     assert len(report.cases) == 4
     assert list(failed) == ["C4:lam=0,0,0,1"]
     assert "not uniquely solvable" in failed["C4:lam=0,0,0,1"]
+
+
+def _old_word(w):
+    return ".".join(map(str, w.word())) or "e"
+
+
+def _matrix_dmain_cases(rs, max_weight):
+    # the dmain enumeration before it read the index tables, kept verbatim
+    out = []
+    for lam in dominant_weights(rs, max_weight):
+        head = f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
+        elems = rs.weyl_elements()
+        for w in elems:
+            for v in elems:
+                if (w * v).length() == w.length() + v.length():
+                    out.append(Case("dmain", f"{head}:w={_old_word(w)}:v={_old_word(v)}",
+                                    lam.coords, w.word(), v.word()))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_dmain_cases_match_the_matrix_enumeration(name):
+    # the same ids, words and order as the |W|^2 matrix products
+    rs = from_name(name)
+    assert cases(rs, "dmain", 1) == _matrix_dmain_cases(rs, 1)
+
+
+@pytest.mark.parametrize("type_name", ["B2", "G2"])
+def test_verify_report_does_not_depend_on_a_warm_cache(tmp_path, fresh_char_caches, type_name):
+    outs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        assert main(["verify", "--type", type_name, "--suite", "all", "--max-weight", "1",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+        assert wc._CHAR_CACHE
+    assert outs[0] == outs[1]

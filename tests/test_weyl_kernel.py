@@ -1,8 +1,9 @@
 """The integer Weyl-group kernel against references that use no table.
 
-The index tables are the one source of words, lengths and inverses.  Lengths
-must equal an inversion count, and inverses the product of a reversed word
-taken on matrices, whose product with the element is the identity; the
+The index tables are the one source of words, lengths, inverses and the
+elements words spell.  Lengths must equal an inversion count, the element of a
+word the product of its letters taken on matrices, and inverses that product
+over the reversed word, whose product with the element is the identity; the
 affine product needs no inverse at all and must agree with the same
 reference.  A matrix outside W has no word, length or inverse, and all three
 say so with one message.  The Cartan inverse must multiply the Cartan matrix
@@ -24,9 +25,17 @@ from siflag.rootdata import SUPPORTED, Coweight, RootSystem, WeylElement, build_
 KERNEL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2))
 
 
+def _matrix_product(rs: RootSystem, word) -> WeylElement:
+    # RootSystem.element_from_word before it read the index tables, kept verbatim
+    out = rs.identity
+    for i in word:
+        out = out * rs.simple_reflection(i)
+    return out
+
+
 def _reference_inverse(w: WeylElement) -> WeylElement:
     # (s_i1 ... s_ik)^-1 = s_ik ... s_i1
-    return w.rs.element_from_word(reversed(w.word()))
+    return _matrix_product(w.rs, reversed(w.word()))
 
 
 def _reference_mul(x: AffineElement, y: AffineElement) -> AffineElement:
@@ -47,6 +56,20 @@ def test_memoised_inverse_matches_fraction_reference(key):
         assert w.length() == sum(1 for a in rs.positive_root_weights
                                  if rs.root_is_negative(w.act(a)))
     assert rs.theta_reflection() is rs.theta_reflection()
+
+
+@pytest.mark.parametrize("key", [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_element_from_word_matches_the_matrix_product(key):
+    # every word of length <= 4, unreduced ones included
+    rs = build_root_system(*key)
+    for n in range(5):
+        for word in product(range(1, rs.rank + 1), repeat=n):
+            assert rs.element_from_word(word) == _matrix_product(rs, word), word
+    # 0 would read s_theta's column of the tables, and -1 the last letter's
+    for bad in (0, rs.rank + 1, -1):
+        with pytest.raises(ValueError, match=f"^simple reflection index {bad} out of range$"):
+            rs.element_from_word((1, bad))
 
 
 @pytest.mark.parametrize("key", SUPPORTED)

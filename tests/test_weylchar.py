@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from siflag import macdonald, weylchar
 from siflag.charpoly import CharPoly, demazure_op, demazure_word, freeness_factor
 from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
 from siflag.rootdata import (SUPPORTED, Coweight, RootSystem, Weight, build_root_system,
-                             from_name, minimal_coset_reps)
+                             from_name, minimal_coset_representative, minimal_coset_reps)
 from siflag.weylchar import (
     _pullback_simple,
     base_char,
@@ -224,10 +225,9 @@ def test_base_methods_agree_rank2():
             assert base_char(rs, lam) == oracle, (rs.key, lam)
 
 
-def test_engine_computes_no_oracle_polynomial(monkeypatch):
+def test_engine_computes_no_oracle_polynomial(monkeypatch, fresh_char_caches):
     # the oracle is only a reference: no engine entry point may fill its cache
     monkeypatch.setattr(macdonald, "_E_CACHE", {})
-    monkeypatch.setattr(weylchar, "_BASE_CACHE", {})
     for rs, beta in ((A1, Coweight((-1,))), (A2, Coweight((-1, -1)))):
         for lam in (rs.fundamental_weight(1), rs.rho().scale(2)):
             base_char(rs, lam)
@@ -487,3 +487,19 @@ def test_weyl_character_of_a_long_string():
         got = weyl_character(A1, Weight((n,)))
         assert got == CharPoly({((n - 2 * k,), 0): 1 for k in range(n + 1)})
     assert len(weyl_character(A1, Weight((200,))).terms) == 201
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_cached_characters_match_a_fresh_demazure_word(fresh_char_caches, name):
+    # the cache is keyed on w as passed: every w of W, reduced or not, must get
+    # the character of its minimal coset representative, on a miss and on a hit
+    rs = from_name(name)
+    for lam in [Weight((0,) * rs.rank)] + [rs.fundamental_weight(j) for j in range(1, rs.rank + 1)]:
+        for w in rs.weyl_elements():
+            rep = minimal_coset_representative(rs, w, lam)
+            want = demazure_word(rs, rep.word(), base_char(rs, lam))
+            got = genweyl_char(rs, w, lam)
+            assert genweyl_char(rs, w, lam) is got
+            assert (got.lam, got.w, got.value) == (lam, rep, want), (name, lam, w)
+    with pytest.raises(FrozenInstanceError):
+        got.value = CharPoly.one(rs.rank)
