@@ -15,7 +15,7 @@ CharPoly of its terms through a stated q-degree, each of them exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .rootdata import Coords, RootSystem, Weight
@@ -178,51 +178,70 @@ class CharPoly:
         return " + ".join(bits)
 
 
-def _letter(rs: RootSystem, i: int):
-    """What D_i reads of the root system: (pairing, step, back, q step).
+# the one memo of Demazure runs: (type, rank, letter) -> {weight: its run (see _run)}
+_RUNS: dict[tuple[str, int, int], dict[Coords, tuple | None]] = {}
 
-    pairing(wt) is k = <alpha_i^vee, wt>, or <-theta^vee, wt> at i = 0, and
-    back = -step.  By the closed finite-sum rule D_i(q^n e^wt) is the sum of
-    q^{n + j qstep} e^{wt + j step} over 0 <= j <= k when k >= 0, minus the
-    sum of q^{n - j qstep} e^{wt + j back} over 1 <= j <= -k - 1 when k <= -2,
-    and zero at k = -1.
+
+def _run(rs: RootSystem, i: int, wt: Coords) -> tuple | None:
+    """The image of e^wt under D_i: (negated, ((weight, q shift), ...)), or None when zero.
+
+    Let k = <alpha_i^vee, wt>, step = -alpha_i and qstep = 0 for i >= 1, or
+    k = <-theta^vee, wt>, step = theta and qstep = -1 for i = 0.  By the closed
+    finite-sum rule D_i(q^n e^wt) is the sum of q^{n + j qstep} e^{wt + j step}
+    over 0 <= j <= k when k >= 0, minus the sum of q^{n - j qstep} e^{wt - j step}
+    over 1 <= j <= -k - 1 when k <= -2, and zero at k = -1.
     """
     if i == 0:
-        coroot = tuple(map(neg, rs.theta_coroot.coords))
-        theta = rs.theta_weight.coords
-        return (lambda wt: sum(map(mul, coroot, wt))), theta, tuple(map(neg, theta)), -1
-    root = rs.simple_root(i).coords
-    return itemgetter(i - 1), tuple(map(neg, root)), root, 0
+        k = -sum(map(mul, rs.theta_coroot.coords, wt))
+        step, qstep = rs.theta_weight.coords, -1
+    else:
+        k = wt[i - 1]
+        step, qstep = tuple(map(neg, rs.simple_root(i).coords)), 0
+    if k == -1:
+        return None
+    if k >= 0:
+        cur, m, count = wt, 0, k + 1
+    else:
+        step, qstep = tuple(map(neg, step)), -qstep
+        cur, m, count = tuple(map(add, wt, step)), qstep, -k - 1
+    steps = []
+    for _ in range(count):
+        steps.append((cur, m))
+        cur, m = tuple(map(add, cur, step)), m + qstep
+    return k < 0, tuple(steps)
 
 
 def demazure_op(rs: RootSystem, i: int, f: CharPoly) -> CharPoly:
-    """Demazure operator D_i for i in {0, ..., rank}."""
+    """Demazure operator D_i for i in {0, ..., rank}, by the closed finite-sum rule.
+
+    Each weight's run of image terms (``_run``) is computed once per process,
+    type and letter and kept in ``_RUNS``; a term of f then costs one lookup
+    and the coefficient adds of its run.
+    """
     if not 0 <= i <= rs.rank:
         raise ValueError(f"affine index {i} out of range")
-    pairing, step, back, qstep = _letter(rs, i)
+    letter = (rs.type_label, rs.rank, i)
+    runs = _RUNS.get(letter)
+    if runs is None:
+        runs = _RUNS.setdefault(letter, {})
     out: dict[Key, Coeff] = {}
     get = out.get
     for (wt, n), c in f.terms.items():
-        k = pairing(wt)
-        # the run of image keys: its first key, direction, sign and remaining length
-        if k >= 0:
-            cur, m, d, dq, v, left = wt, n, step, qstep, c, k
-        elif k <= -2:
-            cur, m, d, dq, v, left = tuple(map(add, wt, back)), n - qstep, back, -qstep, -c, -k - 2
-        else:
+        try:
+            run = runs[wt]
+        except KeyError:
+            run = runs[wt] = _run(rs, i, wt)
+        if run is None:
             continue
-        while True:
-            key = (cur, m)
+        negated, steps = run
+        v = -c if negated else c
+        for cur, m in steps:
+            key = (cur, n + m)
             s = get(key, _ZERO) + v
             if s:
                 out[key] = s
             else:
                 del out[key]
-            if not left:
-                break
-            left -= 1
-            cur = tuple(map(add, cur, d))
-            m += dq
     res = CharPoly()
     res.terms = _settle(out)
     return res

@@ -184,8 +184,8 @@ def run_suite(config: RunConfig) -> Report:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The CLI's argument parser and its weylchar subparser, built once per process."""
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI's argument parser and its weylchar and verify subparsers, built once per process."""
     parser = argparse.ArgumentParser(
         prog="siflag",
         description="Exact characters of current-algebra Weyl module Demazure submodules "
@@ -244,7 +244,7 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility and read by nothing: cases run "
                             "one after another")
-    return parser, p_wc
+    return parser, p_wc, p_ver
 
 
 def _attach_negative_values(argv) -> list[str]:
@@ -265,10 +265,12 @@ def _attach_negative_values(argv) -> list[str]:
 
 
 def parse_args(argv) -> RunConfig:
-    parser, p_wc = _parser()
+    parser, p_wc, p_ver = _parser()
     args = parser.parse_args(_attach_negative_values(argv))
     if args.command == "weylchar" and args.trunc is not None and not args.global_series:
         p_wc.error("--trunc is read only with --global")
+    if args.command == "verify" and args.beta is not None and args.suite not in ("nmconn", "all"):
+        p_ver.error("--beta is read only by the nmconn suite")
     rs = _build_rs(args)
     config = RunConfig(command=args.command, rs=rs, fmt=getattr(args, "fmt", "plain"),
                        out=args.out)

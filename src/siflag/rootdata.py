@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
+from operator import sub
 from typing import Iterable, Sequence
 
 from .qt import _rref
@@ -565,27 +565,31 @@ def minimal_coset_representative(rs: RootSystem, w: WeylElement, lam: Weight) ->
 
 
 def hull_weights(rs: RootSystem, lam: Weight) -> list[Weight]:
-    """All nu in lam + Q with dominant representative <= lam (weights of V(lam))."""
+    """All nu in lam + Q with dominant representative <= lam (weights of V(lam)), sorted.
+
+    The dominant mu <= lam are reached from lam by subtracting positive roots
+    while staying dominant, since positive roots generate the dominance order
+    on dominant weights (Stembridge, Adv. Math. 136, 1998); every W-orbit is
+    then walked down from its dominant member by the s_i that lower it.
+    """
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
-    w0 = rs.longest_element()
-    span = lam - w0.act(lam)
-    box = rs.weight_to_root(span)
-    if any(c.denominator != 1 for c in box):
-        raise AssertionError("lam - w0 lam is not an integral root combination")
-    out = []
-    for coeffs in iproduct(*(range(int(c) + 1) for c in box)):
-        nu = lam
-        for i, c in enumerate(coeffs):
-            if c:
-                nu = nu - rs.simple_root(i + 1).scale(c)
-        plus, _ = rs.dominant_representative(nu)
-        if _dominance_leq(rs, plus, lam):
-            out.append(nu)
-    return sorted(set(out), key=lambda w: w.coords)
-
-
-def _dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
-    """mu <= lam in dominance order (difference a nonnegative integer root sum)."""
-    diff = rs.weight_to_root(lam - mu)
-    return all(c.denominator == 1 and c >= 0 for c in diff)
+    roots = [b.coords for b in rs.positive_root_weights]
+    dominant = [lam.coords]
+    seen = {lam.coords}
+    for mu in dominant:
+        for beta in roots:
+            nu = tuple(map(sub, mu, beta))
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                dominant.append(nu)
+    simple = [a.coords for a in rs._simple_roots]
+    orbit = list(dominant)
+    for nu in orbit:
+        for i, c in enumerate(nu):
+            if c > 0:
+                img = tuple(x - c * a for x, a in zip(nu, simple[i]))
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+    return [Weight(nu) for nu in sorted(orbit)]

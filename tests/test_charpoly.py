@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add, itemgetter, mul, neg
 
 import pytest
 
+from siflag import charpoly
 from siflag.affine import all_reduced_words
 from siflag.charpoly import (
     CharPoly,
@@ -18,7 +20,7 @@ from siflag.charpoly import (
 )
 from siflag.macdonald import EPoly, gram_schmidt_E, specialize
 from siflag.qt import QTRat
-from siflag.rootdata import Weight, build_root_system
+from siflag.rootdata import SUPPORTED, Weight, build_root_system
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -105,7 +107,8 @@ def test_defining_fraction_consistency():
     rng = random.Random(9)
     from siflag.affine import s0_action
 
-    for rs in (A1, A2, G2):
+    for key in (("A", 1), ("A", 2), ("G", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 4)):
+        rs = build_root_system(*key)
         for _ in range(40):
             wt = Weight(tuple(rng.randint(-3, 3) for _ in range(rs.rank)))
             n = rng.randint(-2, 2)
@@ -123,6 +126,58 @@ def test_defining_fraction_consistency():
                 lhs = (CharPoly.one(rs.rank) - e_neg_alpha) * demazure_op(rs, i, m)
                 rhs = m - e_neg_alpha * CharPoly.monomial(wt2, n2)
                 assert lhs == rhs, (rs.key, i, wt, n)
+
+
+def _closed_sum_demazure(rs, i, f):
+    """D_i by the closed finite-sum loop, with no memo: a reference for demazure_op."""
+    if i == 0:
+        coroot = tuple(map(neg, rs.theta_coroot.coords))
+        theta = rs.theta_weight.coords
+        pairing, step, back, qstep = (lambda wt: sum(map(mul, coroot, wt))), theta, \
+            tuple(map(neg, theta)), -1
+    else:
+        root = rs.simple_root(i).coords
+        pairing, step, back, qstep = itemgetter(i - 1), tuple(map(neg, root)), root, 0
+    out = {}
+    for (wt, n), c in f.terms.items():
+        k = pairing(wt)
+        if k >= 0:
+            cur, m, d, dq, v, left = wt, n, step, qstep, c, k
+        elif k <= -2:
+            cur, m, d, dq, v, left = tuple(map(add, wt, back)), n - qstep, back, -qstep, -c, -k - 2
+        else:
+            continue
+        while True:
+            s = out.get((cur, m), 0) + v
+            if s:
+                out[cur, m] = s
+            else:
+                del out[cur, m]
+            if not left:
+                break
+            left -= 1
+            cur = tuple(map(add, cur, d))
+            m += dq
+    return CharPoly(out)
+
+
+@pytest.mark.parametrize("key", SUPPORTED, ids=lambda k: f"{k[0]}{k[1]}")
+def test_demazure_op_matches_the_closed_sum_loop_cold_and_warm(key, monkeypatch):
+    rs = build_root_system(*key)
+    rng = random.Random(f"demazure:{key}")
+    probes = []
+    for _ in range(6):
+        f = random_charpoly(rs, rng, 8)
+        probes += [f, f + random_charpoly(rs, rng, 4).scale(Fraction(1, 3))]
+    monkeypatch.setattr(charpoly, "_RUNS", {})
+    for memo in ("cold", "warm"):
+        for f in probes:
+            for i in range(rs.rank + 1):
+                got, want = demazure_op(rs, i, f), _closed_sum_demazure(rs, i, f)
+                assert got == want, (memo, i, f)
+                assert list(got.terms) == list(want.terms), (memo, i, f)
+                assert_exact(got)
+        assert set(charpoly._RUNS) == {(*key, i) for i in range(rs.rank + 1)}
 
 
 def test_reduced_word_independence_length4():

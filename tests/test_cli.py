@@ -256,6 +256,18 @@ def test_weylchar_reads_trunc_only_with_global(capsys):
     assert parse_args(argv).trunc == 20
 
 
+@pytest.mark.parametrize("suite", ["dmain", "fdif", "cor", "gnsmac"])
+def test_verify_reads_beta_only_with_an_nmconn_suite(suite, capsys):
+    argv = ["verify", "--type", "A2", "--beta", "-1,-1"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, "--suite", suite])
+    assert exc.value.code == 2
+    assert "--beta is read only by the nmconn suite" in capsys.readouterr().err
+    assert parse_args([*argv, "--suite", "nmconn"]).beta.coords == (-1, -1)
+    assert parse_args(argv).beta.coords == (-1, -1)
+    assert parse_args(["verify", "--type", "A2", "--suite", suite]).beta is None
+
+
 def test_rank_beside_a_full_type_name_must_match():
     for argv in (["--type", "A2", "--rank", "5"], ["--type", "g2", "--rank", "3"]):
         with pytest.raises(SystemExit) as exc:
@@ -488,6 +500,26 @@ def test_series_bytes_are_pinned(capsys, case):
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
                           capture_output=True, timeout=300)
+
+
+def test_pinned_bases_in_one_cold_optimized_process():
+    # every base cold in one python -O process, so the Demazure run memo fills
+    # across types before each later solve reads it; no assert there, -O strips it
+    code = ("import contextlib, hashlib, io, json, sys\n"
+            "from siflag.cli import main\n"
+            "out = []\n"
+            "for type_name, lam in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = main(['weylchar', '--type', type_name, '--lambda', lam, '--w', 'e',\n"
+            "                     '--format', 'json'])\n"
+            "    out.append((code, hashlib.sha256(buf.getvalue().encode()).hexdigest()))\n"
+            "print(json.dumps(out))\n")
+    cases = sorted(PINNED_BASES)
+    proc = subprocess.run([sys.executable, "-O", "-c", code, json.dumps(cases)],
+                          env=fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, PINNED_BASES[case]] for case in cases]
 
 
 WARM_COLD_ARGVS = [

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from siflag.rootdata import (
+    SUPPORTED,
     Coweight,
     Weight,
     build_root_system,
     from_name,
+    hull_weights,
     minimal_coset_representative,
     minimal_coset_reps,
 )
@@ -221,3 +224,46 @@ def test_json_dump_fields():
     data = b2.to_json()
     assert set(data) == {"type", "Cartan", "pos_roots", "theta"}
     assert data["type"] == "B2"
+
+
+# -- the hull of a dominant weight --------------------------------------------------
+
+
+def _box_hull(rs, lam):
+    """The box scan that built the hull before: every nu in lam - [0, lam - w0 lam]
+    (simple-root coordinates) whose dominant representative lies below lam."""
+    w0 = rs.longest_element()
+    box = rs.weight_to_root(lam - w0.act(lam))
+    assert all(c.denominator == 1 for c in box)
+    out = []
+    for coeffs in iproduct(*(range(int(c) + 1) for c in box)):
+        nu = lam
+        for i, c in enumerate(coeffs):
+            if c:
+                nu = nu - rs.simple_root(i + 1).scale(c)
+        plus, _ = rs.dominant_representative(nu)
+        diff = rs.weight_to_root(lam - plus)
+        if all(c.denominator == 1 and c >= 0 for c in diff):
+            out.append(nu)
+    return sorted(set(out), key=lambda w: w.coords)
+
+
+def _hull_probes(rs):
+    yield from (rs.fundamental_weight(i) for i in range(1, rs.rank + 1))
+    if rs.rank <= 3:
+        yield rs.rho()
+    if rs.rank == 2:
+        yield from (Weight(c) for c in iproduct(range(3), repeat=2))
+
+
+@pytest.mark.parametrize("key", SUPPORTED, ids=lambda k: f"{k[0]}{k[1]}")
+def test_hull_weights_match_the_box_scan(key):
+    rs = build_root_system(*key)
+    for lam in _hull_probes(rs):
+        assert hull_weights(rs, lam) == _box_hull(rs, lam), lam
+
+
+def test_hull_weights_refuse_a_weight_that_is_not_dominant():
+    for key, lam in ((("A", 1), (-1,)), (("B", 2), (1, -1)), (("F", 4), (0, 0, -2, 1))):
+        with pytest.raises(ValueError, match="weight must be dominant"):
+            hull_weights(build_root_system(*key), Weight(lam))
