@@ -119,7 +119,7 @@ def shortest_word(x: AffineElement) -> Word:
     """
     n = affine_length(x)
     tables = x.finite.rs.weyl_tables()
-    k, beta = tables.index[x.finite], x.trans
+    k, beta = x.finite.index, x.trans
     word = []
     while n > 0:
         step = next(_left_descents(tables, k, beta), None)
@@ -155,7 +155,7 @@ def all_reduced_words(x: AffineElement) -> tuple[Word, ...]:
             memo[(k, beta)] = got
         return got
 
-    return words(tables.index[x.finite], x.trans, affine_length(x))
+    return words(x.finite.index, x.trans, affine_length(x))
 
 
 # -- quantum Bruhat graph ----------------------------------------------------
@@ -182,7 +182,7 @@ def _is_cover(tables: WeylTables, i: int, k: int) -> bool:
 def quantum_covers(rs: RootSystem, w: WeylElement) -> list[QuantumCover]:
     """Outgoing covers: s_i w > w for i in I, or the s_theta step when w^{-1} theta < 0."""
     tables = rs.weyl_tables()
-    k = tables.index[w]
+    k = w.index
     return [QuantumCover(w, tables.elements[tables.left[k][i]], i)
             for i in range(rs.rank + 1) if _is_cover(tables, i, k)]
 
@@ -192,7 +192,7 @@ def quantum_step(rs: RootSystem, i: int, w: WeylElement) -> WeylElement | None:
     if not 0 <= i <= rs.rank:
         raise ValueError(f"affine letter {i} out of range")
     tables = rs.weyl_tables()
-    k = tables.index[w]
+    k = w.index
     return tables.elements[tables.left[k][i]] if _is_cover(tables, i, k) else None
 
 
@@ -232,7 +232,7 @@ def minimal_loops(rs: RootSystem, w: WeylElement) -> list[Word]:
     """All shortest nonempty quantum-Bruhat loops based at w, as operator words."""
     tables = rs.weyl_tables()
     letters = range(rs.rank + 1)
-    base = tables.index[w]
+    base = w.index
     # distance from every element to w: one BFS from w over reversed cover edges;
     # each letter acts as an involution, so the only source of an i-edge into u is s_i u
     dist = {base: 0}

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .affine import adapted_sequence, quantum_covers
 from .charpoly import CharPoly
 from .macdonald import bar_conjugate, gram_schmidt_E, specialize
-from .rootdata import RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name
+from .rootdata import (RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name,
+                       parse_digits)
 from . import verify
 from . import weylchar as wc
 
@@ -78,6 +79,19 @@ def parse_weight(rs: RootSystem, text: str, name: str) -> Weight:
     return Weight(coords)
 
 
+def _integer(flag: str):
+    """The argparse type of an integer flag: an optional sign and ASCII digits.
+
+    Anything else ends the run with a one-line message naming the flag.
+    """
+    def read(text: str) -> int:
+        n = parse_digits(text[1:] if text[:1] in ("+", "-") else text)
+        if n is None:
+            raise SystemExit(f"--{flag} expects an integer in ASCII digits, got {text!r}")
+        return -n if text[:1] == "-" else n
+    return read
+
+
 def parse_coweight(rs: RootSystem, text: str) -> Coweight:
     return Coweight(parse_weight(rs, text, "beta").coords)
 
@@ -90,9 +104,9 @@ def parse_weyl_word(rs: RootSystem, text: str) -> WeylElement:
         return rs.longest_element()
     word = []
     for token in text.split():
-        if not (token.startswith("s") and token[1:].isdigit()):
+        i = parse_digits(token[1:]) if token.startswith("s") else None
+        if i is None:
             raise SystemExit(f"cannot parse Weyl word token {token!r} (use e.g. 's1 s2' or 'w0')")
-        i = int(token[1:])
         if not 1 <= i <= rs.rank:
             raise SystemExit(f"generator index {i} out of range for rank {rs.rank}")
         word.append(i)
@@ -194,10 +208,10 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argpars
 
     def common(p, need_lambda=False, trunc=False, fmt=False):
         p.add_argument("--type", help="root system, e.g. A2, C2, G2")
-        p.add_argument("--rank", type=int,
+        p.add_argument("--rank", type=_integer("rank"),
                        help="rank when --type is a bare letter (must match a full name)")
         if trunc:
-            p.add_argument("--trunc", type=int,
+            p.add_argument("--trunc", type=_integer("trunc"),
                            help="q-series truncation order of weylchar --global and twisted "
                                 "(default 20); verify accepts it but its verdicts do not "
                                 "depend on it")
@@ -238,10 +252,10 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argpars
     p_ver = sub.add_parser("verify", help="run verification suites")
     common(p_ver, trunc=True)
     p_ver.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
-    p_ver.add_argument("--max-weight", type=int, default=2)
+    p_ver.add_argument("--max-weight", type=_integer("max-weight"), default=2)
     p_ver.add_argument("--beta", default=None,
                        help="override the antidominant coweight for nmconn")
-    p_ver.add_argument("--jobs", type=int, default=1,
+    p_ver.add_argument("--jobs", type=_integer("jobs"), default=1,
                        help="accepted for compatibility and read by nothing: cases run "
                             "one after another")
     return parser, p_wc, p_ver

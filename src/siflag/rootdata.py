@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .qt import _rref
@@ -104,14 +104,16 @@ class Coweight:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element, canonicalized by its action on the weight basis.
+    """A Weyl group element: its index in ``RootSystem.weyl_tables()``.
 
-    ``cols[j]`` is w(w_j) in fundamental-weight coordinates; two elements are
-    equal iff these images agree.  Words are derived data, never identity.
+    Two elements are equal iff their indices are.  ``cols[j]`` is w(w_j) in
+    fundamental-weight coordinates, kept for ``act``; only the tables build
+    elements, so every element lies in W.
     """
 
     rs: "RootSystem" = field(compare=False, repr=False)
-    cols: tuple[Coords, ...] = ()
+    index: int
+    cols: tuple[Coords, ...] = field(compare=False, repr=False)
 
     def act(self, lam: Weight) -> Weight:
         return Weight(_apply(self.cols, lam.coords))
@@ -126,33 +128,24 @@ class WeylElement:
         return Coweight(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rs, tuple(_apply(self.cols, c) for c in other.cols))
+        return self.rs.element_from_word(self.word(), other)
 
     def inverse(self) -> "WeylElement":
-        # (s_i1 ... s_ik)^{-1} = s_ik ... s_i1: left-multiply by s_i1 first
-        tables, k = self.rs._lookup(self)
-        inv = 0
-        for i in tables.words[k]:
-            inv = tables.left[inv][i]
-        return tables.elements[inv]
+        # (s_i1 ... s_ik)^{-1} = s_ik ... s_i1
+        return self.rs.element_from_word(self.word()[::-1])
 
     def length(self) -> int:
         return len(self.word())
 
     def word(self) -> tuple[int, ...]:
         """A shortest word in simple reflections (1-based letters)."""
-        tables, k = self.rs._lookup(self)
-        return tables.words[k]
+        return self.rs.weyl_tables().words[self.index]
 
     def is_identity(self) -> bool:
-        return self == self.rs.identity
+        return self.index == 0
 
     def __repr__(self) -> str:
-        try:
-            w = self.word()
-        except ValueError:  # a matrix outside W has no word
-            return f"WeylElement({self.cols})"
-        return "e" if not w else "*".join(f"s{i}" for i in w)
+        return "*".join(f"s{i}" for i in self.word()) or "e"
 
 
 @dataclass(frozen=True)
@@ -169,13 +162,13 @@ class WeylTables:
     * ``inv_theta_coroot[k]`` is w^{-1} theta^vee in simple-coroot coordinates;
     * ``words[k]`` is a shortest word.
 
-    They are the one source of words, lengths and inverses: ``WeylElement.word``,
-    ``length`` and ``inverse`` look w up in ``index`` through ``RootSystem._lookup``,
-    and an element missing from it is not in W.
+    They are the one source of words, lengths, inverses and products:
+    ``WeylElement.word`` and ``length`` read ``words`` at the element's index,
+    and ``inverse``, ``*``, ``simple_reflection`` and ``theta_reflection`` are
+    folds of ``left`` (``RootSystem.element_from_word``).
     """
 
     elements: tuple[WeylElement, ...]
-    index: dict[WeylElement, int]
     words: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
     inv_roots: tuple[tuple[Coords, ...], ...]
@@ -214,12 +207,10 @@ class RootSystem:
             tuple(-c for c in wt.coords) for wt in self.positive_root_weights
         )
         self.identity = WeylElement(
-            self, tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
+            self, 0, tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
         )
-        self._simple = tuple(self._make_simple(i) for i in range(1, rank + 1))
         # memo tables, filled on first use so that construction stays cheap
         self._tables: WeylTables | None = None
-        self._s_theta: WeylElement | None = None
         self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -259,14 +250,6 @@ class RootSystem:
             raise AssertionError("root closure is not symmetric under negation")
         return tuple(pos)
 
-    def _make_simple(self, i: int) -> WeylElement:
-        cols = []
-        for j in range(self.rank):
-            w = Weight(tuple(1 if k == j else 0 for k in range(self.rank)))
-            img = self._simple_reflect(i, w)
-            cols.append(img.coords)
-        return WeylElement(self, tuple(cols))
-
     def _simple_reflect(self, i: int, lam: Weight) -> Weight:
         # s_i(lam) = lam - <alpha_i^vee, lam> alpha_i
         c = lam.coords[i - 1]
@@ -281,9 +264,7 @@ class RootSystem:
         return (self.type_label, self.rank)
 
     def simple_reflection(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple reflection index {i} out of range")
-        return self._simple[i - 1]
+        return self.element_from_word((i,))
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
@@ -342,16 +323,6 @@ class RootSystem:
         """Whether a weight known to be a root is a negative root."""
         return lam.coords in self._neg_root_wts
 
-    def reflection(self, root: Coords) -> WeylElement:
-        """The reflection s_beta for a positive root beta."""
-        beta_vee = self.coroot(root)
-        beta_wt = self.root_to_weight(root)
-        cols = []
-        for j in range(self.rank):
-            w = self.fundamental_weight(j + 1)
-            cols.append((w - beta_wt.scale(self.pairing(beta_vee, w))).coords)
-        return WeylElement(self, tuple(cols))
-
     # -- group structure -------------------------------------------------------
 
     def weyl_tables(self) -> WeylTables:
@@ -366,31 +337,44 @@ class RootSystem:
         return got
 
     def _build_tables(self) -> WeylTables:
-        # breadth-first from the identity, each level sorted by cols; a word is
-        # built right-to-left, so its first letter i leads back to the parent s_i v
-        words = {self.identity: ()}
-        products = {}
-        order = [self.identity]
-        frontier = [self.identity]
+        # breadth-first over the matrices cols from the identity, each level sorted;
+        # a word is built right-to-left, so its first letter i leads back to the
+        # parent s_i v.  Letter i maps each column c to c - <alpha_i^vee, c> alpha_i,
+        # letter 0 to c - <theta^vee, c> theta.
+        mirrors = [(self.theta_coroot.coords, self.theta_weight.coords)] + [
+            (self.simple_coroot(i).coords, a.coords) for i, a in enumerate(self._simple_roots, 1)]
+
+        def reflect(cols, coroot, root):
+            out = []
+            for c in cols:
+                p = sum(map(mul, coroot, c))
+                out.append(tuple([x - p * a for x, a in zip(c, root)]) if p else c)
+            return tuple(out)
+
+        start = self.identity.cols
+        words = {start: ()}
+        images = {}
+        order = [start]
+        frontier = [start]
         while frontier:
             nxt = []
             for w in frontier:
-                products[w] = tuple(s * w for s in self._simple)
-                for i, v in enumerate(products[w], 1):
-                    if v not in words:
-                        words[v] = (i,) + words[w]
-                        nxt.append(v)
-            nxt.sort(key=lambda u: u.cols)
+                images[w] = row = [reflect(w, *m) for m in mirrors]
+                for i in range(1, self.rank + 1):
+                    if row[i] not in words:
+                        words[row[i]] = (i,) + words[w]
+                        nxt.append(row[i])
+            nxt.sort()
             order.extend(nxt)
             frontier = nxt
         index = {w: k for k, w in enumerate(order)}
-        s_theta = self.theta_reflection()
-        left = tuple((index[s_theta * w],) + tuple(index[v] for v in products[w]) for w in order)
+        left = tuple(tuple(index[v] for v in images[w]) for w in order)
+        words = tuple(words[w] for w in order)
         # (s_i u)^{-1} alpha_j = u^{-1} alpha_j - <alpha_i^vee, alpha_j> u^{-1} alpha_i, and
         # likewise for theta, so each row follows from its parent's without an inverse
         inv_roots = [(self.theta_weight.coords,) + tuple(a.coords for a in self._simple_roots)]
         for k in range(1, len(order)):
-            i = words[order[k]][0]
+            i = words[k][0]
             row = inv_roots[left[k][i]]
             pairs = (self.theta_weight.coords[i - 1],) + self.cartan[i - 1]
             inv_roots.append(tuple(tuple(b - c * a for b, a in zip(root, row[i]))
@@ -401,9 +385,9 @@ class RootSystem:
             coroots[wt] = co
             coroots[tuple(-c for c in wt)] = tuple(-c for c in co)
         return WeylTables(
-            elements=tuple(order),
-            index=index,
-            words=tuple(words[w] for w in order),
+            elements=(self.identity,) + tuple(
+                WeylElement(self, k, cols) for k, cols in enumerate(order[1:], 1)),
+            words=words,
             left=left,
             inv_roots=tuple(inv_roots),
             inv_negative=tuple(tuple(a in self._neg_root_wts for a in row) for row in inv_roots),
@@ -414,14 +398,6 @@ class RootSystem:
         """The whole Weyl group, BFS order from the identity (deterministic)."""
         return self.weyl_tables().elements
 
-    def _lookup(self, w: WeylElement) -> tuple[WeylTables, int]:
-        """The tables and w's index in them; a ValueError if w is not in W."""
-        tables = self.weyl_tables()
-        k = tables.index.get(w)
-        if k is None:
-            raise ValueError(f"{w.cols} is not a Weyl group element")
-        return tables, k
-
     def longest_element(self) -> WeylElement:
         """w0, the one element of the last BFS level."""
         w0 = self.weyl_elements()[-1]
@@ -430,15 +406,15 @@ class RootSystem:
         return w0
 
     def theta_reflection(self) -> WeylElement:
-        """s_theta, the reflection in the highest root (built once)."""
-        if self._s_theta is None:
-            self._s_theta = self.reflection(self.theta)
-        return self._s_theta
-
-    def element_from_word(self, word: Iterable[int]) -> WeylElement:
-        """s_i1 ... s_ik for letters in 1..rank, read off ``left`` from the right."""
+        """s_theta, the reflection in the highest root."""
         tables = self.weyl_tables()
-        k = 0
+        return tables.elements[tables.left[0][0]]
+
+    def element_from_word(self, word: Iterable[int], start: WeylElement | None = None) -> WeylElement:
+        """s_i1 ... s_ik start (start defaults to e) for letters in 1..rank, read off
+        ``left`` from the right."""
+        tables = self.weyl_tables()
+        k = 0 if start is None else start.index
         for i in reversed(tuple(word)):
             if not 1 <= i <= self.rank:
                 raise ValueError(f"simple reflection index {i} out of range")
@@ -454,10 +430,10 @@ class RootSystem:
         key = (u, w)
         got = self._bruhat.get(key)
         if got is None:
-            tables, k = self._lookup(w)
-            i = tables.words[k][0]
-            sw = tables.elements[tables.left[k][i]]
-            su = tables.elements[tables.left[tables.index[u]][i]]
+            tables = self.weyl_tables()
+            i = tables.words[w.index][0]
+            sw = tables.elements[tables.left[w.index][i]]
+            su = tables.elements[tables.left[u.index][i]]
             if su.length() < u.length():
                 got = self.bruhat_leq(su, sw)
             else:
@@ -476,11 +452,7 @@ class RootSystem:
             i = neg[0]
             cur = self._simple_reflect(i, cur)
             letters.append(i)
-        tables = self.weyl_tables()
-        k = 0
-        for i in reversed(letters):
-            k = tables.left[k][i]
-        v = tables.elements[k]
+        v = self.element_from_word(letters)
         if v.act(cur) != nu:
             raise AssertionError("dominant representative does not map back to the weight")
         return cur, v
@@ -527,12 +499,22 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     return rs
 
 
+def parse_digits(text: str) -> int | None:
+    """The value of a nonempty run of ASCII digits, None for any other text.
+
+    int() alone also reads a sign, spaces, "1_0" and other scripts' digits such
+    as "\u0662", and str.isdigit() passes "\u00b2", which int() then refuses.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_name(name: str) -> tuple[str, int]:
     """The (type, rank) a compact name such as 'A2' or 'g2' spells; support is not checked."""
     name = name.strip()
-    if len(name) < 2 or not name[1:].isdigit():
+    rank = parse_digits(name[1:])
+    if rank is None:
         raise ValueError(f"cannot parse root-system name {name!r}")
-    return name[0].upper(), int(name[1:])
+    return name[0].upper(), rank
 
 
 def from_name(name: str) -> RootSystem:

@@ -91,22 +91,19 @@ def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "cor" and rs.key in ORACLE_TYPES:
         max_weight = min(max_weight, COR_MAX_WEIGHT)
+    if suite == "dmain":  # the pairs with l(wv) = l(w) + l(v), the same for every lam
+        elements = rs.weyl_elements()
+        pairs = [(w.word(), v.word()) for w in elements for v in elements
+                 if (w * v).length() == w.length() + v.length()]
     out = []
     for lam in dominant_weights(rs, max_weight):
         head = f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
         if suite == "nmconn":
             out.append(Case(suite, head, lam.coords))
         elif suite == "dmain":
-            # wv's index: left-multiply v by w's letters, last letter first
-            tables = rs.weyl_tables()
-            for w_word in tables.words:
-                for v, v_word in enumerate(tables.words):
-                    wv = v
-                    for i in reversed(w_word):
-                        wv = tables.left[wv][i]
-                    if len(tables.words[wv]) == len(w_word) + len(v_word):
-                        out.append(Case(suite, f"{head}:w={_word(w_word)}:v={_word(v_word)}",
-                                        lam.coords, w_word, v_word))
+            for w_word, v_word in pairs:
+                out.append(Case(suite, f"{head}:w={_word(w_word)}:v={_word(v_word)}",
+                                lam.coords, w_word, v_word))
         else:
             for w in minimal_coset_reps(rs, lam):
                 out.append(Case(suite, f"{head}:w={_word(w.word())}", lam.coords, w.word()))

@@ -148,7 +148,7 @@ def _cor_step(rs: RootSystem, lam: Weight, i: int, u: WeylElement, stepped: Char
 def _pullback_simple(rs: RootSystem, u: WeylElement, i: int):
     """j when u^{-1} alpha_i = alpha_j for a simple root, else None (i in 1..rank)."""
     tables = rs.weyl_tables()
-    return rs.simple_root_index.get(tables.inv_roots[tables.index[u]][i])
+    return rs.simple_root_index.get(tables.inv_roots[u.index][i])
 
 
 def _times_freeness(rs: RootSystem, lam: Weight, value: CharPoly, trunc: int) -> CharPoly:

@@ -155,7 +155,7 @@ def test_descent_sign_test_matches_length_drop():
         for x in _bfs_words(rs, 6):
             n = affine_length(x)
             got = {i: (tables.elements[k], beta)
-                   for i, k, beta in affine._left_descents(tables, tables.index[x.finite], x.trans)}
+                   for i, k, beta in affine._left_descents(tables, x.finite.index, x.trans)}
             for i in range(rs.rank + 1):
                 y = affine_simple(rs, i) * x
                 assert (i in got) == (affine_length(y) == n - 1), (rs.key, x, i)

@@ -322,6 +322,57 @@ def test_weight_flags_refuse_empty_coordinates():
     assert parse_args(["verify", "--type", "A2", "--beta=-1, -1"]).beta == Coweight((-1, -1))
 
 
+INTEGER_FLAGS = [
+    (["weylchar", "--type", "A1", "--lambda", "1", "--global"], "trunc"),
+    (["twisted", "--type", "A1", "--lambda", "1"], "trunc"),
+    (["verify", "--type", "A1"], "trunc"),
+    (["verify", "--type", "A1"], "max-weight"),
+    (["verify", "--type", "A1"], "jobs"),
+    (["roots", "--type", "A"], "rank"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", INTEGER_FLAGS,
+                         ids=["weylchar-trunc", "twisted-trunc", "verify-trunc", "max-weight",
+                              "jobs", "rank"])
+def test_integer_flags_take_ascii_digits_only(argv, flag):
+    # int() alone would read "0_3" as 3, " 2" as 2 and other scripts' digits as
+    # digits, and str.isdigit() passes "\u00b2", which int() then refuses
+    for value in ("0_3", "\u0662", "\u00b2", "\uff12", " 2", "2 ", "+-1", "--1", "", "1.0", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{flag}={value}"])
+        assert exc.value.code == f"--{flag} expects an integer in ASCII digits, got {value!r}"
+    dest = flag.replace("-", "_")
+    if flag == "rank":
+        assert parse_args([*argv, "--rank", "2"]).rs.key == ("A", 2)
+        assert parse_args([*argv, "--rank", "+2"]).rs.key == ("A", 2)
+        return
+    # what the benchmark passes: --jobs 1, --trunc 40 through 80, --max-weight 1
+    for value in ("1", "+1", "40", "80", "0017"):
+        cfg = parse_args([*argv, f"--{flag}", value])
+        assert getattr(cfg, dest, int(value)) == int(value)
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, f"--{flag}", "-3"])
+    assert exc.value.code == f"--{flag} must be >= 1"
+
+
+def test_names_and_weyl_words_take_ascii_digits_only():
+    for name in ("A\u0662", "A\u00b2", "A\uff12", "A+2", "A-2", "A 2", "A2_0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--type", name])
+        assert exc.value.code == f"cannot parse root-system name {name!r}"
+    for token in ("s\u0661", "s\u00b2", "s+1", "s-1", "s", "s1_0"):
+        for argv in (["weylchar", "--type", "A2", "--lambda", "1,0", "--w", token],
+                     ["qbruhat", "--type", "A2", "--from", token, "--to", "s1"],
+                     ["qbruhat", "--type", "A2", "--to", token]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == (
+                f"cannot parse Weyl word token {token!r} (use e.g. 's1 s2' or 'w0')")
+    assert parse_args(["roots", "--type", " a2 "]).rs.key == ("A", 2)
+    assert parse_args(["weylchar", "--type", "A2", "--lambda", "1,0", "--w", "s01 s2"]).w_word == (1, 2)
+
+
 INPUT_ERRORS = [
     (["weylchar", "--type", "A1", "--lambda", "1", "--global", "--trunc", "0"],
      "--trunc must be >= 1"),
