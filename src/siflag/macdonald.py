@@ -32,13 +32,17 @@ reachability budget lets still land on a wanted weight.  The orthogonality
 system is solved order by order over Z[t] by forward substitution, with no
 inverse and no field (listed by root-lattice height, the order-0 block is unit
 lower triangular), the rational function behind each coefficient series is
-recovered by a fraction-free Pade step, and the result is re-verified against
-five extra q-orders.
+recovered by a fraction-free Pade step and reduced by its Z[t] content alone
+(the Pade denominator has the least q-degree in its box, so no factor with a
+q in it can be shared), and the result is re-verified against five extra
+q-orders.
 
 Every stage computes on t-polynomials packed into integers at t = 2^B, with B
-from L1 majorants rounded up to a multiple of 16 bits (_width).  At such a
-width the packing is one-to-one on every polynomial the stage forms, so a
-packed integer is zero exactly when its polynomial is (see _on_packed).  So:
+from L1 majorants: the density at the exact width its largest majorant needs
+(_exact_width), every later stage at that width rounded up to a multiple of
+16 bits (_width).  At such a width the packing is one-to-one on every
+polynomial the stage forms, so a packed integer is zero exactly when its
+polynomial is (see _on_packed).  So:
 
 * the density decodes every entry of its table, and the Gram solve every
   order of the coefficient series it finds;
@@ -69,6 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .charpoly import CharPoly
 from .qt import Poly, QTRat, gauss_nullspace, p_gcd
@@ -130,10 +135,10 @@ def density_table(rs: RootSystem, targets: frozenset, order: int) -> dict:
     """
     if not targets:
         return {}
-    return _decode(*_on_packed(_DensityExpansion(rs, targets, order).run))
+    return _decode(*_on_packed(_DensityExpansion(rs, targets, order).run, width=_exact_width))
 
 
-def _on_packed(run, bits: int | None = None) -> tuple[dict, dict | None, int]:
+def _on_packed(run, bits: int | None = None, width=None) -> tuple[dict, dict | None, int]:
     """(packed, bound, B): run(value) -> {key: int} evaluated on t-polynomials packed at t = 2^B.
 
     The density (see density_table), the Gram solve and every _convolution
@@ -143,7 +148,9 @@ def _on_packed(run, bits: int | None = None) -> tuple[dict, dict | None, int]:
     once (per width).  Without bits, run is called twice.  First value =
     _Series.l1s (t -> 1, every minus sign made plus): every entry of bound is
     then an L1 majorant, a bound on the absolute coefficient sum of the entry
-    it stands for.  Then value packs at B = _width(largest majorant).
+    it stands for.  Then value packs at B = width(largest majorant), where
+    width is _width unless given: the density, which decodes all it packs,
+    passes _exact_width.
 
     Evaluation at 2^B is a ring homomorphism, so only the final coefficients
     must fit in B bits, and with B from the majorants they do.  Decoding is
@@ -166,7 +173,7 @@ def _on_packed(run, bits: int | None = None) -> tuple[dict, dict | None, int]:
     bound = None
     if bits is None:
         bound = run(_Series.l1s)
-        bits = _width(max(bound.values(), default=0))
+        bits = (width or _width)(max(bound.values(), default=0))
     return run(lambda series: series.packed(bits)), bound, bits
 
 
@@ -210,13 +217,21 @@ def _l1(tp: Poly) -> int:
     return sum(map(abs, tp.values()))
 
 
-def _width(bound: int) -> int:
-    """The packing width for t-polynomials whose coefficients are at most bound in size.
+def _exact_width(bound: int) -> int:
+    """The least packing width for t-polynomials whose coefficients are at most bound in size.
 
-    That takes bound.bit_length() + 1 bits (one for the sign), rounded up to a
-    multiple of 16 so that the stages of one E_gamma meet only a few widths
-    and each _Series is packed once per width; a wider width is exact as well
-    (see _on_packed).
+    bound.bit_length() bits and one for the sign.  The density packs at it:
+    it decodes every entry it packs, so its width is its own affair.
+    """
+    return bound.bit_length() + 1
+
+
+def _width(bound: int) -> int:
+    """_exact_width(bound) rounded up to a multiple of 16 bits.
+
+    Every stage after the density packs so: the stages of one E_gamma then
+    meet only a few widths, and each _Series is packed once per width.  A
+    wider width is exact as well (see _on_packed).
     """
     return (bound.bit_length() + 16) // 16 * 16
 
@@ -616,23 +631,23 @@ def _gram_recurrence(gram, rhs_series, value) -> dict:
 
     Every entry of gram and rhs_series is an _Series, read whole (see
     _on_packed).  At k = 0 it reads only the x_n[j], j < i, already found:
-    forward substitution.
+    forward substitution.  Each Gram entry's share of an order is one
+    C-level dot product over the packed integers.
     """
     big = len(rhs_series[0]) - 1
     sign = value(_T_SIGN)[1]
     gram = [[value(series) for series in row] for row in gram]
     rhs_series = [value(series) for series in rhs_series]
-    xs: list[list[int]] = []
+    # x_j[m] sits at rev[j][big - m], so sum_k g_k x_{n-k} is one dot product
+    # per Gram entry over rev[j][big - n:]; the x_j[n] not found yet are 0
+    rev = [[0] * (big + 1) for _ in rhs_series]
+    out = {}
     for n in range(big + 1):
-        xs.append([])
-        for g_row, rhs in zip(gram, rhs_series):
-            acc = rhs[n]
-            for k in range(n + 1):
-                for g, x in zip(g_row, xs[n - k]):
-                    if x and g[k]:
-                        acc += g[k] * x
-            xs[n].append(sign * acc)
-    return {(n, i): x for n, row in enumerate(xs) for i, x in enumerate(row)}
+        start = big - n
+        for i, (g_row, rhs) in enumerate(zip(gram, rhs_series)):
+            acc = rhs[n] + sum(sum(map(mul, g, r[start:])) for g, r in zip(g_row, rev))
+            rev[i][start] = out[n, i] = sign * acc
+    return out
 
 
 _NO_FRACTION = "rational reconstruction failed: raise the truncation order"
@@ -656,16 +671,28 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     rung's candidate den is certified by the exact product series * den (see
     _convolution), whose orders dp+1..order must vanish; they are tested on
     the packed integers, and only its orders 0..dp, the numerator, are decoded.
-    A rejection at the proven width is final.  The reduced fraction is then
-    accepted only if series * den = num holds at every available order.  That
-    comparison decodes the product and compares t-polynomials.  Equal packed
-    integers would say only that both sides agree at t = 2^B; the decoded
-    product equals the numerator only if, besides, the numerator's
-    coefficients fit in B bits.  So a width too narrow for the true product (a
-    fault of _width) shows here as _NO_FRACTION rather than passing on to the
-    re-verification, whose zero tests take the width on trust.  At q^0 the
-    check rules out a denominator divisible by q, so the fraction is a power
-    series.
+    A rejection at the proven width is final.
+
+    A certified den has the least q-degree of any nonzero null vector: its
+    degree is the elimination's first column without a pivot, which never
+    comes later at 2^B than over Z[t] (evaluation lowers no rank), and den is
+    a true null vector.  If den(0) != 0, a common factor g of num and den
+    with positive q-degree has g(0) != 0, a unit in Q(t)[[q]], and den / g
+    would be a null vector of lower degree.  So gcd(num, den) lies in Z[t],
+    and the fraction is reduced by that content alone (QTRat.by_t_content),
+    never by the bivariate gcd.  A den with den(0) = 0 is rejected at once,
+    so the fraction is a power series: q then divides num as well, and the
+    reduced fraction could reproduce every available order only as a null
+    vector of lower degree.
+
+    The reduced fraction is accepted only if series * den = num holds at
+    every available order.  That comparison decodes the product and compares
+    t-polynomials.  Equal packed integers would say only that both sides
+    agree at t = 2^B; the decoded product equals the numerator only if,
+    besides, the numerator's coefficients fit in B bits.  So a width too
+    narrow for the true product (a fault of _width) shows here as
+    _NO_FRACTION rather than passing on to the re-verification, whose zero
+    tests take the width on trust.
     """
     if not any(series):
         return QTRat.zero()
@@ -688,9 +715,11 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
         if bits == proven:
             raise ValueError(_NO_FRACTION)
         bits *= 2
+    if not vec[0]:
+        raise ValueError(_NO_FRACTION)
     num = _decode(product, bound, width, range(dp + 1))
-    cand = QTRat(Poly({n: tp for n, tp in num.items() if tp}),
-                 Poly({j: c for j, c in enumerate(vec) if c}))
+    cand = QTRat.by_t_content(Poly({n: tp for n, tp in num.items() if tp}),
+                              Poly({j: c for j, c in enumerate(vec) if c}))
     expanded = _convolve([(cand.den, series)], len(series) - 1)
     if all(c == cand.num.get(n, _ZERO) for n, c in enumerate(expanded)):
         return cand

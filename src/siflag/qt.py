@@ -173,7 +173,8 @@ def _gcd(a, b):
 def p_gcd(a: Poly, b: Poly) -> Poly:
     """gcd in Z[q,t] = (Z[t])[q], with a positive lexicographically leading coefficient.
 
-    The one entry point through which QTRat reduces a fraction.
+    The entry point through which QTRat(num, den) reduces a fraction.  A pair
+    whose gcd is known to lie in Z[t] skips it (QTRat.by_t_content).
     """
     return _gcd(a, b)
 
@@ -238,6 +239,34 @@ class QTRat:
         self.num, self.den = num, den
 
     # -- constructors ----------------------------------------------------------
+
+    @staticmethod
+    def by_t_content(num: Poly, den: Poly) -> "QTRat":
+        """QTRat(num, den) for a pair whose gcd in Z[q,t] is known to lie in Z[t].
+
+        Such a gcd g divides every t-polynomial coefficient of num and den,
+        and the gcd c of those coefficients divides num and den, so g = +-c:
+        the joint Z[t] content.  It is found by the univariate _gcd over the
+        coefficients, and the sign is then normalised as __init__ does, so
+        the result is QTRat(num, den) without the bivariate p_gcd.  The caller
+        vouches for the precondition: without it the fraction may be left
+        unreduced.
+        """
+        if not den or not num or den == _ONE:
+            return QTRat(num, den)
+        g = Poly()
+        for tp in (*den.values(), *num.values()):
+            g = _gcd(g, tp)
+            if g == _T_ONE:
+                break
+        if g != _T_ONE:
+            num = Poly({k: v // g for k, v in num.items()})
+            den = Poly({k: v // g for k, v in den.items()})
+        if _negative(den):
+            num, den = -num, -den
+        out = QTRat.__new__(QTRat)
+        out.num, out.den = num, den
+        return out
 
     @staticmethod
     def zero() -> "QTRat":

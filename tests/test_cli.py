@@ -201,6 +201,17 @@ def test_emac_outside_oracle_scope_is_a_clean_error():
     assert exc.value.code == "emac: oracle scope is rank <= 2"
 
 
+def test_emac_past_the_default_truncation_is_a_clean_error():
+    # A1 -7 needs a higher truncation order than the default: the Pade step
+    # says so in one line, in about a second; the timeout guards against a
+    # reduction that stops ending (its bivariate gcd once ran for minutes here)
+    proc = subprocess.run([sys.executable, "-m", "siflag", "emac", "--type", "A1", "--gamma=-7"],
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "emac: rational reconstruction failed: raise the truncation order\n"
+
+
 def test_verify_rejects_max_weight_below_one():
     for bad in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:

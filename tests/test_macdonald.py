@@ -311,6 +311,32 @@ def test_density_table_without_targets_is_empty():
     assert density_table(A2, frozenset(), 4) == {}
 
 
+# the tables behind CONTENT_CASES: A1 up to 6, the rank-two fundamentals, B2 (1,1)
+EXACT_WIDTH_CASES = ([("A1", (n,)) for n in range(1, 7)]
+                     + [(name, lam) for name in ("A2", "B2", "C2", "G2") for lam in ((1, 0), (0, 1))]
+                     + [("B2", (1, 1))])
+
+
+@pytest.mark.parametrize("name, lam", EXACT_WIDTH_CASES, ids=_id)
+def test_density_at_its_exact_width_equals_wider_widths(monkeypatch, name, lam):
+    # the density packs at bit_length + 1 of its largest majorant; at the
+    # 16-bit rounding the later stages use, and 16 bits beyond it, the table
+    # is the same.  The exact-width table is read off the cached pairing
+    # table, which other tests share (G2's tables take seconds per width, so
+    # there only the 16-bit rounding is compared).
+    rs, lam = RANK2[name], Weight(lam)
+    order = default_truncation(rs, lam) + _EXTRA_ORDERS
+    table = _pairing_table(rs, lam, order)
+    hull = hull_weights(rs, lam)
+    want = {(_weight_to_root_int(rs, nu - mu), n): tp
+            for mu in hull for nu in hull for n, tp in enumerate(table.series(mu, nu)) if tp}
+    targets = _hull_targets(rs, lam.coords)
+    width = macdonald._width
+    for wider in (width, lambda bound: width(bound) + 16)[:1 if name == "G2" else 2]:
+        monkeypatch.setattr(macdonald, "_exact_width", wider)
+        assert density_table(rs, targets, order) == want
+
+
 @pytest.mark.parametrize("name", sorted(RANK2))
 def test_integer_kernel_vanishes_on_its_suffix(name):
     # the density's reachability functionals are integer tuples, one per
@@ -904,6 +930,7 @@ def test_halved_packing_width_with_a_cold_density_raises(monkeypatch, fresh_cach
     # small coefficients that pass their majorant check, so only a later stage
     # can stop the run, and it must, rather than return a wrong E
     monkeypatch.setattr(macdonald, "_width", _halve_width)
+    monkeypatch.setattr(macdonald, "_exact_width", _halve_width)
     with pytest.raises(ValueError, match="rational reconstruction failed"):
         gram_schmidt_E(A1, Weight((-2,)))
 
@@ -941,12 +968,20 @@ def _spy_packs(monkeypatch) -> list:
 
 def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch, fresh_caches):
     packed = _spy_packs(monkeypatch)
+    monkeypatch.setattr(macdonald._T_SIGN, "_packed", {})
+    exact, density_widths = macdonald._exact_width, []
+    monkeypatch.setattr(macdonald, "_exact_width",
+                        lambda bound: density_widths.append(exact(bound)) or density_widths[-1])
     gram_schmidt_E(A1, Weight((-4,)))
     repeats = Counter((id(series), bits) for series, bits in packed)
     assert packed and max(repeats.values()) == 1
-    # the widths are multiples of 16 bits, so the stages meet only a few
-    assert all(bits % 16 == 0 for _, bits in packed)
-    assert len({bits for _, bits in packed}) <= 3
+    # the density packs only t and -1, at the exact width of its majorants;
+    # every later stage packs at multiples of 16 bits, so they meet only a few
+    (density_bits,) = density_widths
+    off_grid = [(series, bits) for series, bits in packed if bits % 16]
+    assert density_bits % 16 and len(off_grid) == 1
+    assert off_grid[0][0] is macdonald._T_SIGN and off_grid[0][1] == density_bits
+    assert len({bits for _, bits in packed if bits % 16 == 0}) <= 3
 
 
 def _live_series() -> set[int]:
@@ -1027,6 +1062,44 @@ def test_emac_bytes_independent_of_order_and_cache(monkeypatch, capsys, name, or
                 got.setdefault(gamma, set()).add(_emac_bytes(capsys, name, gamma))
     assert all(len(outs) == 1 for outs in got.values())
     assert len(got) == len(orbit)
+
+
+# -- the Gram recurrence as dot products --------------------------------------------
+
+
+def _loop_gram_recurrence(gram, rhs_series, value) -> dict:
+    # the recurrence as a Python double loop over k and the unknowns, the
+    # reference for the dot products of macdonald._gram_recurrence
+    big = len(rhs_series[0]) - 1
+    sign = value(macdonald._T_SIGN)[1]
+    gram = [[value(series) for series in row] for row in gram]
+    rhs_series = [value(series) for series in rhs_series]
+    xs: list[list[int]] = []
+    for n in range(big + 1):
+        xs.append([])
+        for g_row, rhs in zip(gram, rhs_series):
+            acc = rhs[n]
+            for k in range(n + 1):
+                for g, x in zip(g_row, xs[n - k]):
+                    if x and g[k]:
+                        acc += g[k] * x
+            xs[n].append(sign * acc)
+    return {(n, i): x for n, row in enumerate(xs) for i, x in enumerate(row)}
+
+
+@pytest.mark.parametrize("name, gamma", [("A1", (-4,)), ("A2", (-1, 1)), ("B2", (-1, -1))], ids=_id)
+def test_gram_recurrence_matches_the_loop(name, gamma):
+    # the L1 run and packed runs at the trial, the 16-bit and a 2-bit width
+    rs, gamma = RANK2[name], Weight(gamma)
+    _, order, lower, table = _fresh_series(rs, gamma)
+    gram = [[table.series(mu, nu) for mu in lower] for nu in lower]
+    rhs_series = [table.series(gamma, nu) for nu in lower]
+    values = [macdonald._Series.l1s] + [
+        lambda series, bits=bits: series.packed(bits)
+        for bits in (macdonald._trial_width(gram, rhs_series), 16, 2)]
+    for value in values:
+        assert (macdonald._gram_recurrence(gram, rhs_series, value)
+                == _loop_gram_recurrence(gram, rhs_series, value))
 
 
 # -- the Gram solve's trial width -------------------------------------------------
@@ -1149,35 +1222,100 @@ def test_pade_ladder_from_two_bits(monkeypatch, fresh_caches, name, gamma, wider
 
 
 def test_rejected_pade_candidate_never_reaches_qtrat(monkeypatch):
-    # QTRat's gcd is the costly step; only a certified denominator may pay for it
+    # the reduction is the costly step; only a certified denominator may pay
+    # for it, and it is the content reduction, never the bivariate gcd
     series, order, _, _ = _fresh_series(A1, Weight((-4,)))
     want = [macdonald._pade_reconstruct(xs, order) for xs in series]
-    null_vector, gcd = macdonald._null_vector, qt.p_gcd
-    dens, gcd_dens = [], []
+    null_vector, by_t_content = macdonald._null_vector, QTRat.by_t_content
+    dens, reduced_dens, gcds = [], [], []
 
     def rung_spy(a, bits):
         vec = null_vector(a, bits)
         dens.append(Poly({j: c for j, c in enumerate(vec) if c}))
         return vec
 
-    def gcd_spy(a, b):
-        gcd_dens.append(b)
-        return gcd(a, b)
+    def reduce_spy(num, den):
+        reduced_dens.append(den)
+        return by_t_content(num, den)
 
     monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
     monkeypatch.setattr(macdonald, "_null_vector", rung_spy)
-    monkeypatch.setattr(qt, "p_gcd", gcd_spy)
+    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(reduce_spy))
+    monkeypatch.setattr(qt, "p_gcd", lambda a, b: gcds.append(b))
     rejected = 0
     for xs, fraction in zip(series, want):
         dens.clear()
-        gcd_dens.clear()
+        reduced_dens.clear()
         assert macdonald._pade_reconstruct(xs, order) == fraction
         dp = order - order // 2
         for den in dens[:-1]:
             assert any(macdonald._convolve([(den, xs)], order)[dp + 1:])
-        assert gcd_dens == dens[-1:]
+        assert reduced_dens == dens[-1:]
         rejected += len(dens) - 1
-    assert rejected
+    assert rejected and gcds == []
+
+
+# -- the Pade fraction reduced by its Z[t] content -------------------------------------
+
+
+def _orbit(rs, lam):
+    return sorted({w.act(Weight(lam)).coords for w in rs.weyl_elements()})
+
+
+# A1 up to |gamma| = 6, every rank-two fundamental orbit, and B2 (-1,-1)
+CONTENT_CASES = ([("A1", [(g,) for g in range(-6, 7) if g])]
+                 + [(name, _orbit(RANK2[name], lam)) for name in ("A2", "B2", "C2", "G2")
+                    for lam in ((1, 0), (0, 1))]
+                 + [("B2", [(-1, -1)])])
+
+
+@pytest.mark.parametrize("name, gammas", CONTENT_CASES,
+                         ids=[f"{name}-{_id(gammas[0])}" for name, gammas in CONTENT_CASES])
+def test_pade_content_reduction_is_the_gcd_reduced_form(monkeypatch, name, gammas):
+    # every fraction the Pade step reduces by its Z[t] content alone is
+    # QTRat(num, den), the form the bivariate gcd gives
+    rs = RANK2[name]
+    by_t_content, reduced = QTRat.by_t_content, []
+
+    def spy(num, den):
+        got = by_t_content(num, den)
+        reduced.append((num, den, got))
+        return got
+
+    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(spy))
+    for gamma in map(Weight, gammas):
+        if macdonald._unknowns(rs, gamma):
+            series, order, _, _ = _fresh_series(rs, gamma)
+            for xs in series:
+                macdonald._pade_reconstruct(xs, order)
+    assert reduced
+    for num, den, got in reduced:
+        want = QTRat(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_content_reduction_divides_out_the_t_content():
+    # (2t - 2t^2)(1 - q) / ((2t - 2t^2)(1 + t q)): content 2t(1 - t), sign from the lead
+    content = Poly({1: 2, 2: -2})
+    num = Poly({0: content, 1: -content})
+    den = Poly({0: -content, 1: Poly({2: -2, 3: 2})})
+    got = QTRat.by_t_content(num, den)
+    want = QTRat(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.den == Poly({0: Poly({0: 1}), 1: Poly({1: 1})})
+    assert got.num == Poly({0: Poly({0: -1}), 1: Poly({0: 1})})
+
+
+def test_pade_rejects_a_denominator_divisible_by_q(monkeypatch):
+    # 1 + q^2 in the box (1, 1): the one Toeplitz row [1, 0] has the null
+    # vector den = q, so num = q, and q/q = 1 misses q^2; the den is refused
+    # before any reduction, as the reduced fraction would have been
+    reduced = []
+    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(lambda num, den: reduced.append(den)))
+    one = Poly({0: 1})
+    with pytest.raises(ValueError, match="rational reconstruction failed"):
+        macdonald._pade_reconstruct([one, Poly(), one], 2)
+    assert reduced == []
 
 
 def test_pade_ladder_stops_at_the_proven_width(monkeypatch):

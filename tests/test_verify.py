@@ -149,7 +149,7 @@ def _matrix_dmain_cases(rs, max_weight):
     return out
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4"])
 def test_dmain_cases_match_the_matrix_enumeration(name):
     # the same ids, words and order as the |W|^2 matrix products
     rs = from_name(name)
