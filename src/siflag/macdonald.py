@@ -679,7 +679,7 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     a true null vector.  If den(0) != 0, a common factor g of num and den
     with positive q-degree has g(0) != 0, a unit in Q(t)[[q]], and den / g
     would be a null vector of lower degree.  So gcd(num, den) lies in Z[t],
-    and the fraction is reduced by that content alone (QTRat.by_t_content),
+    and the fraction is reduced by that content alone (QTRat._by_t_content),
     never by the bivariate gcd.  A den with den(0) = 0 is rejected at once,
     so the fraction is a power series: q then divides num as well, and the
     reduced fraction could reproduce every available order only as a null
@@ -718,7 +718,7 @@ def _pade_reconstruct(series: list[Poly], order: int) -> QTRat:
     if not vec[0]:
         raise ValueError(_NO_FRACTION)
     num = _decode(product, bound, width, range(dp + 1))
-    cand = QTRat.by_t_content(Poly({n: tp for n, tp in num.items() if tp}),
+    cand = QTRat._by_t_content(Poly({n: tp for n, tp in num.items() if tp}),
                               Poly({j: c for j, c in enumerate(vec) if c}))
     expanded = _convolve([(cand.den, series)], len(series) - 1)
     if all(c == cand.num.get(n, _ZERO) for n, c in enumerate(expanded)):

@@ -174,7 +174,7 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     """gcd in Z[q,t] = (Z[t])[q], with a positive lexicographically leading coefficient.
 
     The entry point through which QTRat(num, den) reduces a fraction.  A pair
-    whose gcd is known to lie in Z[t] skips it (QTRat.by_t_content).
+    whose gcd is known to lie in Z[t] skips it (QTRat._by_t_content).
     """
     return _gcd(a, b)
 
@@ -231,7 +231,10 @@ class QTRat:
         if not num or den == _ONE:
             self.num, self.den = num, _ONE
             return
-        g = p_gcd(num, den)
+        self._set_reduced(num, den, p_gcd(num, den))
+
+    def _set_reduced(self, num: Poly, den: Poly, g: Poly) -> None:
+        """Store num / g over den / g, for g the gcd of num and den, with den's lead positive."""
         if g != _ONE:
             num, den = num // g, den // g
         if _negative(den):
@@ -241,31 +244,20 @@ class QTRat:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def by_t_content(num: Poly, den: Poly) -> "QTRat":
+    def _by_t_content(num: Poly, den: Poly) -> "QTRat":
         """QTRat(num, den) for a pair whose gcd in Z[q,t] is known to lie in Z[t].
 
-        Such a gcd g divides every t-polynomial coefficient of num and den,
-        and the gcd c of those coefficients divides num and den, so g = +-c:
-        the joint Z[t] content.  It is found by the univariate _gcd over the
-        coefficients, and the sign is then normalised as __init__ does, so
-        the result is QTRat(num, den) without the bivariate p_gcd.  The caller
-        vouches for the precondition: without it the fraction may be left
-        unreduced.
+        Such a gcd divides every t-polynomial coefficient of num and den, and
+        the gcd of those coefficients divides num and den, so the two agree up
+        to sign: the gcd of the contents of num and den, found by the
+        univariate _gcd alone, skipping the bivariate p_gcd.  Only for
+        macdonald's Pade step, which proves the precondition for the
+        fractions it reduces; without it the fraction is left unreduced.
         """
         if not den or not num or den == _ONE:
             return QTRat(num, den)
-        g = Poly()
-        for tp in (*den.values(), *num.values()):
-            g = _gcd(g, tp)
-            if g == _T_ONE:
-                break
-        if g != _T_ONE:
-            num = Poly({k: v // g for k, v in num.items()})
-            den = Poly({k: v // g for k, v in den.items()})
-        if _negative(den):
-            num, den = -num, -den
         out = QTRat.__new__(QTRat)
-        out.num, out.den = num, den
+        out._set_reduced(num, den, Poly({0: _gcd(_content(den), _content(num))}))
         return out
 
     @staticmethod

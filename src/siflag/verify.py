@@ -83,24 +83,6 @@ def _word(word: tuple[int, ...]) -> str:
     return ".".join(map(str, word)) or "e"
 
 
-def _inversion_sets(rs: RootSystem) -> list[int]:
-    """N(w) = {beta > 0 : w beta < 0} for every w by its table index, as a bitmask.
-
-    Bit b stands for rs.positive_root_weights[b].  The tables list w = s_i u
-    after u, with l(w) = l(u) + 1, and then N(w) = N(u) + {u^-1 alpha_i}.
-    Since l(wv) = l(w) + l(v) - 2 |N(w) & N(v^-1)|, a pair is length-additive
-    exactly when N(w) and N(v^-1) are disjoint (Humphreys, Reflection Groups
-    and Coxeter Groups, 1.6-1.7).
-    """
-    tables = rs.weyl_tables()
-    bit = {wt.coords: 1 << b for b, wt in enumerate(rs.positive_root_weights)}
-    flips = [0]
-    for k, word in enumerate(tables.words[1:], 1):
-        u = tables.left[k][word[0]]
-        flips.append(flips[u] | bit[tables.inv_roots[u][word[0]]])
-    return flips
-
-
 def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
     """The cases of one suite, or of every suite in SUITES order for "all"."""
     if suite == "all":
@@ -111,20 +93,17 @@ def cases(rs: RootSystem, suite: str, max_weight: int) -> list[Case]:
         max_weight = min(max_weight, COR_MAX_WEIGHT)
     if suite == "dmain":  # the pairs with l(wv) = l(w) + l(v), the same for every lam
         elements = rs.weyl_elements()
-        words = [x.word() for x in elements]
-        flips = _inversion_sets(rs)
-        flips_of_inverse = [flips[x.inverse().index] for x in elements]
-        pairs = [(f":w={_word(w_word)}:v={_word(v_word)}", w_word, v_word)
-                 for w_word, nw in zip(words, flips)
-                 for v_word, nv in zip(words, flips_of_inverse) if not nw & nv]
+        pairs = [(w.word(), v.word()) for w in elements for v in elements
+                 if (w * v).length() == w.length() + v.length()]
     out = []
     for lam in dominant_weights(rs, max_weight):
         head = f"{rs.type_label}{rs.rank}:lam={','.join(map(str, lam.coords))}"
         if suite == "nmconn":
             out.append(Case(suite, head, lam.coords))
         elif suite == "dmain":
-            for tail, w_word, v_word in pairs:
-                out.append(Case(suite, head + tail, lam.coords, w_word, v_word))
+            for w_word, v_word in pairs:
+                out.append(Case(suite, f"{head}:w={_word(w_word)}:v={_word(v_word)}",
+                                lam.coords, w_word, v_word))
         else:
             for w in minimal_coset_reps(rs, lam):
                 out.append(Case(suite, f"{head}:w={_word(w.word())}", lam.coords, w.word()))

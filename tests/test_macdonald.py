@@ -1226,7 +1226,7 @@ def test_rejected_pade_candidate_never_reaches_qtrat(monkeypatch):
     # for it, and it is the content reduction, never the bivariate gcd
     series, order, _, _ = _fresh_series(A1, Weight((-4,)))
     want = [macdonald._pade_reconstruct(xs, order) for xs in series]
-    null_vector, by_t_content = macdonald._null_vector, QTRat.by_t_content
+    null_vector, by_t_content = macdonald._null_vector, QTRat._by_t_content
     dens, reduced_dens, gcds = [], [], []
 
     def rung_spy(a, bits):
@@ -1240,7 +1240,7 @@ def test_rejected_pade_candidate_never_reaches_qtrat(monkeypatch):
 
     monkeypatch.setattr(macdonald, "_pade_trial_width", lambda entries: 2)
     monkeypatch.setattr(macdonald, "_null_vector", rung_spy)
-    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(reduce_spy))
+    monkeypatch.setattr(QTRat, "_by_t_content", staticmethod(reduce_spy))
     monkeypatch.setattr(qt, "p_gcd", lambda a, b: gcds.append(b))
     rejected = 0
     for xs, fraction in zip(series, want):
@@ -1275,14 +1275,14 @@ def test_pade_content_reduction_is_the_gcd_reduced_form(monkeypatch, name, gamma
     # every fraction the Pade step reduces by its Z[t] content alone is
     # QTRat(num, den), the form the bivariate gcd gives
     rs = RANK2[name]
-    by_t_content, reduced = QTRat.by_t_content, []
+    by_t_content, reduced = QTRat._by_t_content, []
 
     def spy(num, den):
         got = by_t_content(num, den)
         reduced.append((num, den, got))
         return got
 
-    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(spy))
+    monkeypatch.setattr(QTRat, "_by_t_content", staticmethod(spy))
     for gamma in map(Weight, gammas):
         if macdonald._unknowns(rs, gamma):
             series, order, _, _ = _fresh_series(rs, gamma)
@@ -1299,7 +1299,7 @@ def test_content_reduction_divides_out_the_t_content():
     content = Poly({1: 2, 2: -2})
     num = Poly({0: content, 1: -content})
     den = Poly({0: -content, 1: Poly({2: -2, 3: 2})})
-    got = QTRat.by_t_content(num, den)
+    got = QTRat._by_t_content(num, den)
     want = QTRat(num, den)
     assert (got.num, got.den) == (want.num, want.den)
     assert got.den == Poly({0: Poly({0: 1}), 1: Poly({1: 1})})
@@ -1311,7 +1311,7 @@ def test_pade_rejects_a_denominator_divisible_by_q(monkeypatch):
     # vector den = q, so num = q, and q/q = 1 misses q^2; the den is refused
     # before any reduction, as the reduced fraction would have been
     reduced = []
-    monkeypatch.setattr(QTRat, "by_t_content", staticmethod(lambda num, den: reduced.append(den)))
+    monkeypatch.setattr(QTRat, "_by_t_content", staticmethod(lambda num, den: reduced.append(den)))
     one = Poly({0: 1})
     with pytest.raises(ValueError, match="rational reconstruction failed"):
         macdonald._pade_reconstruct([one, Poly(), one], 2)
