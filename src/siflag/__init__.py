@@ -2,9 +2,11 @@
 
 Core objects: finite root systems with their Weyl groups (`rootdata`), the
 affine Weyl group and quantum Bruhat graph (`affine`), the q-graded character
-ring with Demazure operators (`charpoly`), the nonsymmetric Macdonald oracle at
-generic (q, t) (`macdonald`), and the module-character engine tying them
-together (`weylchar`).  The `siflag` console script fronts all of it.
+ring with Demazure operators (`charpoly`), the nonsymmetric Macdonald
+polynomials at generic (q, t) by Cherednik's Y operator (`cherednik`, what
+`siflag emac` runs) and by the Gram-Schmidt oracle (`macdonald`), and the
+module-character engine tying them together (`weylchar`).  The `siflag`
+console script fronts all of it.
 """
 
 from .rootdata import (
@@ -39,6 +41,7 @@ from .charpoly import (
     t_op,
 )
 from .qt import QTRat
+from .cherednik import cherednik_E
 from .macdonald import (
     EPoly,
     bar_conjugate,

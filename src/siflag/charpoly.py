@@ -182,6 +182,29 @@ class CharPoly:
 _RUNS: dict[tuple[str, int, int], dict[Coords, tuple | None]] = {}
 
 
+class _LetterRuns(dict):
+    """{weight: its run under one letter (see _run)}, each run computed on first lookup."""
+
+    __slots__ = ("rs", "i")
+
+    def __init__(self, rs: RootSystem, i: int):
+        super().__init__()
+        self.rs, self.i = rs, i
+
+    def __missing__(self, wt: Coords) -> tuple | None:
+        run = self[wt] = _run(self.rs, self.i, wt)
+        return run
+
+
+def letter_runs(rs: RootSystem, i: int) -> dict[Coords, tuple | None]:
+    """The memo of D_i's runs in rs's type, in _RUNS: runs[wt] is e^wt's run (see _run)."""
+    letter = (rs.type_label, rs.rank, i)
+    runs = _RUNS.get(letter)
+    if runs is None:
+        runs = _RUNS.setdefault(letter, _LetterRuns(rs, i))
+    return runs
+
+
 def _run(rs: RootSystem, i: int, wt: Coords) -> tuple | None:
     """The image of e^wt under D_i: (negated, ((weight, q shift), ...)), or None when zero.
 
@@ -215,22 +238,16 @@ def demazure_op(rs: RootSystem, i: int, f: CharPoly) -> CharPoly:
     """Demazure operator D_i for i in {0, ..., rank}, by the closed finite-sum rule.
 
     Each weight's run of image terms (``_run``) is computed once per process,
-    type and letter and kept in ``_RUNS``; a term of f then costs one lookup
-    and the coefficient adds of its run.
+    type and letter and kept in ``_RUNS`` (``letter_runs``); a term of f then
+    costs one lookup and the coefficient adds of its run.
     """
     if not 0 <= i <= rs.rank:
         raise ValueError(f"affine index {i} out of range")
-    letter = (rs.type_label, rs.rank, i)
-    runs = _RUNS.get(letter)
-    if runs is None:
-        runs = _RUNS.setdefault(letter, {})
+    runs = letter_runs(rs, i)
     out: dict[Key, Coeff] = {}
     get = out.get
     for (wt, n), c in f.terms.items():
-        try:
-            run = runs[wt]
-        except KeyError:
-            run = runs[wt] = _run(rs, i, wt)
+        run = runs[wt]
         if run is None:
             continue
         negated, steps = run

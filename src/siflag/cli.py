@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .affine import adapted_sequence, quantum_covers
 from .charpoly import CharPoly
-from .macdonald import bar_conjugate, gram_schmidt_E, specialize
+from .cherednik import cherednik_E
+from .macdonald import bar_conjugate, specialize
 from .rootdata import (RootSystem, Weight, Coweight, WeylElement, build_root_system, from_name,
                        parse_digits)
 from . import verify
@@ -233,7 +234,8 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argpars
                       help="start of the adapted sequence (default e); needs --to")
     p_qb.add_argument("--to", dest="qb_to", default=None)
 
-    p_emac = sub.add_parser("emac", help="nonsymmetric Macdonald polynomial oracle")
+    p_emac = sub.add_parser("emac", help="nonsymmetric Macdonald polynomial E_gamma(q,t), "
+                                         "exact, by Cherednik's Y operator")
     common(p_emac, fmt=True)
     p_emac.add_argument("--gamma", required=True, help="index weight, e.g. -1,0")
     p_emac.add_argument("--spec", default=None,
@@ -371,7 +373,7 @@ def _run(config: RunConfig) -> int:
         return 0
 
     if config.command == "emac":
-        epoly = gram_schmidt_E(rs, config.gamma)
+        epoly = cherednik_E(rs, config.gamma)
         if config.dagger:
             epoly = bar_conjugate(epoly)
         if config.spec_modes:

@@ -22,7 +22,10 @@ reference of the recursion engine's T_i family on A2 only (verify.ORACLE_TYPES)
 and, in the tests, of its base ch W_lam on every rank-two type.  That engine
 never calls this module (its base characters come from the eigen solve in
 every type), so the oracle is only the independent reference of the ``cor``
-suite, the acceptance gate and the route-agreement tests.
+suite, the acceptance gate and the route-agreement tests.  ``siflag emac``
+does not run it: emac computes E_gamma by Cherednik's Y operator
+(``cherednik.cherednik_E``), which the tests check against this oracle.
+Both routes share one scope check, ``oracle_scope``.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
 in t).  Every root's density factor has the same column of coefficients of its
@@ -525,6 +528,12 @@ _E_CACHE: dict = {}
 _EXTRA_ORDERS = 5
 
 
+def oracle_scope(rs: RootSystem) -> None:
+    """Raise ValueError unless rs is in the scope of gram_schmidt_E and cherednik_E: rank <= 2."""
+    if rs.rank > 2:
+        raise ValueError("oracle scope is rank <= 2")
+
+
 def default_truncation(rs: RootSystem, gamma: Weight) -> int:
     gamma_plus, _ = rs.dominant_representative(gamma)
     height = sum(gamma_plus.coords)
@@ -539,8 +548,7 @@ def gram_schmidt_E(rs: RootSystem, gamma: Weight) -> EPoly:
     whatever width the solve ran at; raises when that truncation is too small
     to pin the answer.
     """
-    if rs.rank > 2:
-        raise ValueError("oracle scope is rank <= 2")
+    oracle_scope(rs)
     order = default_truncation(rs, gamma)
     cache_key = (rs.key, gamma.coords)
     got = _E_CACHE.get(cache_key)

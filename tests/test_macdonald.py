@@ -620,6 +620,14 @@ def test_specialize_divergence_detected():
         specialize(diverging, "t-inf")
 
 
+def test_gram_schmidt_past_the_default_truncation_raises(fresh_caches):
+    # A1 -7 needs a higher truncation order than the default, and the Pade
+    # step says so (emac no longer reaches this wall: it runs cherednik_E)
+    with pytest.raises(ValueError) as exc:
+        gram_schmidt_E(A1, Weight((-7,)))
+    assert exc.value.args == (macdonald._NO_FRACTION,)
+
+
 def test_oracle_scope_guard():
     a3 = build_root_system("A", 3)
     with pytest.raises(ValueError):
@@ -1043,14 +1051,14 @@ def test_reverification_decodes_nothing(monkeypatch):
     assert decoded == []
 
 
-def _emac_bytes(capsys, type_name, gamma) -> str:
-    assert cli.main(["emac", "--type", type_name, f"--gamma={_id(gamma)}", "--format", "json"]) == 0
-    return capsys.readouterr().out
+def _oracle_bytes(type_name, gamma) -> str:
+    # what emac printed when it ran the oracle: emit of gram_schmidt_E's coefficients
+    return cli.emit(dict(gram_schmidt_E(RANK2[type_name], Weight(gamma)).coeffs), "json")
 
 
 @pytest.mark.parametrize("name, orbit", [("A1", ((3,), (-3,))),
                                          ("A2", ((1, 0), (-1, 1), (0, -1)))], ids=_id)
-def test_emac_bytes_independent_of_order_and_cache(monkeypatch, capsys, name, orbit):
+def test_emac_bytes_independent_of_order_and_cache(monkeypatch, name, orbit):
     # each order of an orbit, with the pairing table cold and then warm, must
     # give the same bytes: nothing packed for one E leaks into another
     got: dict = {}
@@ -1059,7 +1067,7 @@ def test_emac_bytes_independent_of_order_and_cache(monkeypatch, capsys, name, or
         for _ in ("cold", "warm"):
             monkeypatch.setattr(macdonald, "_E_CACHE", {})
             for gamma in members:
-                got.setdefault(gamma, set()).add(_emac_bytes(capsys, name, gamma))
+                got.setdefault(gamma, set()).add(_oracle_bytes(name, gamma))
     assert all(len(outs) == 1 for outs in got.values())
     assert len(got) == len(orbit)
 
