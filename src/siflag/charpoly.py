@@ -182,26 +182,16 @@ class CharPoly:
 _RUNS: dict[tuple[str, int, int], dict[Coords, tuple | None]] = {}
 
 
-class _LetterRuns(dict):
-    """{weight: its run under one letter (see _run)}, each run computed on first lookup."""
-
-    __slots__ = ("rs", "i")
-
-    def __init__(self, rs: RootSystem, i: int):
-        super().__init__()
-        self.rs, self.i = rs, i
-
-    def __missing__(self, wt: Coords) -> tuple | None:
-        run = self[wt] = _run(self.rs, self.i, wt)
-        return run
-
-
 def letter_runs(rs: RootSystem, i: int) -> dict[Coords, tuple | None]:
-    """The memo of D_i's runs in rs's type, in _RUNS: runs[wt] is e^wt's run (see _run)."""
+    """D_i's memo in _RUNS for rs's type: {weight: its run}, a missing one filled by _run.
+
+    A plain dict, so the lookup in the callers' loops stays the interpreter's
+    fast path for exact dicts.
+    """
     letter = (rs.type_label, rs.rank, i)
     runs = _RUNS.get(letter)
     if runs is None:
-        runs = _RUNS.setdefault(letter, _LetterRuns(rs, i))
+        runs = _RUNS.setdefault(letter, {})
     return runs
 
 
@@ -247,7 +237,10 @@ def demazure_op(rs: RootSystem, i: int, f: CharPoly) -> CharPoly:
     out: dict[Key, Coeff] = {}
     get = out.get
     for (wt, n), c in f.terms.items():
-        run = runs[wt]
+        try:
+            run = runs[wt]
+        except KeyError:
+            run = runs[wt] = _run(rs, i, wt)
         if run is None:
             continue
         negated, steps = run

@@ -38,7 +38,7 @@ import functools
 from math import gcd
 
 from .affine import translation_word
-from .charpoly import letter_runs
+from .charpoly import _run, letter_runs
 from .macdonald import EPoly, _exact_width, _unpack, oracle_scope, triangular_order_ideal
 from .qt import Poly, QTRat, _ONE
 from .rootdata import Coweight, RootSystem, Weight
@@ -161,7 +161,10 @@ def _apply_t(rs: RootSystem, i: int, runs: dict, terms: dict, bits: int | None) 
         else:
             tc = c << bits
             tm = tc - c
-        run = runs[wt]
+        try:
+            run = runs[wt]
+        except KeyError:
+            run = runs[wt] = _run(rs, i, wt)
         if run is not None and not run[0]:
             steps = run[1]
             if len(steps) == 1:
