@@ -2,10 +2,10 @@
 
 The nonsymmetric Macdonald polynomials are the joint eigenvectors of
 Cherednik's commuting operators Y^beta (Cherednik, IMRN 1995; Macdonald,
-*Affine Hecke algebras and orthogonal polynomials*, 2003).  One of them
-separates every weight: Y = T_{i_1} ... T_{i_l}, for (i_1 ... i_l) the reduced
-word ``affine.translation_word`` gives for the translation by 2 rho^vee, the
-sum of the positive coroots.  The Demazure-Lusztig operators are
+*Affine Hecke algebras and orthogonal polynomials*, 2003).  This module uses
+one of them, Y = T_{i_1} ... T_{i_l}, for (i_1 ... i_l) the reduced word
+``affine.translation_word`` gives for the translation by 2 rho^vee, the sum
+of the positive coroots.  The Demazure-Lusztig operators are
 
     T_i = t s_i + (t - 1)(1 - s_i) / (1 - e^{alpha_i}) = t s_i + (t - 1)(1 - D_i),
 
@@ -15,11 +15,11 @@ with D_i the Demazure operator of ``charpoly``, read off its memoised runs
 on gamma's order ideal (``macdonald.triangular_order_ideal``) with a monomial
 q^a t^b on the diagonal, and E_gamma, monic at gamma, solves Y E = y_gamma E.
 So it comes by back-substitution, with no density, truncation order or Pade
-step, and agrees with the Gram-Schmidt oracle (``macdonald.gram_schmidt_E``)
-wherever both run.  The solve checks by explicit raises, which ``python -O``
-keeps, that every Y e^nu lies on nu and on the members listed before it, that
-every diagonal entry is a monomial, and that no other member shares gamma's
-eigenvalue.
+step; the tests check it against the Gram-Schmidt oracle
+(``macdonald.gram_schmidt_E``).  The solve checks by explicit raises, which
+``python -O`` keeps, that every Y e^nu lies on nu and on the members listed
+before it, that every diagonal entry is a monomial, and that no other member
+shares gamma's eigenvalue, so that the eigenvector is unique.
 
 Each coefficient is kept as a fraction whose denominator is a multiset of
 irreducible factors known in advance: q, t, and the pieces of the gaps
@@ -137,9 +137,11 @@ def _apply_t(rs: RootSystem, i: int, runs: dict, terms: dict, bits: int | None) 
     charpoly keeps for it, and s_i e^wt = q^m e^{s_i wt}, m = <theta^vee, wt>
     at i = 0 (affine.s0_action) and 0 otherwise.  At k = <alpha_i^vee, wt>
     >= 0 the run goes from e^wt to s_i e^wt, so T_i e^wt is t e^wt at k = 0
-    and otherwise s_i e^wt minus (t - 1) times the run's inner terms.  With
-    bits None, every t-polynomial stands at t = 1 with its signs made plus,
-    so each image value bounds the coefficients of the value it stands for.
+    and otherwise s_i e^wt minus (t - 1) times the run's inner terms.  At
+    k = -1 the run is empty and at k <= -2 negated, so T_i e^wt is
+    t s_i e^wt plus (t - 1) times e^wt and the run's terms.  With bits None,
+    every t-polynomial stands at t = 1 with its signs made plus, so each
+    image value bounds the coefficients of the value it stands for.
     """
     if i == 0:
         pair, step = rs.theta_coroot.coords, rs.theta_weight.coords
@@ -330,27 +332,13 @@ def _gap_factors(y_gamma: tuple, y_nu: tuple) -> tuple:
 
 
 @functools.cache
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """The coefficients of Phi_n(z), lowest degree first, by exact division of z^n - 1."""
-    rem = [-1] + [0] * (n - 1) + [1]
+def _cyclotomic(n: int) -> Poly:
+    """Phi_n(z) as a Poly in z over Z, by exact division of z^n - 1."""
+    out = Poly({0: -1, n: 1})
     for d in range(1, n):
         if n % d == 0:
-            rem = _divide(rem, _cyclotomic(d))
-    return tuple(rem)
-
-
-def _divide(a: list[int], b) -> list[int]:
-    """The exact quotient of integer polynomials (lowest degree first) by a monic b."""
-    a = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + db]
-        for j, x in enumerate(b):
-            a[k + j] -= c * x
-    if any(a):
-        raise AssertionError("a cyclotomic division left a remainder")
-    return quo
+            out = out // _cyclotomic(d)
+    return out
 
 
 @functools.cache
@@ -358,10 +346,9 @@ def _phi(key: tuple) -> Poly:
     """Phi_d(x, y) = sum_k c_k x^k y^(phi(d) - k) as a Poly in q over Z[t], for key (d, u, v)."""
     d, u, v = key
     coeffs = _cyclotomic(d)
-    top = len(coeffs) - 1
+    top = max(coeffs)
     x, y = (max(u, 0), max(v, 0)), (max(-u, 0), max(-v, 0))
     terms: dict = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            terms.setdefault(k * x[0] + (top - k) * y[0], {})[k * x[1] + (top - k) * y[1]] = c
+    for k, c in coeffs.items():
+        terms.setdefault(k * x[0] + (top - k) * y[0], {})[k * x[1] + (top - k) * y[1]] = c
     return Poly({n: Poly(tp) for n, tp in terms.items()})

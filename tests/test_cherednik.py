@@ -168,10 +168,10 @@ def test_gap_factors_multiply_back_to_the_gap():
 
 
 def test_cyclotomic_coefficients():
-    assert cherednik._cyclotomic(1) == (-1, 1)
-    assert cherednik._cyclotomic(6) == (1, -1, 1)
-    assert cherednik._cyclotomic(12) == (1, 0, -1, 0, 1)
-    assert cherednik._cyclotomic(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    assert cherednik._cyclotomic(1) == {0: -1, 1: 1}
+    assert cherednik._cyclotomic(6) == {0: 1, 1: -1, 2: 1}
+    assert cherednik._cyclotomic(12) == {0: 1, 2: -1, 4: 1}
+    assert cherednik._cyclotomic(15) == {0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 7: -1, 8: 1}
 
 
 def test_factor_reduction_is_the_gcd_reduced_form():
