@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 
 from .rootdata import Coweight, RootSystem, Weight, WeylElement, WeylTables
 
@@ -100,7 +102,7 @@ def _left_descents(tables: WeylTables, k: int, beta: tuple[int, ...]):
     s_0 w t_beta = s_theta w t_{beta - w^{-1} theta^vee}.
     """
     for i, (a, negative) in enumerate(zip(tables.inv_roots[k], tables.inv_negative[k])):
-        m = sum(b * c for b, c in zip(beta, a))
+        m = sum(map(mul, beta, a))
         if i == 0:
             m, negative = 1 - m, not negative
         if m < 0 or (m == 0 and negative):
@@ -109,6 +111,17 @@ def _left_descents(tables: WeylTables, k: int, beta: tuple[int, ...]):
                     b - c for b, c in zip(beta, tables.inv_theta_coroot[k]))
             else:
                 yield i, tables.left[k][i], beta
+
+
+def _greedy_descent(tables: WeylTables, k: int, beta: tuple[int, ...]):
+    """Yield (i, finite index, trans) of s_i x for the smallest left descent i of
+    x = w t_beta, then of s_i x, and so on until no left descent is left."""
+    while True:
+        step = next(_left_descents(tables, k, beta), None)
+        if step is None:
+            return
+        yield step
+        _, k, beta = step
 
 
 def shortest_word(x: AffineElement) -> Word:
@@ -121,13 +134,10 @@ def shortest_word(x: AffineElement) -> Word:
     tables = x.finite.rs.weyl_tables()
     k, beta = x.finite.index, x.trans
     word = []
-    while n > 0:
-        step = next(_left_descents(tables, k, beta), None)
-        if step is None:
-            raise AssertionError(f"no left descent lowers length {n} by one")
-        i, k, beta = step
+    for i, k, beta in islice(_greedy_descent(tables, k, beta), n):
         word.append(i)
-        n -= 1
+    if len(word) < n:
+        raise AssertionError(f"no left descent lowers length {n - len(word)} by one")
     if k != 0 or any(beta):
         raise AssertionError("left descent reached length 0 away from the identity")
     return tuple(word)
@@ -226,6 +236,31 @@ def walk_quantum(rs: RootSystem, word: Word, start: WeylElement) -> list[WeylEle
         u = nxt
         chain.append(u)
     return chain
+
+
+def translation_loop(rs: RootSystem, beta: Coweight) -> Word | None:
+    """translation_word(rs, beta) when walk_quantum closes it into a loop at e, else None.
+
+    A closed walk read from its end is the same walk: each letter i, in the
+    order the greedy descent emits it, steps v <- bar(s_i) v from v = e, and must be
+    a cover at its new v.  So the scan stops at the first letter that fails,
+    never finishing a word that cannot close.  A closed word must have the
+    length of t_beta and end the descent at the identity.
+    """
+    tables = rs.weyl_tables()
+    word = []
+    v = k = 0
+    trans = beta.coords
+    for i, k, trans in _greedy_descent(tables, 0, trans):
+        v = tables.left[v][i]
+        if not _is_cover(tables, i, v):
+            return None
+        word.append(i)
+    if v != 0:
+        return None
+    if k != 0 or any(trans) or len(word) != affine_length(translation(rs, beta)):
+        raise AssertionError("greedy descent of a translation disagrees with its length")
+    return tuple(word)
 
 
 def minimal_loops(rs: RootSystem, w: WeylElement) -> list[Word]:

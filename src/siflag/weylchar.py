@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .affine import (loop_translation_weight, minimal_loops, quantum_step, translation_word,
+from .affine import (loop_translation_weight, minimal_loops, quantum_step, translation_loop,
                      walk_quantum)
 from .charpoly import (
     CharPoly,
@@ -268,9 +268,11 @@ _BASE_LOOPS: dict = {}
 def _base_loops(rs: RootSystem) -> list:
     """Quantum-Bruhat loops at e spanning a full-rank family of translations.
 
-    Every minimal loop, plus each reduced translation word from a small dominant
-    box whose letterwise walk happens to close through the cover graph.  The
-    lifts of these loops give independent commuting difference operators.
+    Every minimal loop, plus each reduced translation word t_beta, for beta in
+    the box [0,3]^rank of simple-coroot coordinates (not all dominant: A2's
+    alpha_1^vee pairs to -1 with alpha_2), whose letterwise walk closes through
+    the cover graph (affine.translation_loop).  The lifts of these loops give
+    independent commuting difference operators.
     """
     got = _BASE_LOOPS.get(rs.key)
     if got is not None:
@@ -280,14 +282,9 @@ def _base_loops(rs: RootSystem) -> list:
     for coords in iproduct(range(0, 4), repeat=rs.rank):
         if all(c == 0 for c in coords) or coords in lifts:
             continue
-        word = translation_word(rs, Coweight(coords))
-        try:
-            chain = walk_quantum(rs, word, rs.identity)
-        except ValueError:
-            continue
-        if chain[-1] == rs.identity:
+        word = translation_loop(rs, Coweight(coords))
+        if word is not None:
             loops.append(word)
-            lifts.add(coords)
     _BASE_LOOPS[rs.key] = loops
     return loops
 
@@ -295,16 +292,20 @@ def _base_loops(rs: RootSystem) -> list:
 def eigen_solve_base(rs: RootSystem, lam: Weight) -> GenWeylChar:
     """Solve the loop difference equations for ch W_lam, with no window on its q-degree.
 
-    Each loop L says A_L(q) X = q^{m_L} X for the vector X of q-polynomials X_nu,
-    nu in hull(lam); stacked, that is M(q) X = 0 (_loop_rows).  h - 1 rows of M
-    independent at the check point prove rank M >= h - 1 over Q(q), with
-    h = |hull|.  At points q_k the kernel of those rows with X_lam = 1 is found
-    over Z/PZ, and each X_nu is Newton-interpolated until the interpolant stops
-    changing, with the sum D of the rows' q-degrees as a proven cap (the entries
-    are ratios of their maximal minors, so a polynomial X has degree <= D).
-    The balanced lift must satisfy every loop identity exactly as polynomials,
-    which makes it a kernel vector of M: the kernel is then exactly the line
-    through it, so it is the unique base, whatever the points.
+    Each loop L of _base_loops says A_L(q) X = q^{m_L} X for the vector X of
+    q-polynomials X_nu, nu in hull(lam); stacked over every loop, that is
+    M(q) X = 0.  Its rows are built loop by loop (_solve_rows) only until h - 1
+    of them, with h = |hull|, are independent at the check point: a nonzero
+    minor of a subset of M's rows proves rank M >= h - 1 over Q(q) as well as
+    the whole M would.  At points q_k the kernel of those rows with X_lam = 1
+    is found over Z/PZ, and each X_nu is Newton-interpolated until the
+    interpolant stops changing, with the sum D of the rows' q-degrees as a
+    proven cap (the entries are ratios of their maximal minors, so a
+    polynomial X has degree <= D).  The balanced lift must satisfy the loop
+    identity of every loop, built or not, exactly as polynomials, which makes
+    it a kernel vector of the whole M: the kernel is then exactly the line
+    through it, so it is the unique base, whatever the points and whichever
+    loops gave the rows.
     """
     if not lam.is_dominant():
         raise ValueError("weight must be dominant")
@@ -313,7 +314,7 @@ def eigen_solve_base(rs: RootSystem, lam: Weight) -> GenWeylChar:
     exponents = {loop: loop_exponent(rs, loop, rs.identity, lam) for loop in _base_loops(rs)}
     # lam's column is last, as the right-hand side of X_lam = 1
     order = [nu.coords for nu in hull_weights(rs, lam) if nu.coords != lam.coords] + [lam.coords]
-    rows = _independent_rows(_loop_rows(rs, order, exponents), len(order))
+    rows = _solve_rows(rs, order, exponents)
     cap = sum(max(n for poly in row.values() for n in poly) for row in rows) + 1
     xs: list[int] = []
     newton: list[list[int]] = [[] for _ in order[:-1]]
@@ -340,30 +341,52 @@ def eigen_solve_base(rs: RootSystem, lam: Weight) -> GenWeylChar:
 _CHECK_POINT = 0x2545F4914F6CDD1D % P
 
 
-def _loop_rows(rs: RootSystem, order: list, exponents: dict) -> list[dict]:
-    """The nonzero rows of M(q) as {column: {q-degree: int}}, lowest degree 0, by q-degree.
+def _solve_rows(rs: RootSystem, order: list, exponents: dict) -> list[dict]:
+    """h - 1 rows of M(q) independent at the check point, from as few loops as it takes.
+
+    Loops are taken in the order of exponents, and the build stops at the
+    first one after which the rows built hold h - 1 rows independent on the
+    unknown columns at the check point; _independent_rows then picks them in
+    (q-degree, key) order.  When the loops run out first, every row is built
+    and _independent_rows names the whole system's rank.
+    """
+    h1 = len(order) - 1
+    built: list = []
+    echelon: list = []
+    for loop, m_eig in exponents.items():
+        rows = _loop_rows(rs, order, loop, m_eig)
+        built += rows
+        pivots, _ = _rref(echelon + _at([row for _, _, row in rows], _CHECK_POINT), h1)
+        echelon = [row for _, row in pivots]
+        if len(echelon) == h1:
+            break
+    built.sort(key=lambda item: item[:2])
+    return _independent_rows([row for _, _, row in built], len(order))
+
+
+def _loop_rows(rs: RootSystem, order: list, loop, m_eig: int) -> list[tuple]:
+    """Loop L's nonzero rows of M(q), as (q-degree, (L, omega), {column: {q-degree: int}})
+    with lowest degree 0.
 
     Row (L, omega) is the e^omega part of A_L X - q^{m_L} X, and A_L[omega][nu]
     is read off the image of e^nu under L's Demazure word.  Each row is shifted
     by q^{-low}, which moves none of its zeros at q != 0.
     """
     rows: dict = {}
-    for loop, m_eig in exponents.items():
-        for j, nu in enumerate(order):
-            image = demazure_word(rs, loop, CharPoly.monomial(nu, 0)).terms.items()
-            for (wt, n), c in [*image, ((nu, m_eig), -1)]:
-                poly = rows.setdefault((loop, wt), {}).setdefault(j, {})
-                poly[n] = poly.get(n, 0) + c
+    for j, nu in enumerate(order):
+        image = demazure_word(rs, loop, CharPoly.monomial(nu, 0)).terms.items()
+        for (wt, n), c in [*image, ((nu, m_eig), -1)]:
+            poly = rows.setdefault(wt, {}).setdefault(j, {})
+            poly[n] = poly.get(n, 0) + c
     out = []
-    for key, row in rows.items():
+    for wt, row in rows.items():
         row = {j: {n: c for n, c in poly.items() if c} for j, poly in row.items()}
         degrees = [n for poly in row.values() for n in poly]
         if degrees:
             low = min(degrees)
-            out.append((max(degrees) - low, key, {j: {n - low: c for n, c in poly.items()}
-                                                  for j, poly in row.items() if poly}))
-    out.sort(key=lambda item: item[:2])
-    return [row for _, _, row in out]
+            out.append((max(degrees) - low, (loop, wt), {j: {n - low: c for n, c in poly.items()}
+                                                         for j, poly in row.items() if poly}))
+    return out
 
 
 def _independent_rows(rows: list[dict], h: int) -> list[dict]:

@@ -20,6 +20,7 @@ from siflag.affine import (
     s0_action,
     shortest_word,
     translation,
+    translation_loop,
     translation_word,
     walk_quantum,
 )
@@ -182,6 +183,9 @@ def test_shortest_word_raises_on_inconsistent_length(monkeypatch):
     monkeypatch.setattr(affine, "affine_length", lambda y: true_length(y) + 1)
     with pytest.raises(AssertionError, match="no left descent"):
         shortest_word(x)
+    # the loop scan checks each word it keeps the same way
+    with pytest.raises(AssertionError, match="disagrees with its length"):
+        translation_loop(A2, Coweight((1, 1)))
     monkeypatch.setattr(affine, "affine_length", lambda y: max(true_length(y) - 1, 0))
     with pytest.raises(AssertionError, match="away from the identity"):
         shortest_word(x)
@@ -266,6 +270,25 @@ def test_loop_translation_weight_examples():
 
     with pytest.raises(ValueError):
         loop_translation_weight(A1, (1,), e)
+
+
+def _closing_translation_word(rs, beta):
+    """Reference: the whole reduced word of t_beta, kept when its walk from e closes."""
+    word = translation_word(rs, beta)
+    try:
+        chain = walk_quantum(rs, word, rs.identity)
+    except ValueError:
+        return None
+    return word if chain[-1] == rs.identity else None
+
+
+@pytest.mark.parametrize("rs", SMALL + RANK4, ids=lambda rs: "".join(map(str, rs.key)))
+def test_translation_loop_matches_the_closed_walk(rs):
+    # the scan stops at its first non-cover, so it must keep exactly the words
+    # whose full walk closes, on every coweight of the box _base_loops scans
+    for coords in product(range(4), repeat=rs.rank):
+        want = _closing_translation_word(rs, Coweight(coords))
+        assert translation_loop(rs, Coweight(coords)) == want, coords
 
 
 def test_minimal_loops_a1():

@@ -140,6 +140,38 @@ def test_rank_deficient_eigen_solve_raises():
     with pytest.raises(ValueError, match="not uniquely solvable: rank 39 at the check point, "
                                          "a unique base needs 40"):
         eigen_solve_base(C4, Weight((0, 0, 0, 1)))
+    # on B4 omega3 even the rows of all 44 loops fall short, so each loop's rows
+    # are built and the message names the whole system's rank
+    with pytest.raises(ValueError, match="not uniquely solvable: rank 63 at the check point, "
+                                         "a unique base needs 64"):
+        eigen_solve_base(from_name("B4"), Weight((0, 0, 1, 0)))
+
+
+def test_rows_stop_at_full_rank_while_every_loop_is_checked(monkeypatch):
+    # on A3 omega1 the first loop's rows already hold h - 1 rows independent at
+    # the check point, so no other loop's rows are built; the exact check that
+    # makes the base unique still applies all 16 loops
+    a3 = from_name("A3")
+    loops = weylchar._base_loops(a3)
+    built, checked = [], set()
+    loop_rows, is_base, word = weylchar._loop_rows, weylchar._is_base, weylchar.demazure_word
+
+    def spy_loop_rows(rs, order, loop, m_eig):
+        built.append(loop)
+        return loop_rows(rs, order, loop, m_eig)
+
+    def spy_is_base(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(weylchar, "demazure_word",
+                          lambda rs, loop, value: checked.add(loop) or word(rs, loop, value))
+            return is_base(*args)
+
+    monkeypatch.setattr(weylchar, "_loop_rows", spy_loop_rows)
+    monkeypatch.setattr(weylchar, "_is_base", spy_is_base)
+    eigen_solve_base(a3, a3.fundamental_weight(1))
+    assert len(loops) == 16
+    assert built == loops[:1]
+    assert checked == set(loops)
 
 
 def _wrong_candidates(monkeypatch, mutate):
