@@ -3,7 +3,7 @@
 Core objects: finite root systems with their Weyl groups (`rootdata`), the
 affine Weyl group and quantum Bruhat graph (`affine`), the q-graded character
 ring with Demazure operators (`charpoly`), the nonsymmetric Macdonald
-polynomials at generic (q, t) by Cherednik's Y operator (`cherednik`, what
+polynomials at generic (q, t) by intertwiner steps (`cherednik`, what
 `siflag emac` runs) and by the Gram-Schmidt oracle (`macdonald`), and the
 module-character engine tying them together (`weylchar`).  The `siflag`
 console script fronts all of it.

@@ -1,195 +1,188 @@
-"""E_gamma(q, t) exactly, as an eigenvector of Cherednik's operator Y.
+"""E_gamma(q, t) exactly, by intertwiner steps from e^omega.
 
 The nonsymmetric Macdonald polynomials are the joint eigenvectors of
-Cherednik's commuting operators Y^beta (Cherednik, IMRN 1995; Macdonald,
-*Affine Hecke algebras and orthogonal polynomials*, 2003).  This module uses
-one of them, Y = T_{i_1} ... T_{i_l}, for (i_1 ... i_l) the reduced word
-``affine.translation_word`` gives for the translation by 2 rho^vee, the sum
-of the positive coroots.  The Demazure-Lusztig operators are
+Cherednik's commuting operators Y^beta.  The intertwiners of the double
+affine Hecke algebra step from one E to the next with no linear solve and
+need no simple spectrum (Cherednik, IMRN 1995; Knop, J. reine angew. Math.
+1997; Macdonald, *Affine Hecke algebras and orthogonal polynomials*, 2003).
+They are built from the Demazure-Lusztig operators, i = 1..rank,
 
     T_i = t s_i + (t - 1)(1 - s_i) / (1 - e^{alpha_i}) = t s_i + (t - 1)(1 - D_i),
 
-with D_i the Demazure operator of ``charpoly``, read off its memoised runs
-(``charpoly.letter_runs``), and s_0 the level-zero action of
-``affine.s0_action`` (alpha_0 = delta - theta, e^delta = q).  Y is triangular
-on gamma's order ideal (``macdonald.triangular_order_ideal``) with a monomial
-q^a t^b on the diagonal, and E_gamma, monic at gamma, solves Y E = y_gamma E.
-So it comes by back-substitution, with no density, truncation order or Pade
-step; the tests check it against the Gram-Schmidt oracle
-(``macdonald.gram_schmidt_E``).  The solve checks by explicit raises, which
-``python -O`` keeps, that every Y e^nu lies on nu and on the members listed
-before it, that every diagonal entry is a monomial, and that no other member
-shares gamma's eigenvalue, so that the eigenvector is unique.
+D_i read off charpoly's memoised runs (``letter_runs``).  Let 2 rho_gamma be
+the sum over alpha > 0 of eps_alpha alpha, eps_alpha = +1 if
+<gamma, alpha^vee> > 0 and -1 otherwise.
 
-Each coefficient is kept as a fraction whose denominator is a multiset of
-irreducible factors known in advance: q, t, and the pieces of the gaps
-y_gamma - y_nu.  Such a gap is +-q^a t^b (x^g - y^g) for coprime monomials x,
-y, and x^g - y^g is the product over d | g of the homogenised cyclotomic
-polynomials Phi_d(x, y), each irreducible in Z[q, t] (x / y is q^u t^v with
-gcd(u, v) = 1, a unit change of variables away from Phi_d(z)).  So a common
-denominator is an lcm taken by counting, and a fraction is reduced by exact
-trial division of its numerator by each factor (``Poly.__floordiv__``); the
-solve never runs the bivariate gcd ``qt.p_gcd``.  Numerators are summed and
-multiplied by Kronecker substitution, as integers (see _sum_of_products).
+* Finite step.  At gamma with k = <gamma, alpha_i^vee> > 0,
+  E_{s_i gamma} = T_i E_gamma - (t - 1) / (1 - r) E_gamma, where
+  r = q^k t^{<rho_gamma, alpha_i^vee>}.
+* Affine step.  theta_s is the highest short root (theta in ADE); its coroot
+  is the highest coroot.  At gamma with m = <gamma, theta_s^vee> <= 0,
+  e^{theta_s} T_{s_theta_s} E_gamma - (t - 1) t^d r / (1 - r) E_gamma = b E_{gamma'},
+  where gamma' = s_theta_s gamma + theta_s, r = q^{1 - m} t^{-<rho_gamma, theta_s^vee>}
+  and d = (l(s_theta_s) - 1) / 2.  T_{s_theta_s} runs along a reduced word,
+  last letter first, and b is a monomial read off at gamma'.
+* Path.  Walk down from gamma and repeat: at the first negative coordinate
+  i, undo a finite step (gamma <- s_i gamma); with none, and
+  <gamma, theta_s^vee> >= 2, undo an affine step
+  (gamma <- s_theta_s (gamma - theta_s)).  The walk stops at 0 or a
+  minuscule weight omega, E_omega = e^omega, and the steps run in reverse.
+
+Each step divides by the monomial at its new weight (1 at a finite step) and
+checks by explicit raises, which ``python -O`` keeps, that it is a monomial
++-q^a t^b and that every term lies in gamma's order ideal.  The tests check
+the result against the Gram-Schmidt oracle (``macdonald.gram_schmidt_E``).
+
+A coefficient's denominator is a multiset of irreducible factors known in
+advance: q, t, and the pieces of each step's 1 - r, which times a power of t
+is +-q^a t^b (x^g - y^g) for coprime monomials x, y with x / y = q^u t^v,
+gcd(u, v) = 1: the product over d | g of the homogenised cyclotomic
+polynomials Phi_d(x, y), each irreducible in Z[q, t] (a unit change of
+variables away from Phi_d(z)).  So a common denominator is an lcm taken by
+counting, and a fraction is reduced by exact trial division by each factor,
+skipped where _on_binomial shows that x - y does not divide; nothing runs
+the bivariate gcd ``qt.p_gcd``.  Numerators are summed and multiplied by
+Kronecker substitution, as integers (see _sum_of_products).
 """
 from __future__ import annotations
 
 import functools
 from math import gcd
 
-from .affine import translation_word
 from .charpoly import _run, letter_runs
 from .macdonald import EPoly, _exact_width, _unpack, oracle_scope, triangular_order_ideal
-from .qt import Poly, QTRat, _ONE
-from .rootdata import Coweight, RootSystem, Weight
+from .qt import Poly, QTRat, _ONE, _T_ONE
+from .rootdata import RootSystem, Weight
 
 
 def cherednik_E(rs: RootSystem, gamma: Weight) -> EPoly:
-    """E_gamma: the eigenvector of Y on gamma's order ideal, monic at gamma.
+    """E_gamma by intertwiner steps from e^omega, monic at gamma.
 
     Its coefficients name every member of the strict ideal, zeros included,
     as ``gram_schmidt_E``'s do.
     """
     oracle_scope(rs)
     members = triangular_order_ideal(rs, gamma)
-    rows, diagonal = _y_matrix(rs, members)
-    top = len(members) - 1
-    y_gamma = diagonal[top]
-    coeffs: list = [None] * top + [_Factored.one()]
-    for j in range(top - 1, -1, -1):
-        if diagonal[j] == y_gamma:
-            raise AssertionError(f"Y has gamma's eigenvalue at {members[j].coords} too")
-        parts = [(entry, coeffs[k]) for k, entry in rows[j].items() if k > j and coeffs[k].num]
-        coeffs[j] = _Factored.combine(parts, _gap_factors(y_gamma, diagonal[j]))
-    return EPoly(gamma, {nu: c.value() for nu, c in zip(members, coeffs)})
+    ideal = {nu.coords for nu in members}
+    path = _Path(rs)
+    omega, steps = path.walk(gamma.coords)
+    coeffs = {omega: _Factored(_ONE, 0, 0, {})}
+    for i, at in steps:
+        coeffs = path.step(i, at, coeffs, ideal)
+    zero = _Factored(Poly(), 0, 0, {})
+    return EPoly(gamma, {nu: coeffs.get(nu.coords, zero).value() for nu in members})
 
 
-# -- the operator Y ---------------------------------------------------------------
+# -- the intertwiner path ---------------------------------------------------------
 
 
-def two_rho_coroot(rs: RootSystem) -> Coweight:
-    """2 rho^vee, the sum of the positive coroots, in simple-coroot coordinates."""
-    total = Coweight((0,) * rs.rank)
-    for beta in rs.positive_roots:
-        total = total + rs.coroot(beta)
-    return total
+_T = Poly({1: 1})
+_T_MINUS_ONE = Poly({0: -1, 1: 1})
+_ONE_MINUS_T = Poly({0: 1, 1: -1})
 
 
-def _y_matrix(rs: RootSystem, members: list[Weight]) -> tuple[list[dict], list[tuple]]:
-    """Y on the members, by rows: ([{column: entry}], [diagonal (a, b) of q^a t^b]).
+class _Path:
+    """The steps of the module docstring in one root system."""
 
-    Column j is Y e^{members[j]}; it must lie on members[j] and the members
-    listed before it, with a monomial q^a t^b of coefficient 1 at members[j].
-    Entries are Polys in q over Z[t], every one multiplied by the same power
-    of q so that none has a negative q-degree (an eigenvector of q^s Y is one
-    of Y).
-    """
-    word = translation_word(rs, two_rho_coroot(rs))
-    index = {nu.coords: j for j, nu in enumerate(members)}
-    columns = []
-    for j, nu in enumerate(members):
-        column: dict = {}
-        for (coords, n), tp in _apply_y(rs, word, nu.coords).items():
-            i = index.get(coords)
-            if i is None or i > j:
-                raise AssertionError(
-                    f"Y e^{nu.coords} has a term at {coords}, which is not listed before it")
-            column.setdefault(i, {})[n] = tp
-        diag = column.get(j, {})
-        if len(diag) != 1 or any(len(tp) != 1 or 1 not in tp.values() for tp in diag.values()):
-            raise AssertionError(f"the diagonal entry of Y at {nu.coords} is not a monomial q^a t^b")
-        columns.append(column)
-    shift = max(0, -min(n for column in columns for entry in column.values() for n in entry))
-    rows: list[dict] = [{} for _ in members]
-    diagonal = []
-    for j, column in enumerate(columns):
-        for i, entry in column.items():
-            rows[i][j] = Poly({n + shift: tp for n, tp in entry.items()})
-        (n, tp), = column[j].items()
-        diagonal.append((n + shift, next(iter(tp))))
-    return rows, diagonal
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.roots = [(rs.root_to_weight(beta).coords, rs.coroot(beta).coords)
+                      for beta in rs.positive_roots]
+        # (root, coroot) of each letter: theta_s at 0, the root whose coroot is highest
+        self.letters = [max(self.roots, key=lambda root: sum(root[1]))] + [
+            (rs.simple_root(i).coords, rs.simple_coroot(i).coords) for i in range(1, rs.rank + 1)]
+        # rho is regular, so s_theta_s is the one v with v(rho) = s_theta_s rho
+        (theta_s, theta_s_vee), rho = self.letters[0], (1,) * rs.rank
+        s_rho = _shift(rho, theta_s, -_dot(rho, theta_s_vee))
+        self.word = rs.dominant_representative(Weight(s_rho))[1].word()
 
+    def move(self, i: int, wt: tuple) -> tuple:
+        """s_i wt, or s_theta_s wt + theta_s = s_theta_s (wt - theta_s) at i = 0: each undoes itself."""
+        root, coroot = self.letters[i]
+        return _shift(wt, root, (0 if i else 1) - _dot(wt, coroot))
 
-def _apply_y(rs: RootSystem, word, coords) -> dict:
-    """Y e^coords as {(weight coords, q-degree): t-polynomial}; the word's last letter acts first.
+    def walk(self, gamma: tuple) -> tuple[tuple, list]:
+        """(omega, [(letter, weight it acts at)]), the steps up to gamma in order; letter 0 is affine."""
+        steps = []
+        while True:
+            i = next((i for i, c in enumerate(gamma, 1) if c < 0), 0)
+            if not i and _dot(gamma, self.letters[0][1]) < 2:
+                return gamma, steps[::-1]
+            gamma = self.move(i, gamma)
+            steps.append((i, gamma))
 
-    Run twice, as macdonald's stages are (see macdonald._on_packed): first
-    with every t-polynomial at t = 1 and every sign made plus, which bounds
-    each coefficient it stands for, then packed at t = 2^B, B from those
-    bounds, and decoded.
-    """
-    runs = [letter_runs(rs, i) for i in range(rs.rank + 1)]
-
-    def run(bits):
-        terms = {(coords, 0): 1}
-        for i in reversed(word):
-            terms = _apply_t(rs, i, runs[i], terms, bits)
-        return terms
-
-    bits = _exact_width(max(run(None).values()))
-    return {key: _unpack(packed, bits) for key, packed in run(bits).items()}
-
-
-def _apply_t(rs: RootSystem, i: int, runs: dict, terms: dict, bits: int | None) -> dict:
-    """T_i on {(weight coords, q-degree): t-polynomial packed at t = 2^bits}.
-
-    T_i e^wt = t s_i e^wt + (t - 1)(e^wt - D_i e^wt), for D_i e^wt the run
-    charpoly keeps for it, and s_i e^wt = q^m e^{s_i wt}, m = <theta^vee, wt>
-    at i = 0 (affine.s0_action) and 0 otherwise.  At k = <alpha_i^vee, wt>
-    >= 0 the run goes from e^wt to s_i e^wt, so T_i e^wt is t e^wt at k = 0
-    and otherwise s_i e^wt minus (t - 1) times the run's inner terms.  At
-    k = -1 the run is empty and at k <= -2 negated, so T_i e^wt is
-    t s_i e^wt plus (t - 1) times e^wt and the run's terms.  With bits None,
-    every t-polynomial stands at t = 1 with its signs made plus, so each
-    image value bounds the coefficients of the value it stands for.
-    """
-    if i == 0:
-        pair, step = rs.theta_coroot.coords, rs.theta_weight.coords
-    else:
-        pair, step = None, rs.simple_root(i).coords
-    out: dict = {}
-    get = out.get
-
-    def add(key, v):
-        s = get(key, 0) + v
-        if s:
-            out[key] = s
+    def step(self, i: int, gamma: tuple, coeffs: dict, ideal: set) -> dict:
+        """The coefficients of the E one step above E_gamma's: by letter i, affine at 0."""
+        root, coroot = self.letters[i]
+        m = _dot(gamma, coroot)
+        rho = sum(_dot(wt, coroot) * (1 if _dot(gamma, vee) > 0 else -1)
+                  for wt, vee in self.roots) // 2
+        new = self.move(i, gamma)
+        if i:
+            r, x = (m, rho), (0, 0)
         else:
-            del out[key]
+            r, x = (1 - m, -rho), (1 - m, (len(self.word) - 1) // 2 - rho)
+        # with t^s (1 - r) = sign q^ga t^gb prod Phi, s making every exponent
+        # nonnegative, minus c / (q^ga t^gb prod Phi) = -(t - 1) q^x0 t^x1 / (1 - r) c
+        s = max(0, -r[1], -x[1])
+        sign, ga, gb, keys = _gap_factors((0, s), (r[0], r[1] + s))
+        minus = Poly({x[0]: Poly({x[1] + s: sign, x[1] + s + 1: -sign})})
+        parts: dict = {}
+        for nu, c in coeffs.items():
+            for mu, tp in self.image(i, nu).items():
+                parts.setdefault(mu, []).append((Poly({0: tp}), c))
+            phis = {**c.phis, **{key: c.phis.get(key, 0) + 1 for key in keys}}
+            parts.setdefault(nu, []).append((minus, _Factored(c.num, c.qa + ga, c.tb + gb, phis)))
+        lead = _Factored.combine(parts.pop(new, []), (1, 0, 0))
+        b = lead.monomial()
+        if b is None:
+            raise AssertionError(f"the step to {new} leads with {lead.value()!r}, not a monomial q^a t^b")
+        out = {mu: _Factored.combine(ps, b) for mu, ps in parts.items()}
+        out = {new: _Factored(_ONE, 0, 0, {}), **{mu: c for mu, c in out.items() if c.num}}
+        stray = sorted(set(out) - ideal)
+        if stray:
+            raise AssertionError(f"the step to {new} has a term at {stray[0]}, outside gamma's order ideal")
+        return out
 
-    for (wt, n), c in terms.items():
-        if bits is None:
-            tc, tm = c, 2 * c
-        else:
-            tc = c << bits
-            tm = tc - c
-        try:
-            run = runs[wt]
-        except KeyError:
-            run = runs[wt] = _run(rs, i, wt)
-        if run is not None and not run[0]:
-            steps = run[1]
-            if len(steps) == 1:
-                add((wt, n), tc)
-                continue
-            cur, m = steps[-1]
-            add((cur, n + m), c)
-            if bits is not None:
-                tm = -tm
-            for cur, m in steps[1:-1]:
-                add((cur, n + m), tm)
-            continue
-        if pair is None:
-            k = wt[i - 1]
-            add((tuple(x - k * a for x, a in zip(wt, step)), n), tc)
-        else:
-            m = sum(x * a for x, a in zip(wt, pair))
-            add((tuple(x - m * a for x, a in zip(wt, step)), n + m), tc)
-        add((wt, n), tm)
-        if run is not None:
-            for cur, m in run[1]:
-                add((cur, n + m), tm)
-    return out
+    def image(self, i: int, wt: tuple) -> dict:
+        """T_i e^wt, or e^{theta_s} T_{s_theta_s} e^wt at i = 0, as {weight: t-polynomial}."""
+        if i:
+            return self.t_image(i, wt)
+        terms = {wt: _T_ONE}
+        for j in reversed(self.word):
+            out: dict = {}
+            for nu, tp in terms.items():
+                for mu, c in self.t_image(j, nu).items():
+                    out[mu] = out.get(mu, Poly()) + tp * c
+            terms = out
+        return {_shift(mu, self.letters[0][0], 1): tp for mu, tp in terms.items() if tp}
+
+    def t_image(self, i: int, wt: tuple) -> dict:
+        """T_i e^wt = t s_i e^wt + (t - 1)(e^wt - D_i e^wt) as {weight: t-polynomial}, i >= 1.
+
+        With k = <alpha_i^vee, wt>: t e^wt at k = 0; at k > 0, where D_i's run
+        (charpoly._run) goes from e^wt to s_i e^wt, s_i e^wt minus (t - 1) times
+        the inner terms; at k < 0, where it is empty or negated, t s_i e^wt plus
+        (t - 1) times e^wt and the run.
+        """
+        runs = letter_runs(self.rs, i)
+        run = runs[wt] if wt in runs else runs.setdefault(wt, _run(self.rs, i, wt))
+        k = wt[i - 1]
+        if k == 0:
+            return {wt: _T}
+        s_wt = self.move(i, wt)
+        if k > 0:
+            return {**{cur: _ONE_MINUS_T for cur, _ in run[1][1:-1]}, s_wt: _T_ONE}
+        return {**{cur: _T_MINUS_ONE for cur, _ in (run[1] if run else ())},
+                wt: _T_MINUS_ONE, s_wt: _T}
+
+
+def _dot(a: tuple, b: tuple) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _shift(wt: tuple, root: tuple, times: int) -> tuple:
+    return tuple(x + times * a for x, a in zip(wt, root))
 
 
 # -- fractions over a multiset of known irreducible factors -------------------------
@@ -210,12 +203,8 @@ class _Factored:
         self.num, self.qa, self.tb, self.phis = num, qa, tb, phis
 
     @staticmethod
-    def one() -> _Factored:
-        return _Factored(_ONE, 0, 0, {})
-
-    @staticmethod
-    def combine(parts, gap) -> _Factored:
-        """(sum of entry * fraction over parts) / gap, reduced; gap as _gap_factors gives it."""
+    def combine(parts, monomial) -> _Factored:
+        """(sum of entry * fraction over parts) / (sign q^a t^b), reduced, for monomial (sign, a, b)."""
         if not parts:
             return _Factored(Poly(), 0, 0, {})
         qa = max(c.qa for _, c in parts)
@@ -229,29 +218,37 @@ class _Factored:
             (qa - c.qa, tb - c.tb,
              [(entry, 1), (c.num, 1)] + [(_phi(key), m - c.phis.get(key, 0)) for key, m in phis.items()])
             for entry, c in parts)
-        sign, ga, gb, keys = gap
-        if sign < 0:
-            num = -num
-        for key in keys:
-            phis[key] = phis.get(key, 0) + 1
-        return _Factored(num, qa + ga, tb + gb, phis).reduced()
+        sign, a, b = monomial
+        return _Factored(-num if sign < 0 else num, qa + a, tb + b, phis).reduced()
+
+    def monomial(self) -> tuple | None:
+        """A reduced value sign q^a t^b, sign = +-1, as (sign, a, b), else None."""
+        terms = [(n, d, c) for n, tp in self.num.items() for d, c in tp.items()]
+        if self.phis or len(terms) != 1 or abs(terms[0][2]) != 1:
+            return None
+        (n, d, c), = terms
+        return c, n - self.qa, d - self.tb
 
     def reduced(self) -> _Factored:
         """The same value with no factor of the denominator left dividing the numerator.
 
         The factors are irreducible and the numerator's q- and t-valuations
-        are read off directly, so this is the reduced form.
+        are read off directly, so this is the reduced form.  A factor x - y
+        (d = 1) is tried only where _on_binomial finds that it divides.
         """
         num = self.num
         if not num:
             return _Factored(num, 0, 0, {})
         qa = min(self.qa, min(num))
         tb = min(self.tb, min(min(tp) for tp in num.values()))
-        num = _monomial_times(num, -qa, -tb)
+        if qa or tb:
+            num = Poly({n - qa: Poly({d - tb: c for d, c in tp.items()}) for n, tp in num.items()})
         phis = {}
         for key, m in self.phis.items():
             f = _phi(key)
             while m:
+                if key[0] == 1 and _on_binomial(num, key[1], key[2]):
+                    break
                 try:
                     num = num // f
                 except ValueError:
@@ -267,11 +264,18 @@ class _Factored:
         return QTRat._coprime(self.num, den)
 
 
-def _monomial_times(p: Poly, qa: int, tb: int) -> Poly:
-    """p q^qa t^tb, for shifts that keep every degree nonnegative."""
-    if not qa and not tb:
-        return p
-    return Poly({n + qa: Poly({d + tb: c for d, c in tp.items()}) for n, tp in p.items()})
+def _on_binomial(num: Poly, u: int, v: int) -> dict:
+    """num at q = z^v, t = z^-u, as {exponent of z: coefficient} with no zero coefficient.
+
+    There q^u t^v = 1, so this is num on the curve x = y of the key (1, u, v),
+    and with gcd(u, v) = 1 it is empty exactly when x - y divides num.
+    """
+    out: dict = {}
+    for n, tp in num.items():
+        for d, c in tp.items():
+            e = n * v - d * u
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _sum_of_products(rows) -> Poly:
@@ -290,7 +294,7 @@ def _sum_of_products(rows) -> Poly:
     for _, b, factors in rows:
         l1 = 1
         for f, e in factors:
-            l1 *= _l1(f) ** e
+            l1 *= sum(abs(c) for tp in f.values() for c in tp.values()) ** e
         bound += l1
         tdeg = max(tdeg, b + sum(e * max(max(tp) for tp in f.values()) for f, e in factors))
     bits = _exact_width(bound)
@@ -308,12 +312,7 @@ def _sum_of_products(rows) -> Poly:
     return Poly({n: Poly(tp) for n, tp in terms.items()})
 
 
-def _l1(p: Poly) -> int:
-    """The sum of the absolute values of the coefficients of p in Z[q, t]."""
-    return sum(abs(c) for tp in p.values() for c in tp.values())
-
-
-def _gap_factors(y_gamma: tuple, y_nu: tuple) -> tuple:
+def _gap_factors(first: tuple, second: tuple) -> tuple:
     """q^a t^b - q^c t^d, two distinct monomials, as (sign, e, f, keys) = sign q^e t^f prod_keys Phi_key.
 
     Factor out q^min(a, c) t^min(b, d); what is left is x^g - y^g, or its
@@ -321,7 +320,7 @@ def _gap_factors(y_gamma: tuple, y_nu: tuple) -> tuple:
     lexicographically positive and g = gcd of the exponent differences, and
     x^g - y^g is the product of Phi_k(x, y) over the divisors k of g.
     """
-    (a, b), (c, d) = y_gamma, y_nu
+    (a, b), (c, d) = first, second
     u, v = a - c, b - d
     sign = 1
     if u < 0 or (u == 0 and v < 0):

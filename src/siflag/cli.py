@@ -235,7 +235,7 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argpars
     p_qb.add_argument("--to", dest="qb_to", default=None)
 
     p_emac = sub.add_parser("emac", help="nonsymmetric Macdonald polynomial E_gamma(q,t), "
-                                         "exact, by Cherednik's Y operator")
+                                         "exact, by intertwiner steps")
     common(p_emac, fmt=True)
     p_emac.add_argument("--gamma", required=True, help="index weight, e.g. -1,0")
     p_emac.add_argument("--spec", default=None,

@@ -23,7 +23,7 @@ and, in the tests, of its base ch W_lam on every rank-two type.  That engine
 never calls this module (its base characters come from the eigen solve in
 every type), so the oracle is only the independent reference of the ``cor``
 suite, the acceptance gate and the route-agreement tests.  ``siflag emac``
-does not run it: emac computes E_gamma by Cherednik's Y operator
+does not run it: emac computes E_gamma by intertwiner steps
 (``cherednik.cherednik_E``), which the tests check against this oracle.
 Both routes share one scope check, ``oracle_scope``.
 
@@ -145,10 +145,11 @@ def _on_packed(run, bits: int | None = None, width=None) -> tuple[dict, dict | N
     """(packed, bound, B): run(value) -> {key: int} evaluated on t-polynomials packed at t = 2^B.
 
     The density (see density_table), the Gram solve and every _convolution
-    run so.  run must read every t-polynomial it uses, t and -1 included
-    (_T_SIGN), through value, a whole _Series at a time: value(series) lists
-    the integers that stand for its entries, and each series computes them
-    once (per width).  Without bits, run is called twice.  First value =
+    run so.  run must read every t-polynomial it uses, t and -1 included (a
+    pair _Series((_T, _MINUS_ONE)) made per run, so no width outlives its
+    call), through value, a whole _Series at a time: value(series) lists the
+    integers that stand for its entries, and each series computes them once
+    (per width).  Without bits, run is called twice.  First value =
     _Series.l1s (t -> 1, every minus sign made plus): every entry of bound is
     then an L1 majorant, a bound on the absolute coefficient sum of the entry
     it stands for.  Then value packs at B = width(largest majorant), where
@@ -285,18 +286,17 @@ class _Series(tuple):
 
 _ZERO = Poly()
 
-# t and -1, for a run(value) to read through value (see _on_packed)
+# t and -1, for a run(value) to read through value as a pair made per run (see _on_packed)
 _T = Poly({1: 1})
 _MINUS_ONE = Poly({0: -1})
-_T_SIGN = _Series((_T, _MINUS_ONE))
 
 
 class _DensityExpansion:
     """The root-by-root expansion of Delta onto one target set, up to q^order.
 
     run(value) evaluates it with C_a built from the factors (t - q^i), t and
-    -1 read through value as _T_SIGN (see _on_packed).  Both runs share the
-    reachability budgets.
+    -1 read through value as a pair made per run (see _on_packed).  Both
+    runs share the reachability budgets.
     """
 
     def __init__(self, rs: RootSystem, targets: frozenset, order: int):
@@ -340,7 +340,7 @@ class _DensityExpansion:
 
     def run(self, value) -> dict:
         order = self.order
-        column = _FactorColumn(*value(_T_SIGN), order)
+        column = _FactorColumn(*value(_Series((_T, _MINUS_ONE))), order)
         states: dict = {(0,) * len(self.tmax): {0: 1}}
         for pos, alpha in enumerate(self.roots):
             neg_cap = self.suffix[pos + 1][0]
@@ -643,7 +643,7 @@ def _gram_recurrence(gram, rhs_series, value) -> dict:
     C-level dot product over the packed integers.
     """
     big = len(rhs_series[0]) - 1
-    sign = value(_T_SIGN)[1]
+    sign = value(_Series((_T, _MINUS_ONE)))[1]
     gram = [[value(series) for series in row] for row in gram]
     rhs_series = [value(series) for series in rhs_series]
     # x_j[m] sits at rev[j][big - m], so sum_k g_k x_{n-k} is one dot product

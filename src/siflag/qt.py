@@ -264,9 +264,9 @@ class QTRat:
     def _coprime(num: Poly, den: Poly) -> "QTRat":
         """QTRat(num, den) for a pair known to share no factor in Z[q,t] and den primitive.
 
-        Only the sign is normalised.  Only for cherednik's solve, whose
-        denominators are products of known irreducible factors, none of which
-        divides the numerator it keeps (see cherednik._Factored.reduced).
+        Only the sign is normalised.  Only for cherednik's intertwiner steps,
+        whose denominators are products of known irreducible factors, none of
+        which divides the numerator it keeps (see cherednik._Factored.reduced).
         """
         if not num:
             return QTRat.zero()

@@ -1,4 +1,4 @@
-"""E_gamma by Cherednik's Y operator: agreement with the oracle, its checks, its reduction."""
+"""E_gamma by intertwiner steps: agreement with the oracle, its checks, its reduction."""
 from __future__ import annotations
 
 import itertools
@@ -7,11 +7,11 @@ import random
 import pytest
 
 from siflag import cherednik, cli, macdonald
-from siflag.affine import translation_word
-from siflag.cherednik import _Factored, cherednik_E, two_rho_coroot
-from siflag.macdonald import gram_schmidt_E, triangular_order_ideal
+from siflag.cherednik import _Factored, cherednik_E
+from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize, triangular_order_ideal
 from siflag.qt import Poly, QTRat
-from siflag.rootdata import Coweight, Weight, build_root_system
+from siflag.rootdata import Weight, build_root_system
+from siflag.weylchar import cor_family
 
 TYPES = {name: build_root_system(name[0], int(name[1:])) for name in ("A1", "A2", "B2", "C2", "G2")}
 
@@ -30,17 +30,21 @@ COLD_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COLD_WEIGHTS))
-def test_cherednik_E_equals_the_gram_schmidt_oracle(name):
+def _assert_equals_the_oracle(rs, gamma):
     # every num and den, and an entry for every member of the strict ideal,
     # zeros included: emit prints each one
+    got, want = cherednik_E(rs, gamma), gram_schmidt_E(rs, gamma)
+    assert got.gamma == gamma
+    assert set(got.coeffs) == set(want.coeffs) == set(triangular_order_ideal(rs, gamma))
+    for nu, c in want.coeffs.items():
+        assert (got.coeffs[nu].num, got.coeffs[nu].den) == (c.num, c.den), (gamma, nu)
+
+
+@pytest.mark.parametrize("name", sorted(COLD_WEIGHTS))
+def test_cherednik_E_equals_the_gram_schmidt_oracle(name):
     rs = TYPES[name]
     for gamma in _orbits(rs, COLD_WEIGHTS[name]):
-        got, want = cherednik_E(rs, gamma), gram_schmidt_E(rs, gamma)
-        assert got.gamma == gamma
-        assert set(got.coeffs) == set(want.coeffs) == set(triangular_order_ideal(rs, gamma))
-        for nu, c in want.coeffs.items():
-            assert (got.coeffs[nu].num, got.coeffs[nu].den) == (c.num, c.den), (gamma, nu)
+        _assert_equals_the_oracle(rs, gamma)
     assert sum(map(len, COLD_WEIGHTS.values())) == 46
 
 
@@ -72,56 +76,70 @@ def test_emac_builds_no_density(monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
-def test_two_rho_coroot_and_its_word():
-    # 2 rho^vee in simple-coroot coordinates, and the length of its translation,
-    # sum over the positive roots alpha of <2 rho^vee, alpha>
-    want = {"A1": (1,), "A2": (2, 2), "B2": (4, 3), "C2": (3, 4), "G2": (6, 10)}
-    for name, rs in TYPES.items():
-        beta = two_rho_coroot(rs)
-        assert beta.coords == want[name]
-        assert len(translation_word(rs, beta)) == sum(
-            rs.pairing(beta, alpha) for alpha in rs.positive_root_weights)
+# weights where two members of the ideal share the eigenvalue of Cherednik's
+# Y = Y^{2 rho^vee}, which a solve with that one operator cannot separate
+SHARED_EIGENVALUE_WEIGHTS = {
+    "A2": [(-2, 2), (2, -2)],
+    "B2": [(-2, 2)],
+    "C2": [(2, -2)],
+    "G2": [(-3, 2)],
+}
 
 
-# -- the solve's checks, each an explicit raise -----------------------------------------
+@pytest.mark.parametrize("name", sorted(SHARED_EIGENVALUE_WEIGHTS))
+def test_cherednik_E_equals_the_oracle_where_y_eigenvalues_coincide(name):
+    for gamma in SHARED_EIGENVALUE_WEIGHTS[name]:
+        _assert_equals_the_oracle(TYPES[name], Weight(gamma))
 
 
-def test_a_term_outside_the_listed_members_raises(monkeypatch):
-    # without its lowest member the ideal no longer holds Y e^{-1}
-    monkeypatch.setattr(cherednik, "triangular_order_ideal",
-                        lambda rs, gamma: triangular_order_ideal(rs, gamma)[1:])
-    with pytest.raises(AssertionError, match="not listed before it"):
-        cherednik_E(TYPES["A1"], Weight((-1,)))
+def test_g2_past_the_oracle_truncation_matches_cor_at_t_infinity():
+    # G2 (2, -2) = -s1 (2, 0) stops the oracle at its default truncation; its
+    # t = infinity end is the T_i recursion's E^dagger_{-s1 (2, 0)}(q^-1, infinity)
+    rs = TYPES["G2"]
+    s1, lam = rs.simple_reflection(1), Weight((2, 0))
+    gamma = -s1.act(lam)
+    assert gamma == Weight((2, -2))
+    got = specialize(bar_conjugate(cherednik_E(rs, gamma)), ("t-inf", "q-inv"))
+    assert got == cor_family(rs, s1, lam)
 
 
-def test_a_term_after_its_column_raises(monkeypatch):
-    # the members in an order that is no linear extension: the highest first
-    def reordered(rs, gamma):
-        members = triangular_order_ideal(rs, gamma)
-        return members[-2:-1] + members[:-2] + members[-1:]
-
-    monkeypatch.setattr(cherednik, "triangular_order_ideal", reordered)
-    with pytest.raises(AssertionError, match="not listed before it"):
-        cherednik_E(TYPES["A2"], Weight((-1, 0)))
+# emac over the box [-2, 2]^2, and on G2's two weights past the Y collisions
+EMAC_BOX = {
+    **{name: list(itertools.product(range(-2, 3), repeat=2)) for name in ("A2", "B2", "C2")},
+    "G2": [(2, -2), (-3, 2)],
+}
 
 
-def test_a_diagonal_entry_that_is_no_monomial_raises(monkeypatch):
-    apply_y = cherednik._apply_y
+@pytest.mark.parametrize("name", sorted(EMAC_BOX))
+def test_emac_exits_0_on_every_weight_of_the_box(capsys, name):
+    for gamma in EMAC_BOX[name]:
+        assert cli.main(["emac", "--type", name, "--gamma=" + ",".join(map(str, gamma)),
+                         "--format", "json"]) == 0, gamma
+        assert capsys.readouterr().out
 
-    def doubled(rs, word, coords):
-        return {key: tp.scale(2) if key[0] == coords else tp
-                for key, tp in apply_y(rs, word, coords).items()}
 
-    monkeypatch.setattr(cherednik, "_apply_y", doubled)
+# -- the path's checks, each an explicit raise ------------------------------------------
+
+
+def test_a_step_lead_that_is_no_monomial_raises(monkeypatch):
+    # every T_i image doubled: the step to s_i gamma leads with 2
+    t_image = cherednik._Path.t_image
+    monkeypatch.setattr(cherednik._Path, "t_image",
+                        lambda self, i, wt: {mu: tp.scale(2) for mu, tp in t_image(self, i, wt).items()})
     with pytest.raises(AssertionError, match="not a monomial"):
         cherednik_E(TYPES["B2"], Weight((0, -1)))
 
 
-def test_an_eigenvalue_shared_with_gamma_raises(monkeypatch):
-    # translation by 0: Y is the identity, and every member shares y_gamma
-    monkeypatch.setattr(cherednik, "two_rho_coroot", lambda rs: Coweight((0,) * rs.rank))
-    with pytest.raises(AssertionError, match="eigenvalue"):
-        cherednik_E(TYPES["A2"], Weight((-1, 1)))
+def test_a_term_outside_gammas_order_ideal_raises(monkeypatch):
+    # every image given one more term, far above every member of the ideal
+    image = cherednik._Path.image
+
+    def stray(self, i, wt):
+        return {**image(self, i, wt), (wt[0] + 10,) + wt[1:]: Poly({1: 1})}
+
+    monkeypatch.setattr(cherednik._Path, "image", stray)
+    with pytest.raises(AssertionError, match="outside gamma's order ideal"):
+        cherednik_E(TYPES["A2"], Weight((-1, 0)))
 
 
 # -- the reduction over known factors ---------------------------------------------------
@@ -151,8 +169,8 @@ def _product(factors) -> Poly:
     return out
 
 
-KEYS = [(d, u, v) for d in (1, 2, 3, 4, 6)
-        for u, v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2))]
+BINOMIALS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2))
+KEYS = [(d, u, v) for d in (1, 2, 3, 4, 6) for u, v in BINOMIALS]
 
 
 def test_gap_factors_multiply_back_to_the_gap():
@@ -205,3 +223,21 @@ def test_sum_of_products_matches_poly_arithmetic():
             want = want + _product([_poly({(a, b): 1})]
                                    + [f for f, e in factors for _ in range(e)])
         assert cherednik._sum_of_products(rows) == want
+
+
+def test_binomial_test_agrees_with_exact_division():
+    # for a key (1, u, v), mixed signs included: _on_binomial finds nothing
+    # exactly when x - y divides, on multiples of it and on other polynomials
+    rng = random.Random("binomial")
+    for _ in range(300):
+        u, v = rng.choice(BINOMIALS)
+        f = cherednik._phi((1, u, v))
+        num = _random_poly(rng, terms=5, degree=5)
+        if rng.random() < 0.5:
+            num = num * f
+        try:
+            num // f
+            divides = True
+        except ValueError:
+            divides = False
+        assert (not cherednik._on_binomial(num, u, v)) == divides, (num, u, v)

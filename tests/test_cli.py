@@ -474,7 +474,7 @@ def test_verify_report_bytes_are_pinned(tmp_path, label):
 
 
 # sha256 of `siflag emac --format json`.  The first four were taken when the
-# oracle still solved and reconstructed over Q(t); the last four lie past the
+# oracle still solved and reconstructed over Q(t); the next four lie past the
 # oracle's default truncation (it raises there) and were pinned once each E
 # equalled gram_schmidt_E run at the truncation order 6 ht + 8.
 PINNED_EMAC = {
@@ -486,6 +486,14 @@ PINNED_EMAC = {
     ("A1", "-8"): "afde19d67996f403a5f0cf3bae09d143b1a66e1accfc853982abbfe56488287f",
     ("B2", "-2,0"): "779bd950d524cc3d9eb3d9323e0475bbcf56e8def4161c904d91865400705d5a",
     ("C2", "0,-2"): "18562869ed9d67e6765d87aae582853fa63353e30ef09084239aeaa8d4396620",
+    # weights where Y = Y^{2 rho^vee} has a shared eigenvalue: the first five
+    # equal the oracle's bytes, G2 (2,-2) its cor identity at t = infinity
+    ("A2", "-2,2"): "75705fb8010cd7e2267ad087d4dd910858ea17fb4e249750e89f41a5020b3ccf",
+    ("A2", "2,-2"): "6115b8ac606ab6a962ab8fa8999042d7f64c818623199fa82ced16e41234e65c",
+    ("B2", "-2,2"): "335cc9a0676e08aba920b263d0335b3d0d66df6d027632018941e1d3889ae48a",
+    ("C2", "2,-2"): "5cb651d74f07ea9a8c0314cb2580a70bc338ff5940ba50c5ded64a577a1e5c11",
+    ("G2", "-3,2"): "47b942fde62fe04496558db8b5d81748eefc32bb9d629d325f34b34b8efbe2a0",
+    ("G2", "2,-2"): "81a07207588523fbe15c9eb2a17d6570a0123360febf65aee3f0aafbee7ae110",
 }
 
 

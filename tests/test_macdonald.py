@@ -976,7 +976,6 @@ def _spy_packs(monkeypatch) -> list:
 
 def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch, fresh_caches):
     packed = _spy_packs(monkeypatch)
-    monkeypatch.setattr(macdonald._T_SIGN, "_packed", {})
     exact, density_widths = macdonald._exact_width, []
     monkeypatch.setattr(macdonald, "_exact_width",
                         lambda bound: density_widths.append(exact(bound)) or density_widths[-1])
@@ -988,7 +987,8 @@ def test_cold_gram_schmidt_packs_each_series_once_per_width(monkeypatch, fresh_c
     (density_bits,) = density_widths
     off_grid = [(series, bits) for series, bits in packed if bits % 16]
     assert density_bits % 16 and len(off_grid) == 1
-    assert off_grid[0][0] is macdonald._T_SIGN and off_grid[0][1] == density_bits
+    assert tuple(off_grid[0][0]) == (macdonald._T, macdonald._MINUS_ONE)
+    assert off_grid[0][1] == density_bits
     assert len({bits for _, bits in packed if bits % 16 == 0}) <= 3
 
 
@@ -1079,7 +1079,7 @@ def _loop_gram_recurrence(gram, rhs_series, value) -> dict:
     # the recurrence as a Python double loop over k and the unknowns, the
     # reference for the dot products of macdonald._gram_recurrence
     big = len(rhs_series[0]) - 1
-    sign = value(macdonald._T_SIGN)[1]
+    sign = value(macdonald._Series((macdonald._T, macdonald._MINUS_ONE)))[1]
     gram = [[value(series) for series in row] for row in gram]
     rhs_series = [value(series) for series in rhs_series]
     xs: list[list[int]] = []
