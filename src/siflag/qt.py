@@ -11,10 +11,12 @@ coefficient, so equal values always have equal representations.
 
 The package has one exact field elimination kernel, ``_rref``: a reduced row
 echelon form of sparse rows {col: value} that takes pivot columns in increasing
-order, so its output is the canonical RREF.  ``rootdata._invert`` hands it
-``Fraction`` rows (the Cartan matrix beside the identity), and the eigen base
-solve (``weylchar.eigen_solve_base``) hands it rows of ``ModP``, the integers
-modulo the prime P = 2^61 - 1, evaluated at one point q each.
+order, so its output is the canonical RREF, and names the input row behind
+each pivot.  ``rootdata._invert`` hands it ``Fraction`` rows (the Cartan
+matrix beside the identity), and the eigen base solve
+(``weylchar.eigen_solve_base``) hands it rows of ``ModP``, the integers modulo
+the prime P = 2^61 - 1, evaluated at one point q each, and keeps the rows
+behind the pivots.
 ``gauss_nullspace`` and ``gauss_solve`` wrap it for dense rows over any exact
 field.  The oracle's density finds root functionals with ``gauss_nullspace``
 over ``Fraction``.  ``gauss_solve`` has no caller in the package: it stays as
@@ -437,9 +439,12 @@ def _rref(rows, ncols):
     multiplies a zero.  The rows given are copied without their zero entries
     and are not changed.
 
-    Returns (pivots, rest): pivots lists (col, row) in increasing col, each row
-    scaled to 1 at its own column and free of every other pivot column; rest
-    holds the rows left without a pivot, which are zero on columns below ncols.
+    Returns (pivots, rest): pivots lists (col, src, row) in increasing col, with
+    src the index of the input row that took the pivot and row scaled to 1 at
+    its own column and free of every other pivot column; rest holds the rows
+    left without a pivot, which are zero on columns below ncols.  The input rows
+    named by the srcs are independent on the columns below ncols and span what
+    all the inputs span there.
     """
     sparse = [{c: x for c, x in row.items() if x} for row in rows]
     holders: list[set[int]] = [set() for _ in range(ncols)]
@@ -480,7 +485,7 @@ def _rref(rows, ncols):
                         if k < ncols:
                             holders[k].discard(i)
         holders[c] = {p}
-        pivots.append((c, prow))
+        pivots.append((c, p, prow))
     rest = [row for i, row in enumerate(sparse) if not is_pivot[i]]
     return pivots, rest
 
@@ -496,20 +501,20 @@ def gauss_solve(rows, rhs, zero):
     pivots, rest = _rref([dict(enumerate([*r, v])) for r, v in zip(rows, rhs)], ncols)
     if any(rest) or len(pivots) < ncols:
         return None
-    return [row.get(ncols, zero) for _, row in pivots]
+    return [row.get(ncols, zero) for _, _, row in pivots]
 
 
 def gauss_nullspace(rows, ncols, zero, one):
     """Basis of the right nullspace of dense M over an exact field, one vector per free column."""
     pivots, _ = _rref([dict(enumerate(r)) for r in rows], ncols)
-    pivot_cols = {c for c, _ in pivots}
+    pivot_cols = {c for c, _, _ in pivots}
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
         vec = [zero] * ncols
         vec[fc] = one
-        for pc, row in pivots:
+        for pc, _, row in pivots:
             if fc in row:
                 vec[pc] = -row[fc]
         basis.append(vec)

@@ -482,7 +482,7 @@ def _invert(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
     rows = [{**{j: Fraction(x) for j, x in enumerate(row)}, n + i: Fraction(1)}
             for i, row in enumerate(mat)]
     pivots, _ = _rref(rows, n)
-    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in pivots)
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, _, row in pivots)
 
 
 # the one RootSystem each supported (type, rank) resolves to in this process

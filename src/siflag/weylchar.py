@@ -294,11 +294,12 @@ def eigen_solve_base(rs: RootSystem, lam: Weight) -> GenWeylChar:
 
     Each loop L of _base_loops says A_L(q) X = q^{m_L} X for the vector X of
     q-polynomials X_nu, nu in hull(lam); stacked over every loop, that is
-    M(q) X = 0.  Its rows are built loop by loop (_solve_rows) only until h - 1
-    of them, with h = |hull|, are independent at the check point: a nonzero
-    minor of a subset of M's rows proves rank M >= h - 1 over Q(q) as well as
-    the whole M would.  At points q_k the kernel of those rows with X_lam = 1
-    is found over Z/PZ, and each X_nu is Newton-interpolated until the
+    M(q) X = 0.  Its rows are built loop by loop (_solve_rows), each loop's
+    eliminated at the check point with the rows kept so far, and the rows that
+    take the pivots are kept until there are h - 1 of them, with h = |hull|: a
+    nonzero minor of a subset of M's rows proves rank M >= h - 1 over Q(q) as
+    well as the whole M would.  At points q_k the kernel of those rows with
+    X_lam = 1 is found over Z/PZ, and each X_nu is Newton-interpolated until the
     interpolant stops changing, with the sum D of the rows' q-degrees as a
     proven cap (the entries are ratios of their maximal minors, so a
     polynomial X has degree <= D).  The balanced lift must satisfy the loop
@@ -342,33 +343,37 @@ _CHECK_POINT = 0x2545F4914F6CDD1D % P
 
 
 def _solve_rows(rs: RootSystem, order: list, exponents: dict) -> list[dict]:
-    """h - 1 rows of M(q) independent at the check point, from as few loops as it takes.
+    """h - 1 rows of M(q) independent on the unknown columns at the check point,
+    from as few loops as it takes.
 
-    Loops are taken in the order of exponents, and the build stops at the
-    first one after which the rows built hold h - 1 rows independent on the
-    unknown columns at the check point; _independent_rows then picks them in
-    (q-degree, key) order.  When the loops run out first, every row is built
-    and _independent_rows names the whole system's rank.
+    Loops are taken in the order of exponents.  Each loop's rows are evaluated
+    at the check point once and eliminated together with the rows kept so far,
+    on the unknown columns only; the rows that took _rref's pivots are kept,
+    and the build stops once there are h - 1 of them.  A nonzero minor mod P
+    proves rank M >= h - 1 over Q(q); a kernel of dimension one needs that many
+    rows, so when the loops run out first the solve stops, naming the whole
+    system's rank at the check point (it bounds dim ker M from above only).
     """
     h1 = len(order) - 1
-    built: list = []
-    echelon: list = []
+    kept: list = []  # (value at the check point, row of M(q)) for each pivot's source row
+    on_lam = False  # whether some row was left nonzero on X_lam's column alone
     for loop, m_eig in exponents.items():
         rows = _loop_rows(rs, order, loop, m_eig)
-        built += rows
-        pivots, _ = _rref(echelon + _at([row for _, _, row in rows], _CHECK_POINT), h1)
-        echelon = [row for _, row in pivots]
-        if len(echelon) == h1:
-            break
-    built.sort(key=lambda item: item[:2])
-    return _independent_rows([row for _, _, row in built], len(order))
+        kept += zip(_at(rows, _CHECK_POINT), rows)
+        pivots, rest = _rref([value for value, _ in kept], h1)
+        kept = [kept[src] for _, src, _ in pivots]
+        on_lam = on_lam or any(rest)
+        if len(kept) == h1:
+            return [row for _, row in kept]
+    raise ValueError(f"loop eigen-system is not uniquely solvable: rank {len(kept) + on_lam} "
+                     f"at the check point, a unique base needs {h1}")
 
 
-def _loop_rows(rs: RootSystem, order: list, loop, m_eig: int) -> list[tuple]:
-    """Loop L's nonzero rows of M(q), as (q-degree, (L, omega), {column: {q-degree: int}})
-    with lowest degree 0.
+def _loop_rows(rs: RootSystem, order: list, loop, m_eig: int) -> list[dict]:
+    """Loop L's nonzero rows of M(q), as {column: {q-degree: int}} with lowest degree 0,
+    in (q-degree, omega) order.
 
-    Row (L, omega) is the e^omega part of A_L X - q^{m_L} X, and A_L[omega][nu]
+    Row omega is the e^omega part of A_L X - q^{m_L} X, and A_L[omega][nu]
     is read off the image of e^nu under L's Demazure word.  Each row is shifted
     by q^{-low}, which moves none of its zeros at q != 0.
     """
@@ -384,29 +389,9 @@ def _loop_rows(rs: RootSystem, order: list, loop, m_eig: int) -> list[tuple]:
         degrees = [n for poly in row.values() for n in poly]
         if degrees:
             low = min(degrees)
-            out.append((max(degrees) - low, (loop, wt), {j: {n - low: c for n, c in poly.items()}
-                                                         for j, poly in row.items() if poly}))
-    return out
-
-
-def _independent_rows(rows: list[dict], h: int) -> list[dict]:
-    """h - 1 rows independent on the unknown columns at the check point, least degrees first.
-
-    The pivot columns of the transposed system are the first rows, in the given
-    order, independent of those before them.  A nonzero minor mod P proves
-    rank M >= h - 1 over Q(q); a kernel of dimension one needs that many rows,
-    so a lower rank stops the solve (it bounds dim ker M from above only).
-    """
-    cols: list[dict] = [{} for _ in range(h)]
-    for i, values in enumerate(_at(rows, _CHECK_POINT)):
-        for j, value in values.items():
-            cols[j][i] = value
-    pivots, _ = _rref(cols[:-1], len(rows))
-    if len(pivots) < h - 1:
-        rank = len(_rref(cols, len(rows))[0])
-        raise ValueError(f"loop eigen-system is not uniquely solvable: rank {rank} at the "
-                         f"check point, a unique base needs {h - 1}")
-    return [rows[c] for c, _ in pivots]
+            out.append((max(degrees) - low, wt, {j: {n - low: c for n, c in poly.items()}
+                                                 for j, poly in row.items() if poly}))
+    return [row for _, _, row in sorted(out, key=lambda item: item[:2])]
 
 
 def _at(rows: list[dict], x: int) -> list[dict]:
@@ -426,7 +411,7 @@ def _kernel_at(rows: list[dict], h1: int, x: int):
     pivots, _ = _rref(_at(rows, x), h1)
     if len(pivots) < h1:
         return None
-    return [-row[h1].v % P if h1 in row else 0 for _, row in pivots]
+    return [-row[h1].v % P if h1 in row else 0 for _, _, row in pivots]
 
 
 def _newton_add(newton: list[list[int]], xs: list[int], x: int, values: list[int]) -> bool:

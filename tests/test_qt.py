@@ -640,7 +640,7 @@ def sparse_solve(rows, ncols, zero):
     pivots, rest = _rref(rows, ncols)
     if any(rest) or len(pivots) < ncols:
         return None
-    return [row.get(ncols, zero) for _, row in pivots]
+    return [row.get(ncols, zero) for _, _, row in pivots]
 
 
 # the Fraction cases keep their bare shape ids; the ModP cases add "-modp"
@@ -673,7 +673,7 @@ def test_sparse_solve_matches_dense_reference(shape, field):
             reduced = _rows_mod_p(sparse)
             given = [dict(entry) for entry in reduced]
             got_pivots, got_rest = _rref(reduced, m)
-            assert got_pivots == [(c, _rows_mod_p([row])[0]) for c, row in pivots]
+            assert got_pivots == [(c, src, _rows_mod_p([row])[0]) for c, src, row in pivots]
             assert got_rest == _rows_mod_p(rest)
             got = sparse_solve(reduced, m, ModP(0))
             assert got == (None if want is None else [_mod_p(x) for x in want])
@@ -687,6 +687,35 @@ def test_sparse_solve_matches_dense_reference(shape, field):
             assert got is None
         checked += (got is None) != (shape in ("square", "tall"))
     assert checked >= 5, "the seeded systems never reach the shape under test"
+
+
+@pytest.mark.parametrize("field", [Fraction, ModP])
+def test_pivot_sources_span_the_inputs_independently(field):
+    """The input rows _rref names as pivot sources, against the dense reference.
+
+    On the columns below ncols they have rank len(pivots) and the same RREF,
+    so the same row space, as all the inputs together; the augmented column at
+    ncols, here independent of the others, is carried along and takes no pivot.
+    """
+    rng = random.Random("sources:" + field.__name__)
+    lift = _mod_p if field is ModP else Fraction
+    zero = lift(Fraction(0))
+    dropped = 0
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 6)
+        rows = _random_system(rng, n, m, rng.randint(1, m))
+        sparse = [{c: lift(x) for c, x in enumerate([*row, Fraction(rng.randint(-3, 3))]) if x}
+                  for row in rows]
+        pivots, _ = _rref(sparse, m)
+        srcs = [src for _, src, _ in pivots]
+        assert len(set(srcs)) == len(srcs)
+        dense = [[row.get(c, zero) for c in range(m)] for row in sparse]
+        named, named_cols = _dense_rref([dense[i] for i in srcs], m)
+        every, every_cols = _dense_rref(dense, m)
+        assert len(named_cols) == len(pivots) == len(every_cols)
+        assert named == every[:len(pivots)]
+        dropped += n - len(pivots)
+    assert dropped >= 20, "the seeded rows never leave a row without a pivot"
 
 
 def test_mod_p_field_operations():

@@ -13,6 +13,7 @@ import pytest
 from siflag import macdonald, weylchar
 from siflag.charpoly import CharPoly, demazure_op, demazure_word, freeness_factor
 from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize
+from siflag.qt import P
 from siflag.rootdata import (SUPPORTED, Coweight, RootSystem, Weight, build_root_system,
                              from_name, minimal_coset_representative, minimal_coset_reps)
 from siflag.weylchar import (
@@ -147,31 +148,98 @@ def test_rank_deficient_eigen_solve_raises():
         eigen_solve_base(from_name("B4"), Weight((0, 0, 1, 0)))
 
 
+def _rank_at_check_point(rows, h1):
+    """Rank mod P of rows of M(q) at the check point on the h1 unknown columns,
+    by dense Gaussian elimination independent of qt._rref and weylchar._at."""
+    x = weylchar._CHECK_POINT
+    dense = [[sum(c * pow(x, n, P) for n, c in row.get(j, {}).items()) % P for j in range(h1)]
+             for row in rows]
+    rank = 0
+    for col in range(h1):
+        piv = next((i for i in range(rank, len(dense)) if dense[i][col]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        inv = pow(dense[rank][col], -1, P)
+        for i in range(rank + 1, len(dense)):
+            f = dense[i][col] * inv % P
+            if f:
+                dense[i] = [(a - f * b) % P for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+def _spy_loop_rows(monkeypatch):
+    """Record (loop, order, rows) for every loop whose rows the solve builds."""
+    built = []
+    loop_rows = weylchar._loop_rows
+
+    def spy(rs, order, loop, m_eig):
+        rows = loop_rows(rs, order, loop, m_eig)
+        built.append((loop, order, rows))
+        return rows
+
+    monkeypatch.setattr(weylchar, "_loop_rows", spy)
+    return built
+
+
 def test_rows_stop_at_full_rank_while_every_loop_is_checked(monkeypatch):
     # on A3 omega1 the first loop's rows already hold h - 1 rows independent at
-    # the check point, so no other loop's rows are built; the exact check that
-    # makes the base unique still applies all 16 loops
-    a3 = from_name("A3")
-    loops = weylchar._base_loops(a3)
-    built, checked = [], set()
-    loop_rows, is_base, word = weylchar._loop_rows, weylchar._is_base, weylchar.demazure_word
+    # the check point, so no other loop's rows are built; on D4 omega1 the build
+    # stops after 51 of the 52 loops.  Either way the loops built are the
+    # shortest prefix whose rows reach rank h - 1, and the exact check that
+    # makes the base unique still applies every loop
+    for name, n_loops, n_built in (("A3", 16, 1), ("D4", 52, 51)):
+        rs = from_name(name)
+        loops = weylchar._base_loops(rs)
+        checked = set()
+        is_base, word = weylchar._is_base, weylchar.demazure_word
 
-    def spy_loop_rows(rs, order, loop, m_eig):
-        built.append(loop)
-        return loop_rows(rs, order, loop, m_eig)
+        def spy_is_base(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(weylchar, "demazure_word",
+                              lambda rs, loop, value: checked.add(loop) or word(rs, loop, value))
+                return is_base(*args)
 
-    def spy_is_base(*args):
         with monkeypatch.context() as patch:
-            patch.setattr(weylchar, "demazure_word",
-                          lambda rs, loop, value: checked.add(loop) or word(rs, loop, value))
-            return is_base(*args)
+            built = _spy_loop_rows(patch)
+            patch.setattr(weylchar, "_is_base", spy_is_base)
+            eigen_solve_base(rs, rs.fundamental_weight(1))
+        assert len(loops) == n_loops
+        assert [loop for loop, _, _ in built] == loops[:n_built]
+        assert checked == set(loops)
+        h1 = len(built[0][1]) - 1
+        ranks = [_rank_at_check_point([row for *_, rows in built[:k] for row in rows], h1)
+                 for k in (n_built - 1, n_built)]
+        assert ranks[0] < h1 == ranks[1]
 
-    monkeypatch.setattr(weylchar, "_loop_rows", spy_loop_rows)
-    monkeypatch.setattr(weylchar, "_is_base", spy_is_base)
-    eigen_solve_base(a3, a3.fundamental_weight(1))
-    assert len(loops) == 16
-    assert built == loops[:1]
-    assert checked == set(loops)
+
+@pytest.mark.parametrize("name, lam", [("A3", (1, 0, 0)), ("G2", (1, 1)), ("B4", (1, 0, 0, 0)),
+                                       ("D4", (1, 0, 0, 0))],
+                         ids=["A3-omega1", "G2-(1,1)", "B4-omega1", "D4-omega1"])
+def test_solve_rows_are_built_rows_of_full_rank(monkeypatch, name, lam):
+    # the rows the solve interpolates from: exactly h - 1 of them, each a row
+    # some loop built, independent on the unknown columns at the check point
+    rs = from_name(name)
+    built = _spy_loop_rows(monkeypatch)
+    solve_rows, got = weylchar._solve_rows, []
+    monkeypatch.setattr(weylchar, "_solve_rows",
+                        lambda *args: got.extend(solve_rows(*args)) or got)
+    eigen_solve_base(rs, Weight(lam))
+    h1 = len(built[0][1]) - 1
+    assert len(got) == h1
+    assert all(any(row in rows for *_, rows in built) for row in got)
+    assert _rank_at_check_point(got, h1) == h1
+
+
+def test_rank_counts_a_row_left_on_x_lams_column_alone(monkeypatch):
+    # x_0 + x_1 = 0 and x_0 + x_1 + x_lam = 0 leave rank 1 on the two unknowns
+    # and 2 on the whole system, which the message names; X_lam's column must
+    # not take a pivot in place of an unknown's
+    rows = {"a": [{0: {0: 1}, 1: {0: 1}}], "b": [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}]}
+    monkeypatch.setattr(weylchar, "_loop_rows", lambda rs, order, loop, m_eig: rows[loop])
+    with pytest.raises(ValueError, match="rank 2 at the check point, a unique base needs 2$"):
+        weylchar._solve_rows(A1, ["nu_0", "nu_1", "lam"], {"a": 0, "b": 0})
 
 
 def _wrong_candidates(monkeypatch, mutate):
