@@ -2,10 +2,12 @@
 
 Core objects: finite root systems with their Weyl groups (`rootdata`), the
 affine Weyl group and quantum Bruhat graph (`affine`), the q-graded character
-ring with Demazure operators (`charpoly`), the nonsymmetric Macdonald
-polynomials at generic (q, t) by intertwiner steps (`cherednik`, what
-`siflag emac` runs) and by the Gram-Schmidt oracle (`macdonald`), and the
-module-character engine tying them together (`weylchar`).  The `siflag`
+ring with Demazure operators (`charpoly`), exact rational functions in q and t
+and the integer packing of t-polynomials (`qt`), the nonsymmetric Macdonald
+polynomials at generic (q, t) by intertwiner steps in every supported type
+(`cherednik`, what `siflag emac` runs) and by the Gram-Schmidt oracle in rank
+two at most (`macdonald`), and the module-character engine tying them
+together (`weylchar`).  The `siflag`
 console script fronts all of it.
 """
 

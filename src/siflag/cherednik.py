@@ -30,8 +30,10 @@ the sum over alpha > 0 of eps_alpha alpha, eps_alpha = +1 if
 
 Each step divides by the monomial at its new weight (1 at a finite step) and
 checks by explicit raises, which ``python -O`` keeps, that it is a monomial
-+-q^a t^b and that every term lies in gamma's order ideal.  The tests check
-the result against the Gram-Schmidt oracle (``macdonald.gram_schmidt_E``).
++-q^a t^b and that every term lies in gamma's order ideal.  The path runs in
+every supported type.  The tests check the result against the Gram-Schmidt
+oracle (``macdonald.gram_schmidt_E``) in rank two at most, its scope, and
+beyond it against the recursion engine's cor family.
 
 A coefficient's denominator is a multiset of irreducible factors known in
 advance: q, t, and the pieces of each step's 1 - r, which times a power of t
@@ -50,8 +52,8 @@ import functools
 from math import gcd
 
 from .charpoly import _run, letter_runs
-from .macdonald import EPoly, _exact_width, _unpack, oracle_scope, triangular_order_ideal
-from .qt import Poly, QTRat, _ONE, _T_ONE
+from .macdonald import EPoly, triangular_order_ideal
+from .qt import Poly, QTRat, _ONE, _T_ONE, _exact_width, _unpack
 from .rootdata import RootSystem, Weight
 
 
@@ -61,7 +63,6 @@ def cherednik_E(rs: RootSystem, gamma: Weight) -> EPoly:
     Its coefficients name every member of the strict ideal, zeros included,
     as ``gram_schmidt_E``'s do.
     """
-    oracle_scope(rs)
     members = triangular_order_ideal(rs, gamma)
     ideal = {nu.coords for nu in members}
     path = _Path(rs)
@@ -234,7 +235,9 @@ class _Factored:
 
         The factors are irreducible and the numerator's q- and t-valuations
         are read off directly, so this is the reduced form.  A factor x - y
-        (d = 1) is tried only where _on_binomial finds that it divides.
+        (d = 1) is tried only where _on_binomial finds that it divides, tested
+        once, before its first trial division; the trial divisions then run
+        until one fails, as for every other factor.
         """
         num = self.num
         if not num:
@@ -245,15 +248,14 @@ class _Factored:
             num = Poly({n - qa: Poly({d - tb: c for d, c in tp.items()}) for n, tp in num.items()})
         phis = {}
         for key, m in self.phis.items():
-            f = _phi(key)
-            while m:
-                if key[0] == 1 and _on_binomial(num, key[1], key[2]):
-                    break
-                try:
-                    num = num // f
-                except ValueError:
-                    break
-                m -= 1
+            if key[0] > 1 or not _on_binomial(num, key[1], key[2]):
+                f = _phi(key)
+                while m:
+                    try:
+                        num = num // f
+                    except ValueError:
+                        break
+                    m -= 1
             if m:
                 phis[key] = m
         return _Factored(num, self.qa - qa, self.tb - tb, phis)
@@ -287,7 +289,7 @@ def _sum_of_products(rows) -> Poly:
     product and the sum of the rows' L1 norms (each at most the product of
     its factors' L1 norms, the L1 norm being submultiplicative) bounds every
     coefficient, so with B one bit wider than that bound the integer is the
-    value of one polynomial only, and macdonald._unpack reads it back.
+    value of one polynomial only, and qt._unpack reads it back.
     """
     rows = [(a, b, [(f, e) for f, e in factors if e]) for a, b, factors in rows]
     bound = tdeg = 0

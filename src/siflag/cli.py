@@ -341,8 +341,8 @@ def _write(config: RunConfig, text: str) -> None:
 
 def main(argv=None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
-    # what the library rejects (oracle scope, specialization modes, a base the
-    # eigen solve cannot pin) ends as "<command>: <message>", exit 1
+    # what the library rejects (a specialization mode, a base the eigen solve
+    # cannot pin) ends as "<command>: <message>", exit 1
     try:
         return _run(config)
     except ValueError as err:

@@ -25,7 +25,8 @@ every type), so the oracle is only the independent reference of the ``cor``
 suite, the acceptance gate and the route-agreement tests.  ``siflag emac``
 does not run it: emac computes E_gamma by intertwiner steps
 (``cherednik.cherednik_E``), which the tests check against this oracle.
-Both routes share one scope check, ``oracle_scope``.
+Only the oracle has a scope, rank <= 2 (``oracle_scope``); emac runs in every
+supported type.
 
 Pairings are computed exactly per q-order (each order is an integer polynomial
 in t).  Every root's density factor has the same column of coefficients of its
@@ -40,10 +41,10 @@ recovered by a fraction-free Pade step and reduced by its Z[t] content alone
 q in it can be shared), and the result is re-verified against five extra
 q-orders.
 
-Every stage computes on t-polynomials packed into integers at t = 2^B, with B
-from L1 majorants: the density at the exact width its largest majorant needs
-(_exact_width), every later stage at that width rounded up to a multiple of
-16 bits (_width).  At such a width the packing is one-to-one on every
+Every stage computes on t-polynomials packed into integers at t = 2^B (qt's
+_pack and _unpack), with B from L1 majorants: the density at the exact width
+its largest majorant needs (_exact_width), every later stage at that width
+rounded up to a multiple of 16 bits (_width).  At such a width the packing is one-to-one on every
 polynomial the stage forms, so a packed integer is zero exactly when its
 polynomial is (see _on_packed).  So:
 
@@ -79,7 +80,7 @@ from math import lcm
 from operator import mul
 
 from .charpoly import CharPoly
-from .qt import Poly, QTRat, gauss_nullspace, p_gcd
+from .qt import Poly, QTRat, _exact_width, _pack, _unpack, gauss_nullspace, p_gcd
 from .rootdata import RootSystem, Weight, hull_weights
 
 
@@ -192,42 +193,9 @@ def _decode(packed: dict, bound: dict | None, bits: int, keys=None) -> dict:
     return out
 
 
-def _unpack(packed: int, bits: int) -> Poly:
-    """The t-polynomial whose value at t = 2^bits is packed (|coefficients| < 2^(bits-1))."""
-    if bits < 2:
-        raise ValueError(f"cannot unpack signed coefficients at {bits} bit(s) per digit")
-    out = Poly()
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    deg = 0
-    while packed:
-        c = packed & mask
-        if c >= half:
-            c -= 1 << bits
-        if c:
-            out[deg] = c
-        packed = (packed - c) >> bits
-        deg += 1
-    return out
-
-
-def _pack(tp: Poly, bits: int) -> int:
-    """The value of a t-polynomial at t = 2^bits."""
-    return sum(c << (bits * d) for d, c in tp.items())
-
-
 def _l1(tp: Poly) -> int:
     """The L1 majorant of a t-polynomial: its value at t = 1 with every sign made plus."""
     return sum(map(abs, tp.values()))
-
-
-def _exact_width(bound: int) -> int:
-    """The least packing width for t-polynomials whose coefficients are at most bound in size.
-
-    bound.bit_length() bits and one for the sign.  The density packs at it:
-    it decodes every entry it packs, so its width is its own affair.
-    """
-    return bound.bit_length() + 1
 
 
 def _width(bound: int) -> int:
@@ -516,20 +484,13 @@ class EPoly:
     gamma: Weight
     coeffs: dict  # Weight -> QTRat
 
-    def coeff(self, nu: Weight) -> QTRat:
-        return self.coeffs.get(nu, QTRat.zero())
-
-    def support(self) -> list[Weight]:
-        return sorted((w for w, c in self.coeffs.items() if not c.is_zero()),
-                      key=lambda w: w.coords)
-
 
 _E_CACHE: dict = {}
 _EXTRA_ORDERS = 5
 
 
 def oracle_scope(rs: RootSystem) -> None:
-    """Raise ValueError unless rs is in the scope of gram_schmidt_E and cherednik_E: rank <= 2."""
+    """Raise ValueError unless rs is in the scope of gram_schmidt_E: rank <= 2."""
     if rs.rank > 2:
         raise ValueError("oracle scope is rank <= 2")
 
@@ -857,43 +818,30 @@ def _verify_orthogonality(epoly: EPoly, lower, table: PairingTable):
 # -- bar involution and specializations ----------------------------------------------
 
 
-def bar_conjugate(f):
-    """The involution e^lam -> e^{-lam} with q, t fixed, on an EPoly or CharPoly."""
-    if isinstance(f, CharPoly):
-        return f.bar()
+def bar_conjugate(f: EPoly) -> EPoly:
+    """The involution e^lam -> e^{-lam} with q, t fixed (CharPoly.bar on characters)."""
     return EPoly(-f.gamma, {-w: c for w, c in f.coeffs.items()})
 
 
-_MODE_ALIASES = {
-    "t-0": "t0", "t0": "t0", "t->0": "t0",
-    "t-inf": "tinf", "tinf": "tinf", "t->inf": "tinf", "t-oo": "tinf",
-    "q-inv": "qinv", "qinv": "qinv", "q->1/q": "qinv",
-}
+_MODES = {"t-0": QTRat.subs_t_zero, "t-inf": QTRat.limit_t_inf, "q-inv": QTRat.subs_q_inv}
 
 
 def specialize(f: EPoly, modes) -> CharPoly:
-    """Specialize every coefficient (t -> 0, t -> infinity, q -> 1/q, composable).
+    """Specialize every coefficient by modes, applied in order: t-0, t-inf or q-inv.
 
-    The result must be an exact Laurent polynomial in q; a diverging limit or a
+    modes is a sequence of mode names or one comma-separated string.  The
+    result must be an exact Laurent polynomial in q; a diverging limit or a
     non-polynomial coefficient raises ValueError.
     """
     if isinstance(modes, str):
-        modes = [m for m in modes.split(",") if m]
-    ops = []
+        modes = modes.split(",")
     for mode in modes:
-        canon = _MODE_ALIASES.get(mode.strip())
-        if canon is None:
+        if mode not in _MODES:
             raise ValueError(f"unknown specialization mode {mode!r}")
-        ops.append(canon)
     terms = {}
     for w, c in f.coeffs.items():
-        for op in ops:
-            if op == "t0":
-                c = c.subs_t_zero()
-            elif op == "tinf":
-                c = c.limit_t_inf()
-            else:
-                c = c.subs_q_inv()
+        for mode in modes:
+            c = _MODES[mode](c)
         for n, frac in c.as_q_laurent().items():
             terms[(w.coords, n)] = frac
     return CharPoly(terms)

@@ -9,6 +9,13 @@ down to the integers.  A QTRat is a reduced fraction of two elements of
 (Z[t])[q] with integer content divided out and a positive leading denominator
 coefficient, so equal values always have equal representations.
 
+Both E_gamma routes compute on t-polynomials packed into integers: a
+t-polynomial with coefficients below 2^(B-1) in size is its value at
+t = 2^B (_pack), read back digit by digit (_unpack), and _exact_width is the
+least B for a given coefficient bound.  Evaluation at 2^B is a ring
+homomorphism, so sums and products of packed integers are exact as long as
+the result's coefficients fit; each caller proves or checks that.
+
 The package has one exact field elimination kernel, ``_rref``: a reduced row
 echelon form of sparse rows {col: value} that takes pivot columns in increasing
 order, so its output is the canonical RREF, and names the input row behind
@@ -102,6 +109,41 @@ def _addmul(out: Poly, b: Poly, c=1, shift: int = 0) -> Poly:
 
 _T_ONE = Poly({0: 1})  # 1 in Z[t]
 _ONE = Poly({0: _T_ONE})  # 1 in (Z[t])[q]
+
+
+# -- Kronecker substitution: t-polynomials packed into integers ----------------------
+
+
+def _pack(tp: Poly, bits: int) -> int:
+    """The value of a t-polynomial at t = 2^bits."""
+    return sum(c << (bits * d) for d, c in tp.items())
+
+
+def _unpack(packed: int, bits: int) -> Poly:
+    """The t-polynomial whose value at t = 2^bits is packed (|coefficients| < 2^(bits-1))."""
+    if bits < 2:
+        raise ValueError(f"cannot unpack signed coefficients at {bits} bit(s) per digit")
+    out = Poly()
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    deg = 0
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            out[deg] = c
+        packed = (packed - c) >> bits
+        deg += 1
+    return out
+
+
+def _exact_width(bound: int) -> int:
+    """The least packing width for t-polynomials whose coefficients are at most bound in size.
+
+    bound.bit_length() bits and one for the sign.
+    """
+    return bound.bit_length() + 1
 
 
 def _mono(dq: int, dt: int, c: int) -> Poly:

@@ -352,15 +352,21 @@ def test_exact_divide_divides_exactly():
         assert_exact(got)
 
 
+def test_bar_negates_weights_and_fixes_q():
+    p = CharPoly.monomial((1,), 0) + CharPoly.monomial((-1,), 1)
+    assert p.bar() == CharPoly.monomial((-1,), 0) + CharPoly.monomial((1,), 1)
+    assert p.bar().bar() == p
+
+
 def test_specialized_coefficients_are_exact():
     w = Weight((1,))
     q, t = QTRat.q(), QTRat.t()
     third = QTRat.from_fraction(Fraction(1, 3))
     rational = EPoly(w, {w: QTRat.one(), -w: third + q * t + QTRat.from_int(2) / (QTRat.one() + t)})
-    got = specialize(rational, "t0")
+    got = specialize(rational, "t-0")
     assert_exact(got)
     assert got.coeff((-1,), 0) == Fraction(7, 3)
     assert type(got.coeff((1,), 0)) is int
     for gamma in ((2,), (-2,)):
-        for modes in ("t0", "tinf", "tinf,qinv"):
+        for modes in ("t-0", "t-inf", "t-inf,q-inv"):
             assert_exact(specialize(gram_schmidt_E(A1, Weight(gamma)), modes))

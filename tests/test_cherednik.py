@@ -10,8 +10,9 @@ from siflag import cherednik, cli, macdonald
 from siflag.cherednik import _Factored, cherednik_E
 from siflag.macdonald import bar_conjugate, gram_schmidt_E, specialize, triangular_order_ideal
 from siflag.qt import Poly, QTRat
-from siflag.rootdata import Weight, build_root_system
-from siflag.weylchar import cor_family
+from siflag.rootdata import Weight, build_root_system, minimal_coset_reps
+from siflag.verify import dominant_weights
+from siflag.weylchar import cor_family, genweyl_char
 
 TYPES = {name: build_root_system(name[0], int(name[1:])) for name in ("A1", "A2", "B2", "C2", "G2")}
 
@@ -57,12 +58,41 @@ def test_a1_anchor():
     assert cherednik_E(rs, Weight((1,))).coeffs == {Weight((1,)): one}
 
 
-def test_one_scope_check_serves_both_routes():
-    a3 = build_root_system("A", 3)
-    for route in (cherednik_E, gram_schmidt_E):
-        with pytest.raises(ValueError) as exc:
-            route(a3, Weight((-1, 0, 0)))
-        assert str(exc.value) == "oracle scope is rank <= 2"
+def test_only_the_oracle_has_a_scope():
+    a3, gamma = build_root_system("A", 3), Weight((-1, 0, 0))
+    assert cherednik_E(a3, gamma).gamma == gamma
+    with pytest.raises(ValueError) as exc:
+        gram_schmidt_E(a3, gamma)
+    assert str(exc.value) == "oracle scope is rank <= 2"
+
+
+# the cor cases at weight sum one, one per minimal coset representative w of each lambda
+COR_CASES = {"A3": 14, "B3": 26, "C3": 26, "D4": 48}
+
+
+@pytest.mark.parametrize("name", sorted(COR_CASES))
+def test_cherednik_E_specializes_to_the_cor_family_beyond_rank_two(name):
+    """E^dagger_{-w lam}(q^-1, infinity) is the T_i recursion's cor family, where the oracle does not run.
+
+    At the longest w the t = 0 end, E^dagger_{-lam}(q, 0), is also
+    ch W_{w lam}, as verify's cor suite checks against the oracle.  This
+    check is not independent of charpoly.letter_runs: cherednik_E reads its
+    D_i runs there, and so do the Demazure operators behind cor_family and
+    genweyl_char, so a wrong run could cancel between the two sides.
+    """
+    rs = build_root_system(name[0], int(name[1:]))
+    checked = 0
+    for lam in dominant_weights(rs, 1):
+        reps = minimal_coset_reps(rs, lam)
+        longest = max(w.length() for w in reps)
+        for w in reps:
+            got = specialize(bar_conjugate(cherednik_E(rs, -w.act(lam))), ("t-inf", "q-inv"))
+            assert got == cor_family(rs, w, lam), (lam, w.word())
+            if w.length() == longest:
+                zero_end = specialize(bar_conjugate(cherednik_E(rs, -lam)), "t-0")
+                assert zero_end == genweyl_char(rs, w, lam).value, lam
+            checked += 1
+    assert checked == COR_CASES[name]
 
 
 def test_emac_builds_no_density(monkeypatch, capsys):
@@ -103,10 +133,19 @@ def test_g2_past_the_oracle_truncation_matches_cor_at_t_infinity():
     assert got == cor_family(rs, s1, lam)
 
 
-# emac over the box [-2, 2]^2, and on G2's two weights past the Y collisions
+def _plus_minus_omegas(rank: int) -> list[tuple]:
+    return [tuple(sign * (j == i) for j in range(rank)) for i in range(rank) for sign in (1, -1)]
+
+
+# emac over the boxes [-2, 2]^2 and [-1, 1]^3, on G2's two weights past the Y
+# collisions, and on every +-omega_i of B3, C3, A4, B4, C4, D4 and F4 but
+# F4 -omega_2, which alone takes seconds
 EMAC_BOX = {
     **{name: list(itertools.product(range(-2, 3), repeat=2)) for name in ("A2", "B2", "C2")},
     "G2": [(2, -2), (-3, 2)],
+    "A3": list(itertools.product((-1, 0, 1), repeat=3)),
+    **{name: _plus_minus_omegas(int(name[1])) for name in ("B3", "C3", "A4", "B4", "C4", "D4")},
+    "F4": [gamma for gamma in _plus_minus_omegas(4) if gamma != (0, -1, 0, 0)],
 }
 
 

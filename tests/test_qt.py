@@ -201,6 +201,33 @@ def _int_content(a: BPoly) -> int:
     return g or 1
 
 
+# -- Kronecker substitution ------------------------------------------------------
+
+
+def test_unpack_inverts_pack_at_every_sufficient_width():
+    rng = random.Random("kronecker")
+    for _ in range(200):
+        tp = Poly({d: c for d in range(rng.randrange(6)) if (c := rng.randint(-40, 40))})
+        least = qt._exact_width(max(map(abs, tp.values()), default=0))
+        for bits in (max(2, least), least + 17):
+            assert qt._unpack(qt._pack(tp, bits), bits) == tp, (tp, bits)
+
+
+def test_unpack_rejects_widths_below_two_bits(monkeypatch):
+    # at one bit the signed digit of a positive value is -1 and packed never
+    # reaches 0; a Poly that refuses to grow turns such a loop into a failure
+    class Bounded(Poly):
+        def __setitem__(self, key, value):
+            assert len(self) < 64, "_unpack did not stop"
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(qt, "Poly", Bounded)
+    for bits in (1, 0):
+        with pytest.raises(ValueError, match="bit"):
+            qt._unpack(1, bits)
+    assert qt._unpack(5, 2) == Poly({0: 1, 1: 1})
+
+
 # -- univariate Z[t] helpers (t-polys are dicts {dt: int}) ---------------------
 
 def _t_scale(a, c):
